@@ -26,7 +26,7 @@ from .numerics import (
     FullRankError,
     NonConvergenceError,
     RootCountError,
-    sym_eig,
+    tridiag_eigvals_lowest,
 )
 from .rabi import ModelParams, spectrum_sweep
 from .svgplot import render_figure
@@ -188,6 +188,21 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # oscillator
 
+def _lowest_levels(ham: np.ndarray, levels: int, stride: int) -> np.ndarray:
+    """Lowest eigenvalues of a Hamiltonian that couples n only to n +/- stride.
+
+    Each residue class of n modulo stride spans a tridiagonal sector; the
+    lowest levels of every sector are found by Sturm bisection and merged.
+    """
+    parts = []
+    for first in range(stride):
+        sector = ham[first::stride, first::stride]
+        if sector.shape[0]:
+            k = min(levels, sector.shape[0])
+            parts.append(tridiag_eigvals_lowest(np.diagonal(sector), np.diagonal(sector, 1), k))
+    return np.sort(np.concatenate(parts))[:levels]
+
+
 def cmd_oscillator(args) -> int:
     if args.levels < 1:
         raise CLIError("--levels must be at least 1")
@@ -197,13 +212,16 @@ def cmd_oscillator(args) -> int:
         if args.osc_type == "displaced":
             ham = displaced_osc_hamiltonian(args.lam, cutoff=args.cutoff)
             exact = np.arange(args.levels) + 0.5
+            stride = 1
         else:
+            # b+^2 + b^2 changes n by two: even and odd n never mix
             ham = squeezed_osc_hamiltonian(args.lam, cutoff=args.cutoff)
             omega_eff = np.sqrt(1.0 - 4.0 * args.lam * args.lam)
             exact = (np.arange(args.levels) + 0.5) * omega_eff
+            stride = 2
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    numeric = sym_eig(ham).values[: args.levels]
+    numeric = _lowest_levels(ham, args.levels, stride)
     dev = np.abs(numeric - exact)
     print(f"{'n':>4}  {'numeric':>18}  {'closed form':>18}  {'deviation':>11}")
     for n in range(args.levels):

@@ -24,10 +24,10 @@ from .numerics import (
     null_vector,
     poly_eval,
     poly_real_roots,
-    sym_eig,
     tridiag_det_poly,
+    tridiag_eigval_nearest,
 )
-from .rabi import ModelParams, build_rabi, parity_blocks
+from .rabi import ModelParams, _apply_rabi, _block_arrays
 
 _RESONANCE_TOL = 1e-12
 _SQRT_HALF = math.sqrt(0.5)
@@ -314,37 +314,37 @@ class VerificationReport:
 
 
 def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> VerificationReport:
-    """Cross-check one point against truncated-basis diagonalization.
+    """Cross-check one point against the truncated-basis spectrum.
 
-    Diagonalizes both parity blocks at g = point.g, selects the eigenvalue
-    nearest E in each, and records the opposite-parity gap |E+ - E-| (also
-    written back to point.degeneracy_gap). The reconstructed state's
-    eigen-residual ||(H - E) psi|| on the same cutoff is included.
+    In each parity block at g = point.g, one Sturm count on the tridiagonal
+    block gives the number c of eigenvalues below E; bisection on the
+    neighbouring indices c - 1 and c then yields the eigenvalue nearest E
+    (the lower index on a tie). The opposite-parity gap |E+ - E-| is recorded
+    and written back to point.degeneracy_gap. The reconstructed state's
+    eigen-residual ||(H - E) psi|| on the same cutoff is included, with H
+    applied through its band.
 
-    Raises RuntimeError when neither block has an eigenvalue within 1e-3 of
+    Raises RuntimeError when either block has no eigenvalue within 1e-3 of
     E - the signature of an under-sized cutoff or an invalid point.
     """
     M = int(cutoff)
     params = point.model_params()
-    block_plus, block_minus = parity_blocks(params, M)
 
     nearest = []
-    for block in (block_plus, block_minus):
-        values = sym_eig(block.matrix).values
-        idx = int(np.argmin(np.abs(values - point.E)))
-        dist = abs(values[idx] - point.E)
-        if dist > 1e-3:
+    for parity in (1, -1):
+        diag, off = _block_arrays(params, M, parity)
+        idx, value = tridiag_eigval_nearest(diag, off, point.E)
+        if abs(value - point.E) > 1e-3:
             raise RuntimeError(
                 f"no eigenvalue within 1e-3 of E={point.E:.6f} in the "
-                f"parity {block.parity:+d} block at cutoff {M}; increase the cutoff"
+                f"parity {parity:+d} block at cutoff {M}; increase the cutoff"
             )
-        nearest.append((idx, float(values[idx])))
+        nearest.append((idx, value))
     (idx_p, e_p), (idx_m, e_m) = nearest
     gap = abs(e_p - e_m)
 
     state = reconstruct_state(point, M)
-    H = build_rabi(params, M, scaled=True)
-    resid = H @ state.fock_vector - point.E * state.fock_vector
+    resid = _apply_rabi(params, state.fock_vector) - point.E * state.fock_vector
     eigen_residual = math.sqrt(float(resid @ resid))
 
     point.degeneracy_gap = gap

@@ -1,10 +1,12 @@
-"""Self-contained dense numerical kernel.
+"""Self-contained numerical kernel.
 
-Symmetric eigendecomposition (Householder reduction + implicit-shift QL),
-polynomial arithmetic with real-root isolation, null vectors of rank-deficient
-systems, and tridiagonal determinant polynomials. ndarrays are used for storage
-and elementwise/matmul arithmetic only; the algorithms themselves live here, so
-there are no calls into numpy.linalg or any external solver.
+Sturm-sequence bisection for selected eigenvalues of symmetric tridiagonal
+matrices, symmetric eigendecomposition (Householder reduction +
+implicit-shift QL, the dense reference), polynomial arithmetic with
+real-root isolation, null vectors of rank-deficient systems, and tridiagonal
+determinant polynomials. ndarrays are used for storage and elementwise/matmul
+arithmetic only; the algorithms themselves live here, so there are no calls
+into numpy.linalg or any external solver.
 """
 
 from __future__ import annotations
@@ -430,16 +432,13 @@ def sym_eig(A: np.ndarray) -> EigResult:
 # selected tridiagonal eigenvalues (Sturm bisection)
 
 
-def _sturm_counts(d: np.ndarray, e2: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift, via the LDL^T sign count."""
-    tiny = _EPS * (np.max(np.abs(d)) + np.sqrt(np.max(e2, initial=0.0)) + 1.0)
-    q = d[0] - shifts
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, d.size):
-        q = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
-        q = d[i] - shifts - e2[i - 1] / q
-        count += q < 0.0
-    return count
+def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
+    """Interval (lo, hi) holding every eigenvalue of the symmetric tridiagonal (d, e)."""
+    radius = np.zeros(d.size)
+    if d.size > 1:
+        radius[: d.size - 1] += np.abs(e)
+        radius[1:] += np.abs(e)
+    return float(np.min(d - radius)), float(np.max(d + radius))
 
 
 def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
@@ -453,31 +452,7 @@ def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     n = d.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for dimension {n}")
-    e2 = e * e
-    radius = np.zeros(n)
-    if n > 1:
-        radius[: n - 1] += np.abs(e)
-        radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    span = max(hi - lo, 1.0)
-    los = np.full(k, lo)
-    his = np.full(k, hi)
-    targets = np.arange(1, k + 1)  # eigenvalue j needs count >= j+1 above it
-    for _ in range(90):
-        mids = 0.5 * (los + his)
-        counts = _sturm_counts(d, e2, mids)
-        below = counts >= targets
-        his = np.where(below, mids, his)
-        los = np.where(below, los, mids)
-        if np.max(his - los) <= 4.0 * _EPS * span:
-            break
-    return 0.5 * (los + his)
-
-
-def tridiag_eigvals_all(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """All eigenvalues of the symmetric tridiagonal (d, e), ascending."""
-    return tridiag_eigvals_lowest(d, e, np.asarray(d).size)
+    return _sturm_lowest_batch(d, (e * e)[None, :], k)[0]
 
 
 def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarray:
@@ -495,13 +470,7 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
     G = e2_rows.shape[0]
     tiny = _EPS * (float(np.max(np.abs(d))) + math.sqrt(float(np.max(e2_rows, initial=0.0))) + 1.0)
 
-    emax = np.sqrt(np.max(e2_rows, axis=0, initial=0.0))
-    radius = np.zeros(n)
-    if n > 1:
-        radius[: n - 1] += emax
-        radius[1:] += emax
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
+    lo, hi = _gershgorin(d, np.sqrt(np.max(e2_rows, axis=0, initial=0.0)))
     span = max(hi - lo, 1.0)
 
     los = np.full((G, k), lo)
@@ -524,36 +493,68 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
     return 0.5 * (los + his)
 
 
+def _sturm_count(d, e2, x: float, tiny: float) -> int:
+    """Number of eigenvalues below x: the negative LDL^T pivots of T - x.
+
+    d and e2 are sequences (diagonal and squared off-diagonal); pivots
+    smaller than tiny in magnitude are pushed out to +/- tiny. Scalar Python
+    floats beat vectorized calls by an order of magnitude when only one
+    shift is wanted per step.
+    """
+    q = d[0] - x
+    count = 1 if q < 0.0 else 0
+    for i in range(1, len(d)):
+        if -tiny < q < tiny:
+            q = -tiny if q < 0.0 else tiny
+        q = d[i] - x - e2[i - 1] / q
+        if q < 0.0:
+            count += 1
+    return count
+
+
 def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float) -> float:
     """Single eigenvalue by Sturm bisection, scalar arithmetic throughout.
 
     d and e2 are sequences (diagonal and squared off-diagonal); index is the
-    0-based ascending eigenvalue index; (lo, hi) must bracket it. Scalar
-    Python floats beat vectorized calls by an order of magnitude when only
-    one eigenvalue is wanted per matrix, which is the crossing-refinement
-    inner loop.
+    0-based ascending eigenvalue index; (lo, hi) must bracket it. This is the
+    crossing-refinement and verification inner loop.
     """
-    n = len(d)
     scale = max(abs(lo), abs(hi), 1.0)
     tiny = _EPS * scale
     target = index + 1
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        q = d[0] - mid
-        count = 1 if q < 0.0 else 0
-        for i in range(1, n):
-            if -tiny < q < tiny:
-                q = -tiny if q < 0.0 else tiny
-            q = d[i] - mid - e2[i - 1] / q
-            if q < 0.0:
-                count += 1
-        if count >= target:
+        if _sturm_count(d, e2, mid, tiny) >= target:
             hi = mid
         else:
             lo = mid
         if hi - lo <= 4.0 * _EPS * scale:
             break
     return 0.5 * (lo + hi)
+
+
+def tridiag_eigval_nearest(d: np.ndarray, e: np.ndarray, x: float) -> tuple[int, float]:
+    """Index and value of the eigenvalue of the symmetric tridiagonal (d, e) nearest x.
+
+    One Sturm count at x gives the number c of eigenvalues below x, so the
+    nearest is index c - 1 or c; only those two are bisected. On a tie the
+    lower index wins. Costs O(n) per bisection step and no eigenvectors.
+    """
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    if d.size < 1:
+        raise ValueError("empty tridiagonal matrix")
+    lo, hi = _gershgorin(d, e)
+    dl = d.tolist()
+    e2l = (e * e).tolist()
+    below = _sturm_count(dl, e2l, float(x), _EPS * max(abs(lo), abs(hi), 1.0))
+    best: tuple[int, float] | None = None
+    for index in (below - 1, below):
+        if 0 <= index < d.size:
+            value = _sturm_eigval_index(dl, e2l, index, lo, hi)
+            if best is None or abs(value - x) < abs(best[1] - x):
+                best = (index, value)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bosons import DEFAULT_CUTOFF, ladder_matrices
-from .numerics import _sturm_eigval_index, _sturm_lowest_batch
+from .numerics import _gershgorin, _sturm_eigval_index, _sturm_lowest_batch
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -83,6 +83,28 @@ def build_rabi(params: ModelParams, cutoff: int = DEFAULT_CUTOFF, scaled: bool =
     if not scaled:
         H *= params.omega
     return H
+
+
+def _apply_rabi(params: ModelParams, vector: np.ndarray) -> np.ndarray:
+    """Scaled Hamiltonian times a vector on the assembly basis, through its band.
+
+    The same product as build_rabi(params, M) @ vector in O(M): diagonal
+    n + omega_tilde (spin up) and n - omega_tilde (spin down), and coupling
+    lam sqrt(n+1) between (n, s) and (n+1, -s).
+    """
+    up, down = vector[0::2], vector[1::2]
+    n = np.arange(up.size, dtype=float)
+    coupling = params.lam * np.sqrt(n[1:])
+    h_up = (n + params.omega_tilde) * up
+    h_down = (n - params.omega_tilde) * down
+    h_up[:-1] += coupling * down[1:]
+    h_up[1:] += coupling * down[:-1]
+    h_down[:-1] += coupling * up[1:]
+    h_down[1:] += coupling * up[:-1]
+    out = np.empty_like(vector)
+    out[0::2] = h_up
+    out[1::2] = h_down
+    return out
 
 
 def parity_matrix(cutoff: int) -> np.ndarray:
@@ -193,14 +215,8 @@ def _eigval_at(
     params: ModelParams, cutoff: int, parity: int, index: int, scaled: bool
 ) -> float:
     diag, off = _block_arrays(params, cutoff, parity)
-    e2 = off * off
-    radius = np.zeros(diag.size)
-    if diag.size > 1:
-        radius[:-1] += np.abs(off)
-        radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    val = _sturm_eigval_index(diag.tolist(), e2.tolist(), index, lo, hi)
+    lo, hi = _gershgorin(diag, off)
+    val = _sturm_eigval_index(diag.tolist(), (off * off).tolist(), index, lo, hi)
     return val if scaled else params.omega * val
 
 

@@ -5,7 +5,12 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+
+from rabijudd.bosons import displaced_osc_hamiltonian, squeezed_osc_hamiltonian
+from rabijudd.cli import _lowest_levels
+from rabijudd.numerics import sym_eig
 
 REFERENCE_G = {
     (1, 0): 0.2165063510,
@@ -169,6 +174,19 @@ def test_oscillator_squeezed_report():
     proc = run_cli("oscillator", "--type", "squeezed", "--lambda", "0.3",
                    "--cutoff", "200")
     assert float(proc.stdout.strip().split("\n")[-1].split("=")[1]) <= 1e-6
+
+
+@pytest.mark.parametrize("M", [0, 1, 7, 60])
+@pytest.mark.parametrize(
+    "build, lam, stride",
+    [(displaced_osc_hamiltonian, 1.0, 1), (squeezed_osc_hamiltonian, 0.3, 2),
+     (squeezed_osc_hamiltonian, -0.45, 2)],
+)
+def test_oscillator_sector_levels_match_full_diagonalization(build, lam, stride, M):
+    ham = build(lam, M)
+    levels = min(10, M + 1)
+    reference = sym_eig(ham).values[:levels]
+    assert np.abs(_lowest_levels(ham, levels, stride) - reference).max() <= 1e-10
 
 
 def test_oscillator_squeezed_domain_error():

@@ -283,3 +283,32 @@ def test_verify_undersized_cutoff_raises():
     point = juddian_points(1, RESONANCE)[0]
     with pytest.raises(RuntimeError):
         verify_point(point, cutoff=3)
+
+
+def _assert_verify_matches_dense(point, cutoff):
+    # reference: full QL diagonalization of each block, nearest level by argmin
+    report = verify_point(point, cutoff=cutoff)
+    reference = []
+    for block in parity_blocks(point.model_params(), cutoff):
+        values = sym_eig(block.matrix).values
+        idx = int(np.argmin(np.abs(values - point.E)))
+        reference.append((idx, float(values[idx])))
+    (lp, ep), (lm, em) = reference
+    assert (report.level_plus, report.level_minus) == (lp, lm)
+    assert abs(report.energy_plus - ep) <= 1e-10
+    assert abs(report.energy_minus - em) <= 1e-10
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_verify_levels_match_dense_reference(N):
+    for point in juddian_points(N, RESONANCE):
+        _assert_verify_matches_dense(point, 100)
+
+
+def test_verify_levels_match_dense_reference_cutoff_300():
+    _assert_verify_matches_dense(juddian_points(4, RESONANCE)[3], 300)
+
+
+def test_verify_levels_match_dense_reference_off_resonance():
+    for point in juddian_points(3, ModelParams(omega=1.0, omega0=0.5)):
+        _assert_verify_matches_dense(point, 100)

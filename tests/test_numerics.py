@@ -18,6 +18,7 @@ from rabijudd.numerics import (
     poly_real_roots,
     sym_eig,
     tridiag_det_poly,
+    tridiag_eigval_nearest,
     tridiag_eigvals_lowest,
 )
 
@@ -253,6 +254,20 @@ def test_sturm_route_agrees_with_ql_route():
     full = sym_eig(T).values
     lowest = tridiag_eigvals_lowest(d, e, 12)
     assert np.abs(full[:12] - lowest).max() <= 1e-10 * max(1.0, np.abs(full).max())
+
+
+def test_sturm_nearest_matches_ql_argmin():
+    rng = np.random.RandomState(23)
+    d = rng.standard_normal(40)
+    e = rng.standard_normal(39)
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    full = sym_eig(T).values
+    mids = 0.5 * (full[:-1] + full[1:])
+    shifts = [full[0] - 3.0, full[-1] + 3.0, *full[::7], *(mids[::5] + 1e-3)]
+    for x in shifts:
+        idx, value = tridiag_eigval_nearest(d, e, x)
+        assert idx == int(np.argmin(np.abs(full - x)))
+        assert abs(value - full[idx]) <= 1e-10 * max(1.0, np.abs(full).max())
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rabijudd.numerics import sym_eig
 from rabijudd.rabi import (
     ModelParams,
+    _apply_rabi,
     build_rabi,
     find_crossings,
     parity_blocks,
@@ -58,6 +59,15 @@ def test_build_rabi_unscaled_is_omega_times_scaled():
     Hs = build_rabi(p, cutoff=15, scaled=True)
     Hu = build_rabi(p, cutoff=15, scaled=False)
     assert np.allclose(Hu, 2.0 * Hs, rtol=1e-15)
+
+
+def test_band_product_matches_dense_hamiltonian():
+    rng = np.random.RandomState(5)
+    for M in (0, 1, 12):
+        p = ModelParams(omega=1.3, omega0=0.7, g=0.45)
+        v = rng.standard_normal(2 * (M + 1))
+        dense = build_rabi(p, cutoff=M) @ v
+        assert np.abs(_apply_rabi(p, v) - dense).max() <= 1e-12 * max(1.0, np.abs(dense).max())
 
 
 def test_parity_matrix_example_entry():
