@@ -144,8 +144,9 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     if args.n < 1:
         raise CLIError("--n must be at least 1")
+    params = _model_params(args)
     try:
-        points = juddian_points(args.n, ModelParams())
+        points = juddian_points(args.n, params)
     except RootCountError as exc:
         raise CLIError(f"root search failed for N = {args.n}: {exc}") from exc
 
@@ -339,6 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, metavar="N",
                    help="baseline index whose points are checked")
     p.add_argument("--cutoff", type=int, default=100, metavar="M")
+    p.add_argument("--omega", type=float, default=1.0, help="field frequency")
+    p.add_argument("--omega0", type=float, default=1.0,
+                   help="level splitting frequency")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oscillator", help="shifted-oscillator spectra")

@@ -11,7 +11,7 @@ point against an independent truncated-basis diagonalization.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,16 +21,18 @@ from .bosons import DEFAULT_CUTOFF, displacement_matrix
 from .numerics import (
     Polynomial,
     RootCountError,
+    _sturm_count,
     null_vector,
     poly_eval,
-    poly_real_roots,
     tridiag_det_poly,
     tridiag_eigval_nearest,
 )
 from .rabi import ModelParams, _apply_rabi, _block_arrays
 
-_RESONANCE_TOL = 1e-12
 _SQRT_HALF = math.sqrt(0.5)
+_EPS = sys.float_info.epsilon
+# every root x of order N lies below N * _ROOT_BOUND (Gershgorin on T(x))
+_ROOT_BOUND = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
 
 
 def baseline_energy(N: int, lam: float) -> float:
@@ -169,17 +171,111 @@ class JuddianPoint:
         return ModelParams(omega=omega, omega0=2.0 * self.omega_tilde * omega, g=self.g)
 
 
+def _expected_root_count(N: int, omega_tilde: float) -> int:
+    """Number of positive compatibility roots of order N: #{k in 1..N : k > wt}.
+
+    At x = 0 the reduced matrix is diagonal with pivots (wt^2 - k^2) / k,
+    k = N - n, so this many of its eigenvalues are negative, and none is
+    left at the Gershgorin bound. The roots are real (Kus 1985); that the
+    count never rises in between, so each root drops it by one, is a tested
+    property rather than a proved one.
+    """
+    return sum(1 for k in range(1, N + 1) if k > omega_tilde)
+
+
+def _compatibility_count(N: int, omega_tilde: float) -> tuple[Callable[[float], int], float]:
+    """The root-counting function of the compatibility determinant, and its bound.
+
+    count(x) is the number of negative LDL^T pivots of the reduced matrix
+    T(x) (diagonal n - N + 4x + wt^2/(N - n), squared off-diagonal 4xn), the
+    Sturm count of T(x) below zero. It falls by one across each root and is
+    zero at x_max = N (3 + 2 sqrt 2) / 4, where Gershgorin makes T(x)
+    positive definite.
+    """
+    wt2 = float(omega_tilde) ** 2
+    d0 = [n - N + wt2 / (N - n) for n in range(N)]
+    e4 = [4.0 * n for n in range(1, N)]
+    x_max = N * _ROOT_BOUND
+    tiny = _EPS * (max(abs(v) for v in d0) + 4.0 * x_max)
+
+    def count(x: float) -> int:
+        return _sturm_count(d0, [x * c for c in e4], -4.0 * x, tiny)
+
+    return count, x_max
+
+
+def _uncertified(found: list[float], expected: int, reason: str) -> RootCountError:
+    err = RootCountError(found, expected)
+    err.args = (f"{err.args[0]}: {reason}",)
+    return err
+
+
+def _compatibility_roots(N: int, omega_tilde: float) -> list[float]:
+    """Positive roots x of the compatibility determinant, ascending, certified.
+
+    Root j sits where count(x) drops from R - j to R - j - 1. Bisection runs
+    on a list of brackets [lo, hi] with their counts: one count at the
+    midpoint serves every root the bracket still holds, and a half with no
+    drop is discarded. A bracket is final at width 4 eps hi and must then
+    hold exactly one drop, which certifies a sign change of det T(x).
+    Raises RootCountError when the count at 0+ is not R, the count at the
+    bound is not 0, a midpoint count lies outside its bracket's counts, or a
+    final bracket holds more than one root.
+    """
+    count, x_max = _compatibility_count(N, omega_tilde)
+    expected = _expected_root_count(N, omega_tilde)
+    at_zero, at_bound = count(sys.float_info.min), count(x_max)
+    if at_zero != expected or at_bound != 0:
+        raise _uncertified(
+            [], expected,
+            f"pivot count {at_zero} at x = 0+ and {at_bound} at x = {x_max:g}",
+        )
+
+    roots: list[float] = []
+    brackets = [(0.0, x_max, expected, 0)] if expected else []
+    while brackets:
+        split = []
+        for lo, hi, c_lo, c_hi in brackets:
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= 4.0 * _EPS * hi or not lo < mid < hi:
+                if c_lo - c_hi != 1:
+                    raise _uncertified(
+                        roots, expected,
+                        f"{c_lo - c_hi} roots left in [{lo!r}, {hi!r}]",
+                    )
+                roots.append(mid)
+                continue
+            c_mid = count(mid)
+            if not c_hi <= c_mid <= c_lo:
+                raise _uncertified(
+                    roots, expected,
+                    f"pivot count {c_mid} at x = {mid!r} outside [{c_hi}, {c_lo}]",
+                )
+            if c_lo > c_mid:
+                split.append((lo, mid, c_lo, c_mid))
+            if c_mid > c_hi:
+                split.append((mid, hi, c_mid, c_hi))
+        brackets = split
+    roots.sort()
+    return roots
+
+
 def juddian_points(N: int, params: ModelParams) -> list[JuddianPoint]:
     """All Juddian points of order N for the given model, ascending in g.
 
-    Positive roots x of the compatibility polynomial are isolated in
-    (1e-12, N) - expanding once to (1e-12, 2N) if needed - then mapped to
-    lam = sqrt(x), g = lam omega / 2, E = N - lam^2. At resonance
-    (omega_tilde = 1/2) exactly N roots must exist, so a shortfall raises;
-    off resonance a shortfall only warns and the found roots are returned.
+    The roots x = lam^2 of the compatibility determinant are found by Sturm
+    counting in x: the number of negative pivots of the reduced tridiagonal
+    T(x) is #{k in 1..N : k > omega_tilde} at x = 0+ (N at resonance) and
+    falls by one across each root, so every root is bisected to 4 eps
+    relative inside the Gershgorin bound N (3 + 2 sqrt 2) / 4 and certified
+    by its bracket's count drop of one (see _compatibility_roots). At an
+    integer omega_tilde the root at x = 0 is excluded. The roots map to
+    lam = sqrt(x), g = lam omega / 2, E = N - lam^2; det_residual is the
+    scaled compatibility polynomial at each root.
 
-    omega_tilde <= 0 is rejected: that limit solves every coupling exactly
-    and has no isolated points.
+    Raises RootCountError when the count cannot be certified. omega_tilde
+    <= 0 is rejected: that limit solves every coupling exactly and has no
+    isolated points.
     """
     N = int(N)
     if N < 1:
@@ -190,20 +286,9 @@ def juddian_points(N: int, params: ModelParams) -> list[JuddianPoint]:
             "omega_tilde must be positive: the omega0 = 0 limit is exactly "
             "solvable at every coupling and has no isolated points"
         )
-    poly = compatibility_polynomial(N, wt)
-    resonant = abs(wt - 0.5) <= _RESONANCE_TOL
-    try:
-        roots = poly_real_roots(poly, (1e-12, float(N)), expected_count=N)
-    except RootCountError as err:
-        if resonant:
-            raise
-        warnings.warn(
-            f"found {len(err.found)} of {N} compatibility roots at "
-            f"omega_tilde={wt:g}; proceeding with those",
-            stacklevel=2,
-        )
-        roots = err.found
+    roots = _compatibility_roots(N, wt)
 
+    poly = compatibility_polynomial(N, wt)
     scale = max(abs(c) for c in poly.coeffs)
     points = []
     for idx, x in enumerate(roots):

@@ -178,6 +178,17 @@ def test_criterion_7_full_reduced_equivalence():
     print("criterion 7 (full/reduced oracle equivalence): PASS")
 
 
+def test_juddian_points_match_full_system_oracle():
+    """Points from Sturm counting in x sit on the full-determinant roots to 1e-10."""
+    for n in range(1, 9):
+        for wt in (0.25, 0.5, 0.75, 1.3):
+            points = juddian_points(n, ModelParams(omega=1.0, omega0=2.0 * wt))
+            full = _full_system_roots(n, wt, 1e-12, 2.0 * n)
+            assert len(full) == len(points), (n, wt, [p.lam for p in points], full)
+            for p, b in zip(points, full):
+                assert abs(p.lam * p.lam - b) <= 1e-10, (n, wt, p.lam, b)
+
+
 def test_criterion_8_crossing_detector_consistency():
     """The sweep detector recovers every reference point and nothing spurious."""
     grid = np.linspace(0.05, 0.8, 201)

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from rabijudd.bosons import displaced_osc_hamiltonian, squeezed_osc_hamiltonian
-from rabijudd.cli import _lowest_levels
+import rabijudd.juddian as juddian_module
+from rabijudd.cli import _lowest_levels, main
+from rabijudd.juddian import juddian_points
 from rabijudd.numerics import sym_eig
+from rabijudd.rabi import ModelParams
 
 REFERENCE_G = {
     (1, 0): 0.2165063510,
@@ -151,6 +154,29 @@ def test_verify_four_rows():
     data_lines = [l for l in proc.stdout.strip().split("\n")[1:-1]]
     assert len(data_lines) == 4
     assert all("ok" in l for l in data_lines)
+
+
+def test_verify_off_resonance_flags():
+    # omega_tilde = 1.3: order 3 holds the two roots with k = 2, 3 > 1.3
+    proc = run_cli("verify", "--n", "3", "--omega0", "2.6")
+    lines = proc.stdout.strip().split("\n")
+    expected = juddian_points(3, ModelParams(omega=1.0, omega0=2.6))
+    assert len(expected) == 2
+    assert len(lines) == 4  # header, two points, summary
+    for line, point in zip(lines[1:3], expected):
+        fields = line.split()
+        assert abs(float(fields[1]) - point.g) < 1e-9
+        assert fields[-1] == "ok"
+    assert lines[-1] == "all 2 points verified at cutoff 100"
+
+
+@pytest.mark.parametrize("command", [("juddian", "--max-n", "2"), ("verify", "--n", "2")])
+def test_uncertified_root_count_is_reported(monkeypatch, capsys, command):
+    # a pivot count that never clears the bound fails the certification
+    monkeypatch.setattr(juddian_module, "_sturm_count", lambda d, e2, x, tiny: 1)
+    assert main(list(command)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "pivot count" in err
 
 
 def test_verify_fails_with_cutoff_diagnostic():

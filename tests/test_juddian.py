@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import rabijudd.juddian as juddian_module
 from rabijudd.juddian import (
+    _compatibility_count,
+    _reduced_matrix,
     alternate_branch,
     baseline_energy,
     build_full_system,
@@ -20,13 +24,21 @@ from rabijudd.juddian import (
 from rabijudd.numerics import (
     FullRankError,
     Polynomial,
+    RootCountError,
     determinant,
     null_vector,
     poly_eval,
     poly_real_roots,
     sym_eig,
+    tridiag_eigval_nearest,
 )
-from rabijudd.rabi import ModelParams, build_rabi, parity_blocks, parity_matrix
+from rabijudd.rabi import (
+    ModelParams,
+    _block_arrays,
+    build_rabi,
+    parity_blocks,
+    parity_matrix,
+)
 
 RESONANCE = ModelParams()  # omega = omega0 = 1, so omega_tilde = 1/2
 
@@ -165,6 +177,86 @@ def test_points_boundary_root_filtered_off_resonance():
         warnings.simplefilter("ignore")
         pts = juddian_points(1, ModelParams(omega=1.0, omega0=2.0))
     assert pts == []
+
+
+def _expected_count(N, wt):
+    return sum(1 for k in range(1, N + 1) if k > wt)
+
+
+def _params(wt):
+    return ModelParams(omega=1.0, omega0=2.0 * wt)
+
+
+def _opposite_parity_gap(point):
+    # nearest level to E in each parity block, at a cutoff that resolves the
+    # displaced number states |n, +-lam>, n <= N
+    r = point.lam + math.sqrt(point.N)
+    cutoff = math.ceil(r * r + 4.0 * r + 20.0)
+    params = point.model_params()
+    levels = [
+        tridiag_eigval_nearest(*_block_arrays(params, cutoff, parity), point.E)[1]
+        for parity in (1, -1)
+    ]
+    return abs(levels[0] - levels[1])
+
+
+@pytest.mark.parametrize("N, wt", [(32, 0.5), (40, 0.5), (64, 0.5), (28, 2.3)])
+def test_high_order_points_certified(N, wt):
+    pts = juddian_points(N, _params(wt))
+    assert len(pts) == _expected_count(N, wt)
+    lams = [p.lam for p in pts]
+    assert all(a < b for a, b in zip(lams, lams[1:]))
+    for p in pts[:: len(pts) // 4] + pts[-1:]:
+        assert _opposite_parity_gap(p) <= 1e-9, (p.root_index, p.lam)
+
+
+@pytest.mark.parametrize("wt", [0.25, 0.5, 0.75, 1.3, 2.3, 5.3])
+def test_pivot_count_non_increasing_in_x(wt):
+    # count(0+) = #{k > wt}, count(x_max) = 0, and no rise in between
+    for N in range(1, 41):
+        count, x_max = _compatibility_count(N, wt)
+        xs = np.linspace(0.0, x_max, 401)
+        xs[0] = 1e-300
+        counts = [count(float(x)) for x in xs]
+        assert counts[0] == _expected_count(N, wt)
+        assert counts[-1] == 0
+        assert all(a >= b for a, b in zip(counts, counts[1:])), N
+
+
+def test_pivot_count_matches_dense_spectrum():
+    for N in (1, 2, 3, 5, 8):
+        for wt in (0.25, 0.5, 1.3, 2.3):
+            count, x_max = _compatibility_count(N, wt)
+            for x in np.linspace(0.01, x_max, 13):
+                values = sym_eig(_reduced_matrix(N, wt, float(x))).values
+                assert count(float(x)) == int(np.sum(values < 0.0)), (N, wt, x)
+
+
+def test_off_resonance_points_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N in range(1, 5):
+            assert len(juddian_points(N, _params(1.3))) == N - 1
+
+
+def _fake_count(counts):
+    # stand-in for the pivot count of T(x): the shift passed is -4x
+    return lambda d, e2, shift, tiny: counts(-0.25 * shift)
+
+
+@pytest.mark.parametrize(
+    "counts, fragment",
+    [
+        (lambda x: 3, "at x = 0+"),  # N = 2 at resonance holds 2 roots
+        (lambda x: 2 if x < 2.5 else 1, "at x = 2.91"),  # bound not cleared
+        (lambda x: 2 if x < 1.0 else (3 if x < 2.0 else 0), "outside [0, 2]"),
+        (lambda x: 2 if x < 0.5 else 0, "2 roots left"),  # a double root
+    ],
+)
+def test_uncertified_count_raises(monkeypatch, counts, fragment):
+    monkeypatch.setattr(juddian_module, "_sturm_count", _fake_count(counts))
+    with pytest.raises(RootCountError, match=re.escape(fragment)):
+        juddian_points(2, RESONANCE)
 
 
 def test_points_reject_nonpositive_splitting():
