@@ -1,9 +1,11 @@
 """Truncated Fock-space boson algebra.
 
-Ladder operators on the lowest M+1 number states, displacement matrices via
-scaling-and-squaring of the truncated generator, squeeze parameters on the
-physical branch, and the displaced / squeezed oscillator Hamiltonians whose
-exact spectra anchor the validation suite.
+Ladder operators on the lowest M+1 number states, the displaced number
+states D(z)|n> built from the closed-form coherent state by their ladder
+recurrence, squeeze parameters on the physical branch, and the
+displaced / squeezed oscillator Hamiltonians whose exact spectra anchor the
+validation suite. The dense displacement matrix (scaling-and-squaring of the
+truncated generator) is kept as a reference for the tests only.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import tridiag_inverse_iteration
 
 #: Highest retained occupation number (basis size 101) used throughout
 #: validation; large enough that coherent-state tails at the couplings of
@@ -35,6 +39,55 @@ def ladder_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return create, annihilate, number
 
 
+def _check_displacement(z: float, M: int) -> float:
+    z = float(z)
+    if not math.isfinite(z):
+        raise ValueError("displacement amplitude must be finite")
+    if z * z > M / 4.0:
+        raise ValueError(
+            f"displacement z={z} too large for cutoff {M}: need z^2 <= M/4"
+        )
+    return z
+
+
+def displaced_number_states(z: float, cutoff: int, count: int):
+    """Yield D(z)|n> on the (M+1)-state basis for n = 0..count-1, one at a time.
+
+    D(z)|0> is the coherent state exp(-z^2/2) z^n / sqrt(n!), formed by one
+    exponential at its peak n0 = floor(z^2) and running products of the
+    ratios z / sqrt(n) outward, so nothing over- or underflows. Each further
+    state is the ladder step D|n> = (b+ - z) D|n-1> / sqrt(n), O(M), followed
+    by one step of inverse iteration (O(M)) on the displaced number operator
+    (b+ - z)(b - z), whose eigenvalue n it is. The bare ladder recurrence
+    amplifies its rounding by about 2 per step (a state error near 1e-7 at
+    n = 20, z^2 = 17); the correction keeps every state within a few eps.
+
+    Raises ValueError when z^2 > M/4, like displacement_matrix.
+    """
+    M = int(cutoff)
+    z = _check_displacement(z, M)
+    column = np.zeros(M + 1)
+    root = np.sqrt(np.arange(1.0, M + 1.0))
+    if z == 0.0:
+        column[0] = 1.0
+    else:
+        a = abs(z)
+        n0 = int(a * a)
+        column[n0] = math.exp(n0 * math.log(a) - 0.5 * a * a - 0.5 * math.lgamma(n0 + 1.0))
+        column[n0 + 1:] = column[n0] * np.cumprod(a / root[n0:])
+        column[:n0] = column[n0] * np.cumprod(root[:n0][::-1] / a)[::-1]
+        if z < 0.0:
+            column[1::2] = -column[1::2]
+    diag = np.arange(M + 1.0) + z * z
+    off = -z * root
+    for n in range(count):
+        if n:
+            raised = -z * column
+            raised[1:] += root * column[:-1]
+            column = tridiag_inverse_iteration(diag, off, float(n), raised / math.sqrt(n))
+        yield column
+
+
 def displacement_matrix(z: float, cutoff: int) -> np.ndarray:
     """Matrix of exp(z (b+ - b)) on the truncated basis.
 
@@ -47,15 +100,12 @@ def displacement_matrix(z: float, cutoff: int) -> np.ndarray:
     Raises ValueError when z^2 > M/4: beyond that the displaced vacuum has
     non-negligible weight above the cutoff and the represented columns would
     be silently corrupted.
+
+    O(M^3 log) and no longer on any package path: it is the dense reference
+    the tests compare the recurrence-built displaced number states against.
     """
     M = int(cutoff)
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError("displacement amplitude must be finite")
-    if z * z > M / 4.0:
-        raise ValueError(
-            f"displacement z={z} too large for cutoff {M}: need z^2 <= M/4"
-        )
+    z = _check_displacement(z, M)
     create, annihilate, _ = ladder_matrices(M)
     G = z * (create - annihilate)
 

@@ -158,6 +158,7 @@ def cmd_verify(args) -> int:
     )
     print(header)
     all_ok = True
+    tails = []
     for p in points:
         try:
             report = verify_point(p, cutoff=args.cutoff)
@@ -168,6 +169,7 @@ def cmd_verify(args) -> int:
             )
             all_ok = False
             continue
+        tails.append(report.tail_weight)
         ok = report.degeneracy_gap <= gap_tol and report.eigen_residual <= res_tol
         all_ok = all_ok and ok
         print(
@@ -178,9 +180,10 @@ def cmd_verify(args) -> int:
     if all_ok:
         print(f"all {len(points)} points verified at cutoff {args.cutoff}")
         return 0
+    tail = f"; largest tail weight {max(tails):.3e}" if tails else ""
     print(
         f"verification FAILED at cutoff {args.cutoff}; "
-        "a larger --cutoff may be needed",
+        f"a larger --cutoff may be needed{tail}",
         file=sys.stderr,
     )
     return 1

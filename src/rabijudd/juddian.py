@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bosons import DEFAULT_CUTOFF, displacement_matrix
+from .bosons import DEFAULT_CUTOFF, displaced_number_states
 from .numerics import (
     Polynomial,
     RootCountError,
@@ -25,7 +25,7 @@ from .numerics import (
     null_vector,
     poly_eval,
     tridiag_det_poly,
-    tridiag_eigval_nearest,
+    tridiag_eigval_within,
 )
 from .rabi import ModelParams, _apply_rabi, _block_arrays
 
@@ -33,6 +33,8 @@ _SQRT_HALF = math.sqrt(0.5)
 _EPS = sys.float_info.epsilon
 # every root x of order N lies below N * _ROOT_BOUND (Gershgorin on T(x))
 _ROOT_BOUND = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
+# verify_point accepts a block level only this close to E
+_LEVEL_WINDOW = 1e-3
 
 
 def baseline_energy(N: int, lam: float) -> float:
@@ -329,10 +331,17 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     """Null vector of the full system, assembled in the original Fock basis.
 
     The (p, q) split solves the full (2N+1) system on the point's coherent
-    branch. Columns of the displacement matrix at sign * lam supply the
-    coherent number states; the two spinor components are then rotated from
-    the coupling-diagonal representation to the assembly basis (the Hadamard
-    map up = (c1 + c2)/sqrt(2), down = (c1 - c2)/sqrt(2)) and normalized.
+    branch. The displaced number states D(z)|n>, z = sign * lam, n <= N,
+    start from the closed-form coherent state D(z)|0> and follow the ladder
+    recurrence D|n+1> = (b+ - z) D|n> / sqrt(n+1) on the truncated basis,
+    each step corrected by one inverse iteration
+    (bosons.displaced_number_states), at O(N M) cost; the sums over p and q
+    are accumulated as they go, and no matrix is formed. The two
+    spinor components are then rotated from the coupling-diagonal
+    representation to the assembly basis (the Hadamard map
+    up = (c1 + c2)/sqrt(2), down = (c1 - c2)/sqrt(2)) and normalized.
+
+    Raises ValueError when cutoff < N or z^2 > cutoff/4.
     """
     M = int(cutoff)
     N = point.N
@@ -353,9 +362,13 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     if abs(q[N]) <= 1e-12:
         raise RuntimeError("degenerate null vector: q_N vanished")
 
-    D = displacement_matrix(sign * point.lam, M)
-    coupled = D[:, :N] @ p
-    diagonal = D[:, : N + 1] @ q
+    coupled = np.zeros(M + 1)
+    diagonal = np.zeros(M + 1)
+    states = displaced_number_states(sign * point.lam, M, N + 1)
+    for n, column in enumerate(states):
+        if n < N:
+            coupled += p[n] * column
+        diagonal += q[n] * column
     if sign == 1:
         comp1, comp2 = coupled, diagonal
     else:
@@ -386,7 +399,12 @@ def alternate_branch(point: JuddianPoint) -> JuddianPoint:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Independent diagnostics for one point at a given cutoff."""
+    """Independent diagnostics for one point at a given cutoff.
+
+    tail_weight is the weight of the unit reconstructed state on the top
+    ceil(M/10) Fock levels, both spins: a cutoff-health figure that stays
+    far below the verification tolerances while the cutoff is adequate.
+    """
 
     point: JuddianPoint
     cutoff: int
@@ -396,18 +414,21 @@ class VerificationReport:
     level_minus: int
     degeneracy_gap: float
     eigen_residual: float
+    tail_weight: float
 
 
 def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> VerificationReport:
     """Cross-check one point against the truncated-basis spectrum.
 
-    In each parity block at g = point.g, one Sturm count on the tridiagonal
-    block gives the number c of eigenvalues below E; bisection on the
-    neighbouring indices c - 1 and c then yields the eigenvalue nearest E
-    (the lower index on a tie). The opposite-parity gap |E+ - E-| is recorded
-    and written back to point.degeneracy_gap. The reconstructed state's
-    eigen-residual ||(H - E) psi|| on the same cutoff is included, with H
-    applied through its band.
+    In each parity block at g = point.g, Sturm counts at E - 1e-3, E and
+    E + 1e-3 locate the block's eigenvalues in that window; of the highest
+    below E and the lowest at or above it, each is bisected only if the
+    window holds it, and the nearer to E is kept (the lower index on a tie).
+    The opposite-parity gap |E+ - E-| is recorded and written back to
+    point.degeneracy_gap. The reconstructed state's eigen-residual
+    ||(H - E) psi|| on the same cutoff is included, with H applied through
+    its band, and so is the state's tail weight. No matrix is formed, so
+    the cost is linear in the cutoff.
 
     Raises RuntimeError when either block has no eigenvalue within 1e-3 of
     E - the signature of an under-sized cutoff or an invalid point.
@@ -418,19 +439,21 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
     nearest = []
     for parity in (1, -1):
         diag, off = _block_arrays(params, M, parity)
-        idx, value = tridiag_eigval_nearest(diag, off, point.E)
-        if abs(value - point.E) > 1e-3:
+        found = tridiag_eigval_within(diag, off, point.E, _LEVEL_WINDOW)
+        if found is None:
             raise RuntimeError(
                 f"no eigenvalue within 1e-3 of E={point.E:.6f} in the "
                 f"parity {parity:+d} block at cutoff {M}; increase the cutoff"
             )
-        nearest.append((idx, value))
+        nearest.append(found)
     (idx_p, e_p), (idx_m, e_m) = nearest
     gap = abs(e_p - e_m)
 
     state = reconstruct_state(point, M)
-    resid = _apply_rabi(params, state.fock_vector) - point.E * state.fock_vector
+    psi = state.fock_vector
+    resid = _apply_rabi(params, psi) - point.E * psi
     eigen_residual = math.sqrt(float(resid @ resid))
+    tail = psi[2 * (M + 1 - math.ceil(M / 10)):]
 
     point.degeneracy_gap = gap
     return VerificationReport(
@@ -442,4 +465,5 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
         level_minus=idx_m,
         degeneracy_gap=gap,
         eigen_residual=eigen_residual,
+        tail_weight=float(tail @ tail),
     )

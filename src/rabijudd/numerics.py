@@ -1,7 +1,8 @@
 """Self-contained numerical kernel.
 
 Sturm-sequence bisection for selected eigenvalues of symmetric tridiagonal
-matrices, symmetric eigendecomposition (Householder reduction +
+matrices and inverse iteration for their eigenvectors, symmetric
+eigendecomposition (Householder reduction +
 implicit-shift QL, the dense reference), polynomial arithmetic with
 real-root isolation, null vectors of rank-deficient systems, and tridiagonal
 determinant polynomials. ndarrays are used for storage and elementwise/matmul
@@ -533,11 +534,16 @@ def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def tridiag_eigval_nearest(d: np.ndarray, e: np.ndarray, x: float) -> tuple[int, float]:
-    """Index and value of the eigenvalue of the symmetric tridiagonal (d, e) nearest x.
+def tridiag_eigval_within(
+    d: np.ndarray, e: np.ndarray, x: float, radius: float
+) -> tuple[int, float] | None:
+    """Index and value of the eigenvalue of the symmetric tridiagonal (d, e) nearest x,
+    or None when no eigenvalue lies within radius of x.
 
-    One Sturm count at x gives the number c of eigenvalues below x, so the
-    nearest is index c - 1 or c; only those two are bisected. On a tie the
+    Sturm counts at x - radius, x and x + radius give the numbers of
+    eigenvalues below each shift, so the nearest is index c - 1 (the highest
+    below x) or c (the lowest at or above it). Each is bisected only when
+    the window holds it, and only on its half of the window. On a tie the
     lower index wins. Costs O(n) per bisection step and no eigenvectors.
     """
     d = np.asarray(d, dtype=float)
@@ -545,16 +551,56 @@ def tridiag_eigval_nearest(d: np.ndarray, e: np.ndarray, x: float) -> tuple[int,
     if d.size < 1:
         raise ValueError("empty tridiagonal matrix")
     lo, hi = _gershgorin(d, e)
+    tiny = _EPS * max(abs(lo), abs(hi), 1.0)
     dl = d.tolist()
     e2l = (e * e).tolist()
-    below = _sturm_count(dl, e2l, float(x), _EPS * max(abs(lo), abs(hi), 1.0))
+    x = float(x)
+    left, right = x - float(radius), x + float(radius)
+    c_left, c, c_right = (_sturm_count(dl, e2l, s, tiny) for s in (left, x, right))
     best: tuple[int, float] | None = None
-    for index in (below - 1, below):
-        if 0 <= index < d.size:
-            value = _sturm_eigval_index(dl, e2l, index, lo, hi)
-            if best is None or abs(value - x) < abs(best[1] - x):
-                best = (index, value)
+    if c > c_left:
+        best = (c - 1, _sturm_eigval_index(dl, e2l, c - 1, left, x))
+    if c_right > c:
+        value = _sturm_eigval_index(dl, e2l, c, x, right)
+        if best is None or abs(value - x) < abs(best[1] - x):
+            best = (c, value)
     return best
+
+
+def tridiag_inverse_iteration(
+    d: np.ndarray, e: np.ndarray, shift: float, start: np.ndarray
+) -> np.ndarray:
+    """One step of inverse iteration on the symmetric tridiagonal (d, e).
+
+    Solves (T - shift) x = start through the LDL^T factorization, without
+    pivoting, with pivots smaller than eps times the Gershgorin scale pushed
+    out to that size, as in the Sturm count; returns x normalized, signed so
+    that x . start > 0. With shift at an isolated eigenvalue and a start
+    vector close to its eigenvector, x is that eigenvector to about eps
+    times ||T|| over the gap. O(n), no eigenvalues formed.
+    """
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    start = np.asarray(start, dtype=float)
+    lo, hi = _gershgorin(d, e)
+    tiny = _EPS * max(abs(lo - shift), abs(hi - shift), 1.0)
+    pivots = (d - shift).tolist()
+    el = e.tolist()
+    x = start.tolist()
+    n = len(pivots)
+    for i in range(n):
+        if i:
+            ratio = el[i - 1] / pivots[i - 1]
+            pivots[i] -= ratio * el[i - 1]
+            x[i] -= ratio * x[i - 1]
+        if -tiny < pivots[i] < tiny:
+            pivots[i] = -tiny if pivots[i] < 0.0 else tiny
+    x[-1] /= pivots[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (x[i] - el[i] * x[i + 1]) / pivots[i]
+    out = np.array(x)
+    out /= math.sqrt(float(out @ out))
+    return -out if float(out @ start) < 0.0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,16 @@ def test_verify_fails_with_cutoff_diagnostic():
     assert "cutoff" in (proc.stdout + proc.stderr)
 
 
+def test_verify_failure_reports_tail_weight(capsys):
+    # order 7 at cutoff 30: every point gets a report, the last ones fail
+    assert main(["verify", "--n", "7", "--cutoff", "30"]) == 1
+    out, err = capsys.readouterr()
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == 7 and rows[-1].endswith("FAIL") and "tail" not in out
+    weight = float(err.rsplit("largest tail weight ", 1)[1])
+    assert 1e-4 <= weight <= 1e-2
+
+
 # ---------------------------------------------------------------------------
 # oscillator
 

@@ -8,7 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
+import rabijudd.bosons as bosons_module
 import rabijudd.juddian as juddian_module
+from rabijudd.bosons import displacement_matrix
 from rabijudd.juddian import (
     _compatibility_count,
     _reduced_matrix,
@@ -30,7 +32,7 @@ from rabijudd.numerics import (
     poly_eval,
     poly_real_roots,
     sym_eig,
-    tridiag_eigval_nearest,
+    tridiag_eigval_within,
 )
 from rabijudd.rabi import (
     ModelParams,
@@ -194,7 +196,7 @@ def _opposite_parity_gap(point):
     cutoff = math.ceil(r * r + 4.0 * r + 20.0)
     params = point.model_params()
     levels = [
-        tridiag_eigval_nearest(*_block_arrays(params, cutoff, parity), point.E)[1]
+        tridiag_eigval_within(*_block_arrays(params, cutoff, parity), point.E, 1e-3)[1]
         for parity in (1, -1)
     ]
     return abs(levels[0] - levels[1])
@@ -306,6 +308,46 @@ def test_reconstruct_cutoff_guard():
         reconstruct_state(point, cutoff=3)
 
 
+def _dense_fock_vector(point, state, cutoff):
+    # the same state from the columns of the dense displacement matrix
+    D = displacement_matrix(point.displacement_sign * point.lam, cutoff)
+    coupled = D[:, : point.N] @ state.p
+    diagonal = D[:, : point.N + 1] @ state.q
+    if point.displacement_sign == 1:
+        comp1, comp2 = coupled, diagonal
+    else:
+        comp1, comp2 = diagonal, coupled
+    fock = np.empty(2 * (cutoff + 1))
+    fock[0::2] = comp1 + comp2
+    fock[1::2] = comp1 - comp2
+    return fock / math.sqrt(float(fock @ fock))
+
+
+@pytest.mark.parametrize("cutoff", [100, 300])
+def test_recurrence_states_match_dense_displacement(cutoff):
+    for N in range(1, 9):
+        for point in juddian_points(N, RESONANCE):
+            for pt in (point, alternate_branch(point)):
+                state = reconstruct_state(pt, cutoff)
+                dense = _dense_fock_vector(pt, state, cutoff)
+                assert np.abs(state.fock_vector - dense).max() <= 1e-12, (N, pt.root_index)
+
+
+def test_reconstruct_z_guard_message():
+    point = juddian_points(8, RESONANCE)[-1]  # lam^2 = 5.68 > 20/4
+    with pytest.raises(ValueError, match=re.escape("too large for cutoff 20: need z^2 <= M/4")):
+        reconstruct_state(point, cutoff=20)
+
+
+def test_high_order_state_stays_accurate():
+    # the bare ladder recurrence loses about a factor 2 per order; at
+    # N = 20 it left an eigen-residual near 3e-5
+    point = juddian_points(20, RESONANCE)[-1]
+    for pt in (point, alternate_branch(point)):
+        report = verify_point(pt, cutoff=300)
+        assert report.eigen_residual <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # branch swap
 
@@ -375,6 +417,47 @@ def test_verify_undersized_cutoff_raises():
     point = juddian_points(1, RESONANCE)[0]
     with pytest.raises(RuntimeError):
         verify_point(point, cutoff=3)
+
+
+def test_verify_undersized_cutoff_message():
+    point = juddian_points(8, RESONANCE)[-1]
+    message = (
+        f"no eigenvalue within 1e-3 of E={point.E:.6f} in the parity +1 "
+        "block at cutoff 30; increase the cutoff"
+    )
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        verify_point(point, cutoff=30)
+
+
+def test_verify_never_builds_the_dense_displacement(monkeypatch):
+    def refuse(z, cutoff):
+        raise AssertionError("dense displacement matrix built")
+
+    monkeypatch.setattr(bosons_module, "displacement_matrix", refuse)
+    assert not hasattr(juddian_module, "displacement_matrix")
+    for point in juddian_points(4, RESONANCE):
+        report = verify_point(point, cutoff=100)
+        assert report.degeneracy_gap <= 1e-6
+        assert report.eigen_residual <= 1e-6
+
+
+def test_verify_large_cutoff_agrees_with_small():
+    for point in juddian_points(4, RESONANCE):
+        small = verify_point(point, cutoff=300)
+        large = verify_point(point, cutoff=3000)
+        assert (large.level_plus, large.level_minus) == (small.level_plus, small.level_minus)
+        assert abs(large.energy_plus - small.energy_plus) <= 1e-10
+        assert abs(large.energy_minus - small.energy_minus) <= 1e-10
+        assert large.degeneracy_gap <= 1e-10
+        assert large.eigen_residual <= 1e-10
+
+
+def test_tail_weight_separates_adequate_from_short_cutoff():
+    assert verify_point(juddian_points(4, RESONANCE)[-1], cutoff=100).tail_weight <= 1e-30
+    # N = 7 at M = 30: the last point still passes the 1e-3 level window
+    short = verify_point(juddian_points(7, RESONANCE)[-1], cutoff=30)
+    assert short.tail_weight >= 1e-4
+    assert short.eigen_residual > 1e-6
 
 
 def _assert_verify_matches_dense(point, cutoff):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rabijudd.numerics as numerics
 from rabijudd.numerics import (
     FullRankError,
     NearDoubleRootWarning,
@@ -18,8 +19,10 @@ from rabijudd.numerics import (
     poly_real_roots,
     sym_eig,
     tridiag_det_poly,
-    tridiag_eigval_nearest,
+    _gershgorin,
+    tridiag_eigval_within,
     tridiag_eigvals_lowest,
+    tridiag_inverse_iteration,
 )
 
 
@@ -264,10 +267,43 @@ def test_sturm_nearest_matches_ql_argmin():
     full = sym_eig(T).values
     mids = 0.5 * (full[:-1] + full[1:])
     shifts = [full[0] - 3.0, full[-1] + 3.0, *full[::7], *(mids[::5] + 1e-3)]
+    lo, hi = _gershgorin(d, e)
+    radius = hi - lo + 3.0  # every eigenvalue is within reach of every shift
     for x in shifts:
-        idx, value = tridiag_eigval_nearest(d, e, x)
+        idx, value = tridiag_eigval_within(d, e, x, radius)
         assert idx == int(np.argmin(np.abs(full - x)))
         assert abs(value - full[idx]) <= 1e-10 * max(1.0, np.abs(full).max())
+
+
+def test_sturm_within_window():
+    d = np.array([1.0, 3.0, 10.0])
+    e = np.zeros(2)
+    assert tridiag_eigval_within(d, e, 6.0, 2.0) is None
+    assert tridiag_eigval_within(d, e, 5.5, 3.0) == (1, pytest.approx(3.0, abs=1e-14))
+    assert tridiag_eigval_within(d, e, 2.2, 1.5) == (1, pytest.approx(3.0, abs=1e-14))
+    assert tridiag_eigval_within(d, e, 1.5, 0.6) == (0, pytest.approx(1.0, abs=1e-14))
+    assert tridiag_eigval_within(d, e, 1.5, 0.4) is None
+
+
+def test_sturm_within_takes_lower_index_on_tie(monkeypatch):
+    # bisection lands just above each eigenvalue, so force an exact tie
+    monkeypatch.setattr(numerics, "_sturm_eigval_index", lambda d, e2, i, lo, hi: d[i])
+    d = np.array([1.0, 3.0])
+    assert tridiag_eigval_within(d, np.zeros(1), 2.0, 1.5) == (0, 1.0)
+
+
+def test_inverse_iteration_recovers_eigenvector():
+    rng = np.random.RandomState(29)
+    d = rng.standard_normal(60)
+    e = rng.standard_normal(59)
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    ref = sym_eig(T)
+    for k in (0, 17, 59):
+        v = ref.vectors[:, k]
+        start = v + 1e-3 * rng.standard_normal(60)
+        x = tridiag_inverse_iteration(d, e, float(ref.values[k]), start)
+        assert abs(float(x @ x) - 1.0) <= 1e-14
+        assert np.abs(x - v).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
