@@ -22,12 +22,7 @@ import numpy as np
 
 from .bosons import displaced_osc_hamiltonian, squeezed_osc_hamiltonian
 from .juddian import juddian_points, verify_point
-from .numerics import (
-    FullRankError,
-    NonConvergenceError,
-    RootCountError,
-    tridiag_eigvals_lowest,
-)
+from .numerics import FullRankError, RootCountError, tridiag_eigvals_lowest
 from .rabi import ModelParams, spectrum_sweep
 from .svgplot import render_figure
 
@@ -57,6 +52,15 @@ def _model_params(args) -> ModelParams:
         raise CLIError(str(exc)) from exc
 
 
+def _points(n: int, params: ModelParams):
+    try:
+        return juddian_points(n, params)
+    except RootCountError as exc:
+        raise CLIError(f"root search failed for N = {n}: {exc}") from exc
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # juddian
 
@@ -66,10 +70,7 @@ def cmd_juddian(args) -> int:
     params = _model_params(args)
     points = []
     for n in range(1, args.max_n + 1):
-        try:
-            points.extend(juddian_points(n, params))
-        except RootCountError as exc:
-            raise CLIError(f"root search failed for N = {n}: {exc}") from exc
+        points.extend(_points(n, params))
 
     if args.format == "json":
         rows = [
@@ -122,10 +123,6 @@ def cmd_spectrum(args) -> int:
             levels_per_block=args.levels,
             scaled=not args.unscaled,
         )
-    except NonConvergenceError as exc:
-        raise CLIError(
-            f"eigensolver failed on the grid [{args.g_min:g}, {args.g_max:g}]: {exc}"
-        ) from exc
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
 
@@ -144,11 +141,10 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     if args.n < 1:
         raise CLIError("--n must be at least 1")
+    if args.cutoff < 0:
+        raise CLIError("--cutoff must be at least 0")
     params = _model_params(args)
-    try:
-        points = juddian_points(args.n, params)
-    except RootCountError as exc:
-        raise CLIError(f"root search failed for N = {args.n}: {exc}") from exc
+    points = _points(args.n, params)
 
     gap_tol = 1e-6
     res_tol = 1e-6
@@ -372,9 +368,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RootCountError, NonConvergenceError, FullRankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

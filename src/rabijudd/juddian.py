@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -88,6 +88,10 @@ def build_full_system(N: int, omega_tilde: float, x: float, lam_sign: int = 1) -
 
 
 def _reduced_matrix(N: int, omega_tilde: float, x: float) -> np.ndarray:
+    # The N x N tridiagonal system on p alone, from the full system by
+    # eliminating q_n = wt p_n / (N - n) and q_N = -2 lam sqrt(N) p_{N-1} / wt.
+    # The reduced form is certified only by the root-set checks against the
+    # full form.
     wt = float(omega_tilde)
     n = np.arange(N, dtype=float)
     diag = n - N + 4.0 * x + wt * wt / (N - n)
@@ -96,36 +100,6 @@ def _reduced_matrix(N: int, omega_tilde: float, x: float) -> np.ndarray:
         off = 2.0 * math.sqrt(x) * np.sqrt(n[1:])
         A += np.diag(off, 1) + np.diag(off, -1)
     return A
-
-
-@dataclass(frozen=True)
-class CompatibilitySystem:
-    """A builder for the compatibility matrix at given x = lam^2.
-
-    form "full" is the (2N+1)-dimensional system straight from the
-    coefficient equations; form "reduced" is the N x N tridiagonal system on
-    p alone, obtained by eliminating q_n = wt p_n / (N - n) and
-    q_N = -2 lam sqrt(N) p_{N-1} / wt. The reduced form is certified only by
-    the root-set equivalence checks against the full form.
-    """
-
-    N: int
-    omega_tilde: float
-    form: str
-    builder: Callable[[float], np.ndarray] = field(repr=False)
-
-
-def compatibility_system(N: int, omega_tilde: float, form: str = "reduced") -> CompatibilitySystem:
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    if form == "full":
-        builder = lambda x: build_full_system(N, omega_tilde, x)
-    elif form == "reduced":
-        builder = lambda x: _reduced_matrix(N, omega_tilde, x)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return CompatibilitySystem(N=N, omega_tilde=omega_tilde, form=form, builder=builder)
 
 
 def compatibility_polynomial(N: int, omega_tilde: float) -> Polynomial:
@@ -144,17 +118,17 @@ def compatibility_polynomial(N: int, omega_tilde: float) -> Polynomial:
         Polynomial((n - N + wt * wt / (N - n), 4.0)) for n in range(N)
     ]
     offdiag_sq = [Polynomial((0.0, 4.0 * (n + 1.0))) for n in range(N - 1)]
-    return tridiag_det_poly(diag, offdiag_sq=offdiag_sq)
+    return tridiag_det_poly(diag, offdiag_sq)
 
 
 @dataclass
 class JuddianPoint:
-    """One isolated exact solution and its verification diagnostics.
+    """One isolated exact solution.
 
     E = N - lam*lam holds as a floating-point identity by construction.
-    degeneracy_gap is filled by verify_point; displacement_sign selects the
-    coherent branch (a = b - lam for +1, a = b + lam for -1) used when the
-    state is reconstructed.
+    displacement_sign selects the coherent branch (a = b - lam for +1,
+    a = b + lam for -1) used when the state is reconstructed. The
+    verification diagnostics live on VerificationReport (verify_point).
     """
 
     N: int
@@ -165,7 +139,6 @@ class JuddianPoint:
     det_residual: float
     omega_tilde: float
     displacement_sign: int = 1
-    degeneracy_gap: float | None = None
 
     def model_params(self) -> ModelParams:
         """Physical parameters this point belongs to (omega from g / lam)."""
@@ -331,15 +304,16 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     """Null vector of the full system, assembled in the original Fock basis.
 
     The (p, q) split solves the full (2N+1) system on the point's coherent
-    branch. The displaced number states D(z)|n>, z = sign * lam, n <= N,
-    start from the closed-form coherent state D(z)|0> and follow the ladder
-    recurrence D|n+1> = (b+ - z) D|n> / sqrt(n+1) on the truncated basis,
-    each step corrected by one inverse iteration
-    (bosons.displaced_number_states), at O(N M) cost; the sums over p and q
-    are accumulated as they go, and no matrix is formed. The two
-    spinor components are then rotated from the coupling-diagonal
-    representation to the assembly basis (the Hadamard map
-    up = (c1 + c2)/sqrt(2), down = (c1 - c2)/sqrt(2)) and normalized.
+    branch; its sign is null_vector's (first component above 1e-12
+    positive), so p leads with a positive entry. The displaced number
+    states D(z)|n>, z = sign * lam, n <= N, start from the closed-form
+    coherent state D(z)|0> and follow the ladder recurrence
+    D|n+1> = (b+ - z) D|n> / sqrt(n+1) on the truncated basis, each step
+    corrected by one inverse iteration (bosons.displaced_number_states), at
+    O(N M) cost; the sums over p and q are accumulated as they go, and no
+    matrix is formed. The two spinor components are then rotated from the
+    coupling-diagonal representation to the assembly basis (the Hadamard
+    map up = (c1 + c2)/sqrt(2), down = (c1 - c2)/sqrt(2)) and normalized.
 
     Raises ValueError when cutoff < N or z^2 > cutoff/4.
     """
@@ -354,11 +328,6 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     v = null_vector(system)
     p = v[:N].copy()
     q = v[N:].copy()
-    for comp in p:
-        if abs(comp) > 1e-12:
-            if comp < 0.0:
-                p, q = -p, -q
-            break
     if abs(q[N]) <= 1e-12:
         raise RuntimeError("degenerate null vector: q_N vanished")
 
@@ -383,18 +352,7 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
 
 def alternate_branch(point: JuddianPoint) -> JuddianPoint:
     """The same point on the mirrored coherent branch (a = b + lam for -1)."""
-    flipped = JuddianPoint(
-        N=point.N,
-        root_index=point.root_index,
-        lam=point.lam,
-        g=point.g,
-        E=point.E,
-        det_residual=point.det_residual,
-        omega_tilde=point.omega_tilde,
-        displacement_sign=-point.displacement_sign,
-        degeneracy_gap=point.degeneracy_gap,
-    )
-    return flipped
+    return replace(point, displacement_sign=-point.displacement_sign)
 
 
 @dataclass(frozen=True)
@@ -424,8 +382,8 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
     E + 1e-3 locate the block's eigenvalues in that window; of the highest
     below E and the lowest at or above it, each is bisected only if the
     window holds it, and the nearer to E is kept (the lower index on a tie).
-    The opposite-parity gap |E+ - E-| is recorded and written back to
-    point.degeneracy_gap. The reconstructed state's eigen-residual
+    The opposite-parity gap |E+ - E-| is recorded on the report; the point
+    itself is left unchanged. The reconstructed state's eigen-residual
     ||(H - E) psi|| on the same cutoff is included, with H applied through
     its band, and so is the state's tail weight. No matrix is formed, so
     the cost is linear in the cutoff.
@@ -455,7 +413,6 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
     eigen_residual = math.sqrt(float(resid @ resid))
     tail = psi[2 * (M + 1 - math.ceil(M / 10)):]
 
-    point.degeneracy_gap = gap
     return VerificationReport(
         point=point,
         cutoff=M,

@@ -34,7 +34,13 @@ class FullRankError(RuntimeError):
 
 
 class RootCountError(RuntimeError):
-    """Fewer roots than expected, even after grid refinement and bracket doubling."""
+    """A root search that cannot account for the expected number of roots.
+
+    poly_real_roots raises it when fewer roots than expected survive grid
+    refinement and bracket doubling; the certified compatibility-root finder
+    raises it when a Sturm pivot count fails one of its checks, with the
+    failed check appended to the message.
+    """
 
     def __init__(self, found: list[float], expected: int):
         super().__init__(f"found {len(found)} roots where {expected} were expected")
@@ -683,38 +689,21 @@ def determinant(A: np.ndarray) -> float:
     return sign * float(np.prod(np.diagonal(M)))
 
 
-def tridiag_det_poly(
-    diag: list[Polynomial],
-    offdiag: list[float] | None = None,
-    *,
-    offdiag_sq: list[Polynomial] | None = None,
-) -> Polynomial:
-    """Determinant of a symmetric tridiagonal matrix with polynomial diagonal.
+def tridiag_det_poly(diag: list[Polynomial], offdiag_sq: list[Polynomial]) -> Polynomial:
+    """Determinant of a symmetric tridiagonal matrix with polynomial entries.
 
-    Three-term recurrence D_k = a_k D_{k-1} - b_{k-1}^2 D_{k-2}. The
-    off-diagonal can be given either as real values (offdiag) or directly as
-    the squared entries as polynomials (offdiag_sq), since only the squares
-    enter the recurrence; exactly one of the two may be supplied for
-    dimension > 1.
+    Three-term recurrence D_k = a_k D_{k-1} - b_{k-1}^2 D_{k-2}. Only the
+    squares of the off-diagonal enter it, so offdiag_sq holds the squared
+    entries b_k^2 as polynomials, len(diag) - 1 of them.
     """
     ndim = len(diag)
     if ndim == 0:
         raise ValueError("empty diagonal")
-    if offdiag is not None and offdiag_sq is not None:
-        raise ValueError("give offdiag or offdiag_sq, not both")
-    if ndim == 1:
-        return diag[0]
-    if offdiag is not None:
-        squares = [Polynomial((float(b) * float(b),)) for b in offdiag]
-    elif offdiag_sq is not None:
-        squares = list(offdiag_sq)
-    else:
-        raise ValueError("off-diagonal entries required for dimension > 1")
-    if len(squares) != ndim - 1:
+    if len(offdiag_sq) != ndim - 1:
         raise ValueError("off-diagonal length must be len(diag) - 1")
 
     prev = Polynomial((1.0,))
     cur = diag[0]
     for k in range(1, ndim):
-        prev, cur = cur, diag[k] * cur - squares[k - 1] * prev
+        prev, cur = cur, diag[k] * cur - offdiag_sq[k - 1] * prev
     return cur

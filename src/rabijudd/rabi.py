@@ -18,6 +18,8 @@ from .numerics import _gershgorin, _sturm_eigval_index, _sturm_lowest_batch
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+# find_crossings refines each crossing until |E+ - E-| is at most this
+_CROSSING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,11 @@ class ParityBlock:
     matrix: np.ndarray
 
 
-def build_rabi(params: ModelParams, cutoff: int = DEFAULT_CUTOFF, scaled: bool = True) -> np.ndarray:
-    """Rabi Hamiltonian as a dense symmetric 2(M+1) matrix.
+def build_rabi(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
+    """Scaled Rabi Hamiltonian as a dense symmetric 2(M+1) matrix.
 
-    Scaled form: omega_tilde sigma_z + b+b + lam (b+ + b) sigma_x.
-    Unscaled multiplies by omega, restoring the physical energy units.
+    omega_tilde sigma_z + b+b + lam (b+ + b) sigma_x, in units of omega; the
+    dense reference for the band and Sturm code.
     """
     M = int(cutoff)
     create, annihilate, number = ladder_matrices(M)
@@ -80,8 +82,6 @@ def build_rabi(params: ModelParams, cutoff: int = DEFAULT_CUTOFF, scaled: bool =
         + np.kron(number, eye_s)
         + params.lam * np.kron(create + annihilate, _SIGMA_X)
     )
-    if not scaled:
-        H *= params.omega
     return H
 
 
@@ -220,27 +220,19 @@ def _eigval_at(
     return val if scaled else params.omega * val
 
 
-def find_crossings(
-    table: SpectrumTable,
-    params: ModelParams | None = None,
-    cutoff: int | None = None,
-    tol: float = 1e-9,
-) -> list[Crossing]:
+def find_crossings(table: SpectrumTable) -> list[Crossing]:
     """Opposite-parity degeneracies found on the table and refined in g.
 
     Every (i, j) pair among the tracked levels is scanned for sign changes of
     E+_i - E-_j between adjacent grid points; each sign change is refined by
-    safeguarded bisection (with secant acceleration) until |E+ - E-| <= tol.
-    Results are ascending in g_star.
+    safeguarded bisection (with secant acceleration) on the table's own
+    model, cutoff and energy units until |E+ - E-| <= 1e-9. Results are
+    ascending in g_star.
 
     Raises RuntimeError, naming the grid cell and level pair, if a bracket
-    collapses without reaching tol - the symptom of a non-isolated crossing
+    collapses without reaching 1e-9 - the symptom of a non-isolated crossing
     relative to the grid resolution.
     """
-    if params is None:
-        params = table.params
-    if cutoff is None:
-        cutoff = table.cutoff
     k = table.levels_plus.shape[1]
     g = table.g_values
     crossings: list[Crossing] = []
@@ -264,11 +256,10 @@ def find_crossings(
                     continue
                 crossings.append(
                     _refine_crossing(
-                        params, cutoff, table.scaled,
+                        table,
                         i, j,
                         float(g[m]), float(g[m + 1]),
                         float(diff[m]), float(diff[m + 1]),
-                        tol,
                     )
                 )
 
@@ -286,23 +277,20 @@ def find_crossings(
 
 
 def _refine_crossing(
-    params: ModelParams,
-    cutoff: int,
-    scaled: bool,
+    table: SpectrumTable,
     i: int,
     j: int,
     ga: float,
     gb: float,
     fa: float,
     fb: float,
-    tol: float,
 ) -> Crossing:
     cell = (ga, gb)
 
     def gap(gv: float) -> tuple[float, float, float]:
-        p = params.with_g(gv)
-        ep = _eigval_at(p, cutoff, 1, i, scaled)
-        em = _eigval_at(p, cutoff, -1, j, scaled)
+        p = table.params.with_g(gv)
+        ep = _eigval_at(p, table.cutoff, 1, i, table.scaled)
+        em = _eigval_at(p, table.cutoff, -1, j, table.scaled)
         return ep - em, ep, em
 
     side = 0
@@ -316,7 +304,7 @@ def _refine_crossing(
         else:
             gs = 0.5 * (ga + gb)
         fm, ep, em = gap(gs)
-        if abs(fm) <= tol:
+        if abs(fm) <= _CROSSING_TOL:
             return Crossing(
                 g_star=gs, E_star=0.5 * (ep + em), level_plus=i, level_minus=j
             )
@@ -334,5 +322,5 @@ def _refine_crossing(
             break
     raise RuntimeError(
         f"crossing of levels (+{i}, -{j}) in cell g = [{cell[0]:.6g}, {cell[1]:.6g}] "
-        f"did not resolve to |dE| <= {tol:g}; grid too coarse or crossing not isolated"
+        f"did not resolve to |dE| <= {_CROSSING_TOL:g}; grid too coarse or crossing not isolated"
     )

@@ -7,6 +7,7 @@ coupling through E = N - lambda^2, and confirmed by independent truncated
 diagonalization; see the decisions ledger outside the package).
 """
 
+import functools
 import json
 import math
 import subprocess
@@ -143,8 +144,12 @@ def test_criterion_6_squeezed_oscillator():
     print("criterion 6 (squeezed oscillator): PASS")
 
 
+@functools.cache
 def _full_system_roots(n, wt, lo, hi, samples=1500):
-    """Sign-change roots of the (2N+1)-determinant, bisected to 1e-12."""
+    """Sign-change roots of the (2N+1)-determinant, bisected to 1e-12.
+
+    Cached: two tests scan the same (n, wt) pairs.
+    """
     xs = np.linspace(lo, hi, samples)
     dets = np.array([determinant(build_full_system(n, wt, float(x))) for x in xs])
     roots = []
@@ -162,7 +167,7 @@ def _full_system_roots(n, wt, lo, hi, samples=1500):
             else:
                 b = m
         roots.append(0.5 * (a + b))
-    return roots
+    return tuple(roots)
 
 
 def test_criterion_7_full_reduced_equivalence():

@@ -93,6 +93,18 @@ def test_juddian_rejects_bad_max_n():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("juddian", "--max-n", "2", "--omega0", "0"),
+    ("verify", "--n", "1", "--omega0", "-1"),
+    ("verify", "--n", "1", "--cutoff", "-5"),
+])
+def test_bad_model_input_is_an_error(args):
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 

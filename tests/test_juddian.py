@@ -18,7 +18,6 @@ from rabijudd.juddian import (
     baseline_energy,
     build_full_system,
     compatibility_polynomial,
-    compatibility_system,
     juddian_points,
     reconstruct_state,
     verify_point,
@@ -81,15 +80,6 @@ def test_full_system_n2_sign_changes_bracket_roots():
 def test_full_system_nonroot_is_full_rank():
     with pytest.raises(FullRankError):
         null_vector(build_full_system(2, 0.5, 0.3))
-
-
-def test_compatibility_system_forms():
-    sys_red = compatibility_system(3, 0.5, form="reduced")
-    sys_full = compatibility_system(3, 0.5, form="full")
-    assert sys_red.builder(0.2).shape == (3, 3)
-    assert sys_full.builder(0.2).shape == (7, 7)
-    with pytest.raises(ValueError):
-        compatibility_system(3, 0.5, form="other")
 
 
 def test_polynomial_n1_closed_form():
@@ -383,12 +373,19 @@ def test_branch_set_invariance():
 # ---------------------------------------------------------------------------
 # verification
 
+def test_verify_leaves_point_unchanged():
+    for point in juddian_points(3, ModelParams(omega=1.0, omega0=2.6)):
+        before = dataclasses.asdict(point)
+        report = verify_point(point, cutoff=100)
+        assert dataclasses.asdict(point) == before
+        assert report.point is point
+
+
 def test_verify_first_and_last_reference_points():
     p1 = juddian_points(1, RESONANCE)[0]
     rep = verify_point(p1, cutoff=100)
     assert rep.degeneracy_gap <= 1e-6
     assert rep.eigen_residual <= 1e-6
-    assert p1.degeneracy_gap == rep.degeneracy_gap
 
     p10 = juddian_points(4, RESONANCE)[3]
     rep = verify_point(p10, cutoff=100)

@@ -362,10 +362,10 @@ def _as_poly(c):
 
 def test_tridiag_det_poly_small_cases():
     p = Polynomial((-0.75, 4.0))
-    assert tridiag_det_poly([p]).coeffs == p.coeffs
+    assert tridiag_det_poly([p], []).coeffs == p.coeffs
 
     q = Polynomial((1.0, 1.0))
-    out = tridiag_det_poly([p, q], offdiag=[2.0])
+    out = tridiag_det_poly([p, q], [Polynomial((4.0,))])
     expected = p * q - Polynomial((4.0,))
     assert np.allclose(out.coeffs, expected.coeffs, rtol=1e-14)
 
@@ -382,7 +382,7 @@ def test_tridiag_det_poly_matches_dense_expansion():
         for i in range(n - 1):
             M[i][i + 1] = _as_poly(off[i])
             M[i + 1][i] = _as_poly(off[i])
-        got = tridiag_det_poly(diag, offdiag=off)
+        got = tridiag_det_poly(diag, [Polynomial((b * b,)) for b in off])
         want = _dense_poly_det(M)
         scale = max(abs(c) for c in want.coeffs) or 1.0
         got_c = np.zeros(max(len(got.coeffs), len(want.coeffs)))
@@ -392,21 +392,11 @@ def test_tridiag_det_poly_matches_dense_expansion():
         assert np.abs(got_c - want_c).max() <= 1e-12 * scale
 
 
-def test_tridiag_det_poly_offdiag_sq_equivalent():
-    diag = [Polynomial((1.0, 2.0)), Polynomial((0.0, 1.0)), Polynomial((3.0,))]
-    off = [1.5, 0.5]
-    via_off = tridiag_det_poly(diag, offdiag=off)
-    via_sq = tridiag_det_poly(
-        diag, offdiag_sq=[Polynomial((b * b,)) for b in off]
-    )
-    assert np.allclose(via_off.coeffs, via_sq.coeffs, rtol=1e-14)
-
-
 def test_tridiag_det_poly_validation():
     p = Polynomial((1.0,))
     with pytest.raises(ValueError):
-        tridiag_det_poly([])
+        tridiag_det_poly([], [])
     with pytest.raises(ValueError):
-        tridiag_det_poly([p, p])
+        tridiag_det_poly([p, p], [])
     with pytest.raises(ValueError):
-        tridiag_det_poly([p, p], offdiag=[1.0], offdiag_sq=[Polynomial((1.0,))])
+        tridiag_det_poly([p, p], [p, p])

@@ -54,13 +54,6 @@ def test_build_rabi_degenerate_pair_at_first_crossing():
     assert close.sum() >= 2
 
 
-def test_build_rabi_unscaled_is_omega_times_scaled():
-    p = ModelParams(omega=2.0, omega0=1.5, g=0.4)
-    Hs = build_rabi(p, cutoff=15, scaled=True)
-    Hu = build_rabi(p, cutoff=15, scaled=False)
-    assert np.allclose(Hu, 2.0 * Hs, rtol=1e-15)
-
-
 def test_band_product_matches_dense_hamiltonian():
     rng = np.random.RandomState(5)
     for M in (0, 1, 12):
@@ -208,3 +201,20 @@ def test_no_crossings_on_quiet_segment():
     grid = np.linspace(0.01, 0.03, 5)
     t = spectrum_sweep(ModelParams(), grid, cutoff=80, levels_per_block=2)
     assert find_crossings(t) == []
+
+
+def test_unscaled_table_refines_its_own_model():
+    # refinement reads the model, cutoff and units from the table alone
+    p = ModelParams(omega=2.0, omega0=1.3)
+    grid = np.linspace(0.1, 1.6, 151)
+    scaled = find_crossings(spectrum_sweep(p, grid, cutoff=80, levels_per_block=6))
+    unscaled = find_crossings(
+        spectrum_sweep(p, grid, cutoff=80, levels_per_block=6, scaled=False)
+    )
+    assert scaled
+    assert [(c.level_plus, c.level_minus) for c in unscaled] == [
+        (c.level_plus, c.level_minus) for c in scaled
+    ]
+    for u, s in zip(unscaled, scaled):
+        assert abs(u.g_star - s.g_star) <= 1e-8
+        assert abs(u.E_star - p.omega * s.E_star) <= 1e-8
