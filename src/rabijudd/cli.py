@@ -61,6 +61,15 @@ def _points(n: int, params: ModelParams):
         raise CLIError(str(exc)) from exc
 
 
+def _check_cutoff_and_levels(args) -> None:
+    if args.cutoff < 0:
+        raise CLIError("--cutoff must be at least 0")
+    if args.levels < 1:
+        raise CLIError("--levels must be at least 1")
+    if args.levels > args.cutoff + 1:
+        raise CLIError("--levels cannot exceed --cutoff + 1")
+
+
 # ---------------------------------------------------------------------------
 # juddian
 
@@ -109,6 +118,7 @@ def cmd_spectrum(args) -> int:
             raise CLIError("--g-steps must be 1 (single point) or at least 2")
         if not args.g_min < args.g_max:
             raise CLIError("--g-min must be strictly below --g-max")
+    _check_cutoff_and_levels(args)
     params = _model_params(args)
     grid = (
         np.array([args.g_min])
@@ -204,10 +214,7 @@ def _lowest_levels(ham: np.ndarray, levels: int, stride: int) -> np.ndarray:
 
 
 def cmd_oscillator(args) -> int:
-    if args.levels < 1:
-        raise CLIError("--levels must be at least 1")
-    if args.levels > args.cutoff + 1:
-        raise CLIError("--levels cannot exceed --cutoff + 1")
+    _check_cutoff_and_levels(args)
     try:
         if args.osc_type == "displaced":
             ham = displaced_osc_hamiltonian(args.lam, cutoff=args.cutoff)

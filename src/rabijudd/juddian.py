@@ -249,14 +249,22 @@ def juddian_points(N: int, params: ModelParams) -> list[JuddianPoint]:
     scaled compatibility polynomial at each root.
 
     Raises RootCountError when the count cannot be certified. omega_tilde
-    <= 0 is rejected: that limit solves every coupling exactly and has no
-    isolated points.
+    = 0 is rejected: that limit solves every coupling exactly and has no
+    isolated points. A negative omega_tilde is rejected too: sigma_x maps
+    H(-omega0) onto H(|omega0|) with the same g and E and the parities
+    swapped, so its points are those of |omega0|.
     """
     N = int(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
     wt = params.omega_tilde
-    if wt <= 0.0:
+    if wt < 0.0:
+        raise ValueError(
+            "omega0 must be positive: H(-omega0) is sigma_x-equivalent to "
+            "H(|omega0|), with the same g and E and the parities swapped; "
+            "pass |omega0|"
+        )
+    if wt == 0.0:
         raise ValueError(
             "omega_tilde must be positive: the omega0 = 0 limit is exactly "
             "solvable at every coupling and has no isolated points"

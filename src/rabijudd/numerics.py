@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -470,6 +472,14 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
     scales). Returns shape (G, k), ascending along the last axis. All G*k
     bisections advance in lockstep, so the whole sweep costs one Sturm
     recurrence per bisection step.
+
+    The recurrence ends early by the rule of _sturm_stop, with one bound
+    for every lane: the column-wise maximum |e|. A lane with couplings
+    |e_j| below that maximum b_j keeps the induction, since q_{j-1} >= b_{j-1}
+    gives e_{j-1}^2 / q_{j-1} <= b_{j-1}, so the slack of the maximal
+    couplings and a shift no lower than every lane's (the largest midpoint)
+    certify all lanes at once. Every 4 rows from the first row the slack
+    allows, the loop ends once every lane's pivot is at least b_i.
     """
     d = np.asarray(d, dtype=float)
     e2_rows = np.atleast_2d(np.asarray(e2_rows, dtype=float))
@@ -477,8 +487,11 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
     G = e2_rows.shape[0]
     tiny = _EPS * (float(np.max(np.abs(d))) + math.sqrt(float(np.max(e2_rows, initial=0.0))) + 1.0)
 
-    lo, hi = _gershgorin(d, np.sqrt(np.max(e2_rows, axis=0, initial=0.0)))
+    e_max = np.sqrt(np.max(e2_rows, axis=0, initial=0.0))
+    lo, hi = _gershgorin(d, e_max)
     span = max(hi - lo, 1.0)
+    stop = _sturm_stop(d, e_max)
+    bound = stop.bound
 
     los = np.full((G, k), lo)
     his = np.full((G, k), hi)
@@ -486,12 +499,15 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
     e2col = e2_rows[:, :, None]  # (G, n-1, 1) broadcasting against (G, k)
     for _ in range(90):
         mids = 0.5 * (los + his)
+        first = stop.first_row(float(np.max(mids)), float(np.max(np.abs(mids))))
         q = d[0] - mids
         count = (q < 0.0).astype(np.int64)
         for i in range(1, n):
             q = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
             q = d[i] - mids - e2col[:, i - 1] / q
             count += q < 0.0
+            if i >= first and (i - first) % 4 == 0 and np.min(q) >= bound[i]:
+                break
         below = count >= targets
         his = np.where(below, mids, his)
         los = np.where(below, los, mids)
@@ -500,38 +516,102 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
     return 0.5 * (los + his)
 
 
-def _sturm_count(d, e2, x: float, tiny: float) -> int:
+# Relative margin on the slack test of _sturm_stop, far above rounding.
+_STOP_MARGIN = 1e-12
+
+
+class _SturmStop(NamedTuple):
+    """Data that lets a Sturm count end early; built once per matrix by _sturm_stop."""
+
+    suffix: list[float]
+    bound: list[float]
+    scale: float
+
+    def first_row(self, x: float, reach: float) -> int:
+        """First row at which a count at shift x (|x| <= reach) may end."""
+        return max(bisect_left(self.suffix, x + _STOP_MARGIN * (self.scale + reach)) - 1, 0)
+
+
+def _sturm_stop(d: np.ndarray, bound: np.ndarray) -> _SturmStop:
+    """Stop data for Sturm counts on the symmetric tridiagonal (d, e), |e| <= bound.
+
+    The count of T - x walks the LDL^T pivots q_0 = d_0 - x,
+    q_j = d_j - x - e_{j-1}^2 / q_{j-1}, and counts the negative ones. With
+    b_j = bound[j] (b_{-1} = b_{n-1} = 0) let s_j = d_j - b_{j-1} - b_j be
+    the slack of row j. If q_i >= b_i and s_j >= x for every j > i, the
+    count is final at row i: by induction q_{j-1} >= b_{j-1} >= |e_{j-1}|
+    gives e_{j-1}^2 / q_{j-1} <= b_{j-1}, so
+    q_j >= d_j - x - b_{j-1} = b_j + (s_j - x) >= b_j >= 0, and no later
+    pivot is negative. The pivot clamp keeps the induction: it only moves
+    a pivot in [0, tiny) up to tiny, which keeps q >= b and can only shrink
+    e^2 / q.
+
+    suffix[j] is the minimum of s_j..s_{n-1} (suffix[n] = inf), computed
+    once, O(n); it is nondecreasing, so first_row finds by bisection the
+    first row r with suffix[r + 1] >= x. The floating-point pivots differ
+    from the exact ones by a few eps (scale + |x|) per step, scale =
+    max |d| + 2 max b, as do the computed slacks; first_row therefore asks
+    for slack x + 1e-12 (scale + |x|), which makes the induction hold for
+    the computed pivots too. A count that stops this way equals the
+    full-length count exactly.
+    """
+    n = d.size
+    b = np.zeros(n + 1)
+    b[1:n] = bound
+    slack = d - b[:n] - b[1:]
+    suffix = np.minimum.accumulate(slack[::-1])[::-1]
+    scale = float(np.max(np.abs(d))) + 2.0 * float(np.max(b))
+    return _SturmStop(suffix.tolist() + [math.inf], b[1:].tolist(), scale)
+
+
+def _sturm_count(d, e2, x: float, tiny: float, stop: _SturmStop | None = None) -> int:
     """Number of eigenvalues below x: the negative LDL^T pivots of T - x.
 
     d and e2 are sequences (diagonal and squared off-diagonal); pivots
     smaller than tiny in magnitude are pushed out to +/- tiny. Scalar Python
     floats beat vectorized calls by an order of magnitude when only one
-    shift is wanted per step.
+    shift is wanted per step. With stop data (_sturm_stop) the count ends
+    at the first row i >= stop.first_row(x) with q_i >= b_i, where the rest
+    of the sequence is certified to add nothing; without it every row is
+    walked.
     """
+    n = len(d)
+    first = n if stop is None else stop.first_row(x, abs(x))
     q = d[0] - x
     count = 1 if q < 0.0 else 0
-    for i in range(1, len(d)):
+    for i in range(1, first):
         if -tiny < q < tiny:
             q = -tiny if q < 0.0 else tiny
         q = d[i] - x - e2[i - 1] / q
         if q < 0.0:
             count += 1
+    if first < n:
+        bound = stop.bound
+        for i in range(max(first, 1), n):
+            if -tiny < q < tiny:
+                q = -tiny if q < 0.0 else tiny
+            q = d[i] - x - e2[i - 1] / q
+            if q < 0.0:
+                count += 1
+            elif q >= bound[i]:
+                break
     return count
 
 
-def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float) -> float:
+def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float, stop: _SturmStop) -> float:
     """Single eigenvalue by Sturm bisection, scalar arithmetic throughout.
 
-    d and e2 are sequences (diagonal and squared off-diagonal); index is the
-    0-based ascending eigenvalue index; (lo, hi) must bracket it. This is the
-    crossing-refinement and verification inner loop.
+    d and e2 are sequences (diagonal and squared off-diagonal) and stop
+    their _sturm_stop data; index is the 0-based ascending eigenvalue index;
+    (lo, hi) must bracket it. This is the crossing-refinement and
+    verification inner loop.
     """
     scale = max(abs(lo), abs(hi), 1.0)
     tiny = _EPS * scale
     target = index + 1
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if _sturm_count(d, e2, mid, tiny) >= target:
+        if _sturm_count(d, e2, mid, tiny, stop) >= target:
             hi = mid
         else:
             lo = mid
@@ -550,7 +630,9 @@ def tridiag_eigval_within(
     eigenvalues below each shift, so the nearest is index c - 1 (the highest
     below x) or c (the lowest at or above it). Each is bisected only when
     the window holds it, and only on its half of the window. On a tie the
-    lower index wins. Costs O(n) per bisection step and no eigenvectors.
+    lower index wins. Every count ends once its sign pattern is certified
+    (_sturm_stop), so a count costs the rows up to the level's support,
+    not O(n), and no eigenvectors are formed.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -558,16 +640,17 @@ def tridiag_eigval_within(
         raise ValueError("empty tridiagonal matrix")
     lo, hi = _gershgorin(d, e)
     tiny = _EPS * max(abs(lo), abs(hi), 1.0)
+    stop = _sturm_stop(d, np.abs(e))
     dl = d.tolist()
     e2l = (e * e).tolist()
     x = float(x)
     left, right = x - float(radius), x + float(radius)
-    c_left, c, c_right = (_sturm_count(dl, e2l, s, tiny) for s in (left, x, right))
+    c_left, c, c_right = (_sturm_count(dl, e2l, s, tiny, stop) for s in (left, x, right))
     best: tuple[int, float] | None = None
     if c > c_left:
-        best = (c - 1, _sturm_eigval_index(dl, e2l, c - 1, left, x))
+        best = (c - 1, _sturm_eigval_index(dl, e2l, c - 1, left, x, stop))
     if c_right > c:
-        value = _sturm_eigval_index(dl, e2l, c, x, right)
+        value = _sturm_eigval_index(dl, e2l, c, x, right, stop)
         if best is None or abs(value - x) < abs(best[1] - x):
             best = (c, value)
     return best

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bosons import DEFAULT_CUTOFF, ladder_matrices
-from .numerics import _gershgorin, _sturm_eigval_index, _sturm_lowest_batch
+from .numerics import _gershgorin, _sturm_eigval_index, _sturm_lowest_batch, _sturm_stop
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -216,7 +216,8 @@ def _eigval_at(
 ) -> float:
     diag, off = _block_arrays(params, cutoff, parity)
     lo, hi = _gershgorin(diag, off)
-    val = _sturm_eigval_index(diag.tolist(), (off * off).tolist(), index, lo, hi)
+    stop = _sturm_stop(diag, np.abs(off))
+    val = _sturm_eigval_index(diag.tolist(), (off * off).tolist(), index, lo, hi, stop)
     return val if scaled else params.omega * val
 
 
@@ -251,9 +252,8 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
                     )
                 )
             neg = diff < 0.0
-            for m in range(g.size - 1):
-                if exact[m] or exact[m + 1] or neg[m] == neg[m + 1]:
-                    continue
+            changes = (neg[:-1] != neg[1:]) & ~exact[:-1] & ~exact[1:]
+            for m in np.nonzero(changes)[0]:
                 crossings.append(
                     _refine_crossing(
                         table,

@@ -105,6 +105,26 @@ def test_bad_model_input_is_an_error(args):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (("verify", "--n", "1", "--cutoff", "-5"), "--cutoff must be at least 0"),
+    (("spectrum", "--cutoff", "-5"), "--cutoff must be at least 0"),
+    (("oscillator", "--type", "displaced", "--lambda", "1", "--cutoff", "-5"),
+     "--cutoff must be at least 0"),
+    (("spectrum", "--levels", "0"), "--levels must be at least 1"),
+    (("spectrum", "--levels", "7", "--cutoff", "5"), "--levels cannot exceed --cutoff + 1"),
+    (("oscillator", "--type", "squeezed", "--lambda", "0.1", "--levels", "7", "--cutoff", "5"),
+     "--levels cannot exceed --cutoff + 1"),
+    (("juddian", "--max-n", "2", "--omega0", "0"), "the omega0 = 0 limit is exactly solvable"),
+    (("verify", "--n", "1", "--omega0", "-1"),
+     "H(-omega0) is sigma_x-equivalent to H(|omega0|), with the same g and E "
+     "and the parities swapped; pass |omega0|"),
+])
+def test_bad_input_message_names_the_flag(args, message):
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 

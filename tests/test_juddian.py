@@ -252,9 +252,9 @@ def test_uncertified_count_raises(monkeypatch, counts, fragment):
 
 
 def test_points_reject_nonpositive_splitting():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the omega0 = 0 limit is exactly solvable"):
         juddian_points(1, ModelParams(omega=1.0, omega0=0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("sigma_x-equivalent to H(|omega0|)")):
         juddian_points(1, ModelParams(omega=1.0, omega0=-2.0))
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rabijudd.numerics as numerics
@@ -24,6 +24,8 @@ from rabijudd.numerics import (
     tridiag_eigvals_lowest,
     tridiag_inverse_iteration,
 )
+from rabijudd.juddian import juddian_points
+from rabijudd.rabi import ModelParams, _block_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +289,146 @@ def test_sturm_within_window():
 
 def test_sturm_within_takes_lower_index_on_tie(monkeypatch):
     # bisection lands just above each eigenvalue, so force an exact tie
-    monkeypatch.setattr(numerics, "_sturm_eigval_index", lambda d, e2, i, lo, hi: d[i])
+    monkeypatch.setattr(numerics, "_sturm_eigval_index", lambda d, e2, i, lo, hi, stop: d[i])
     d = np.array([1.0, 3.0])
     assert tridiag_eigval_within(d, np.zeros(1), 2.0, 1.5) == (0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# early-ending Sturm counts, against full-length references kept here
+
+def _full_count(d, e2, x, tiny):
+    """Negative LDL^T pivots of T - x, walked over every row."""
+    q = d[0] - x
+    count = 1 if q < 0.0 else 0
+    for i in range(1, len(d)):
+        if -tiny < q < tiny:
+            q = -tiny if q < 0.0 else tiny
+        q = d[i] - x - e2[i - 1] / q
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def _full_lowest_batch(d, e2_rows, k):
+    """The lockstep bisection of _sturm_lowest_batch with full-length recurrences."""
+    e2_rows = np.atleast_2d(e2_rows)
+    G = e2_rows.shape[0]
+    tiny = numerics._EPS * (np.max(np.abs(d)) + math.sqrt(np.max(e2_rows, initial=0.0)) + 1.0)
+    lo, hi = _gershgorin(d, np.sqrt(np.max(e2_rows, axis=0, initial=0.0)))
+    span = max(hi - lo, 1.0)
+    los = np.full((G, k), lo)
+    his = np.full((G, k), hi)
+    targets = np.arange(1, k + 1)[None, :]
+    e2col = e2_rows[:, :, None]
+    for _ in range(90):
+        mids = 0.5 * (los + his)
+        q = d[0] - mids
+        count = (q < 0.0).astype(np.int64)
+        for i in range(1, d.size):
+            q = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
+            q = d[i] - mids - e2col[:, i - 1] / q
+            count += q < 0.0
+        below = count >= targets
+        his = np.where(below, mids, his)
+        los = np.where(below, los, mids)
+        if np.max(his - los) <= 4.0 * numerics._EPS * span:
+            break
+    return 0.5 * (los + his)
+
+
+# Grid values make zero couplings, repeated diagonal entries and shifts that
+# land exactly on a slack d_j - |e_{j-1}| - |e_j| common; the ramp makes the
+# later rows dominant, so the stop fires inside the matrix.
+_GRID = st.sampled_from([-1.0, 0.0, 0.1, 0.25, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _tridiagonals(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    ramp = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+    noise = draw(st.lists(_GRID | st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    e = draw(st.lists(_GRID | st.floats(-2.0, 2.0), min_size=n - 1, max_size=n - 1))
+    return np.array([ramp * j + v for j, v in enumerate(noise)]), np.array(e)
+
+
+def _stop_shifts(d, e):
+    """Shifts on every boundary of the stop rule, plus the eigenvalues."""
+    b = np.zeros(d.size + 1)
+    b[1:d.size] = np.abs(e)
+    slack = d - b[:-1] - b[1:]
+    eig = sym_eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).values
+    base = np.concatenate([d, slack, d - b[1:], d - b[:-1], eig, [0.0, d.max() + 1.0]])
+    return np.concatenate([base, np.nextafter(base, -np.inf), np.nextafter(base, np.inf)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tridiagonals())
+@example((np.array([-1.0, -1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1e-60])))
+@example((np.array([0.0, 2.0, -1.0]), np.array([0.5, 0.0])))
+def test_early_count_equals_full_count(matrix):
+    d, e = matrix
+    stop = numerics._sturm_stop(d, np.abs(e))
+    dl, e2l = d.tolist(), (e * e).tolist()
+    lo, hi = _gershgorin(d, e)
+    for tiny in (numerics._EPS * max(abs(lo), abs(hi), 1.0), 1e-3):
+        for x in _stop_shifts(d, e).tolist():
+            assert numerics._sturm_count(dl, e2l, x, tiny, stop) == _full_count(dl, e2l, x, tiny)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tridiagonals(), st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.7]), min_size=1, max_size=4))
+def test_early_batch_equals_full_batch(matrix, scales):
+    d, e = matrix
+    e2_rows = (np.array(scales)[:, None] * e[None, :]) ** 2
+    k = min(3, d.size)
+    got = numerics._sturm_lowest_batch(d, e2_rows, k)
+    assert got.tobytes() == _full_lowest_batch(d, e2_rows, k).tobytes()
+
+
+class _ReadRecorder(list):
+    """A list that records the highest index read through it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.highest = -1
+
+    def __getitem__(self, i):
+        self.highest = max(self.highest, i)
+        return super().__getitem__(i)
+
+
+def test_within_counts_stop_early_and_stay_exact(monkeypatch):
+    M = 10_000
+    count = numerics._sturm_count
+    rows = []
+
+    def recording(d, e2, x, tiny, stop=None):
+        d = _ReadRecorder(d)
+        c = count(d, e2, x, tiny, stop)
+        rows.append(d.highest + 1)
+        return c
+
+    for point in juddian_points(4, ModelParams(omega=1.0, omega0=1.0)):
+        for parity in (1, -1):
+            diag, off = _block_arrays(point.model_params(), M, parity)
+            rows.clear()
+            monkeypatch.setattr(numerics, "_sturm_count", recording)
+            early = tridiag_eigval_within(diag, off, point.E, 1e-3)
+            assert early is not None and sum(rows) < 5 * (M + 1)
+            monkeypatch.setattr(numerics, "_sturm_count", lambda d, e2, x, tiny, stop: _full_count(d, e2, x, tiny))
+            assert tridiag_eigval_within(diag, off, point.E, 1e-3) == early
+
+
+@pytest.mark.parametrize("omega_tilde, M, k", [(0.5, 100, 8), (2.0, 60, 16), (0.4, 300, 8)])
+@pytest.mark.parametrize("parity", [1, -1])
+def test_sweep_batch_is_bit_identical_to_full_length(omega_tilde, M, k, parity):
+    params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
+    diag, _ = _block_arrays(params, M, parity)
+    lams = 2.0 * np.linspace(0.05, 0.8, 201)
+    e2_rows = (lams[:, None] * np.sqrt(np.arange(1.0, M + 1.0))[None, :]) ** 2
+    got = numerics._sturm_lowest_batch(diag, e2_rows, k)
+    assert got.tobytes() == _full_lowest_batch(diag, e2_rows, k).tobytes()
 
 
 def test_inverse_iteration_recovers_eigenvector():
