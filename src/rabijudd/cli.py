@@ -22,11 +22,11 @@ import numpy as np
 
 from .bosons import displaced_osc_hamiltonian, squeezed_osc_hamiltonian
 from .juddian import juddian_points, verify_point
-from .numerics import FullRankError, RootCountError, tridiag_eigvals_lowest
+from .numerics import RootCountError, tridiag_eigvals_lowest
 from .rabi import ModelParams, spectrum_sweep
 from .svgplot import render_figure
 
-_JUDDIAN_HEADER = "N,index,lambda,g,E,det_residual"
+_JUDDIAN_HEADER = "N,index,lambda,g,E"
 _SPECTRUM_HEADER = "g,parity,level,energy"
 
 
@@ -96,10 +96,7 @@ def cmd_juddian(args) -> int:
     else:
         lines = [_JUDDIAN_HEADER]
         for p in points:
-            lines.append(
-                f"{p.N},{p.root_index},{p.lam:.10f},{p.g:.10f},"
-                f"{p.E:.10f},{p.det_residual:.10e}"
-            )
+            lines.append(f"{p.N},{p.root_index},{p.lam:.10f},{p.g:.10f},{p.E:.10f}")
         text = "\n".join(lines) + "\n"
     _write_text(args.out, text)
     return 0
@@ -158,20 +155,16 @@ def cmd_verify(args) -> int:
 
     gap_tol = 1e-6
     res_tol = 1e-6
-    header = (
-        f"{'index':>5}  {'g':>14}  {'E':>14}  {'det_resid':>11}  "
-        f"{'gap':>11}  {'eig_resid':>11}  status"
-    )
-    print(header)
+    print(f"{'index':>5}  {'g':>14}  {'E':>14}  {'gap':>11}  {'eig_resid':>11}  status")
     all_ok = True
     tails = []
     for p in points:
         try:
             report = verify_point(p, cutoff=args.cutoff)
-        except (RuntimeError, ValueError, FullRankError) as exc:
+        except (RuntimeError, ValueError) as exc:
             print(
                 f"{p.root_index:>5}  {p.g:>14.10f}  {p.E:>14.10f}  "
-                f"{p.det_residual:>11.3e}  {'-':>11}  {'-':>11}  FAIL ({exc})"
+                f"{'-':>11}  {'-':>11}  FAIL ({exc})"
             )
             all_ok = False
             continue
@@ -180,8 +173,8 @@ def cmd_verify(args) -> int:
         all_ok = all_ok and ok
         print(
             f"{p.root_index:>5}  {p.g:>14.10f}  {p.E:>14.10f}  "
-            f"{p.det_residual:>11.3e}  {report.degeneracy_gap:>11.3e}  "
-            f"{report.eigen_residual:>11.3e}  {'ok' if ok else 'FAIL'}"
+            f"{report.degeneracy_gap:>11.3e}  {report.eigen_residual:>11.3e}  "
+            f"{'ok' if ok else 'FAIL'}"
         )
     if all_ok:
         print(f"all {len(points)} points verified at cutoff {args.cutoff}")

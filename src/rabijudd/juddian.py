@@ -3,9 +3,10 @@
 The two-component eigenproblem is transformed to coherent bosons a = b -/+ lam,
 where a finite Ansatz (N coefficients p alongside N+1 coefficients q) closes
 the Schroedinger equation exactly provided a compatibility determinant in
-x = lam^2 vanishes. This module builds that system, extracts its roots,
-reconstructs the finite states in the original Fock basis, and verifies each
-point against an independent truncated-basis diagonalization.
+x = lam^2 vanishes. This module finds its roots and the finite states from
+the reduced tridiagonal T(x) alone (the full system and the determinant
+polynomial are test references), and verifies each point against an
+independent truncated-basis spectrum.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ import numpy as np
 
 from .bosons import DEFAULT_CUTOFF, displaced_number_states
 from .numerics import (
+    FullRankError,
     Polynomial,
     RootCountError,
     _sturm_count,
-    null_vector,
-    poly_eval,
     tridiag_det_poly,
     tridiag_eigval_within,
+    tridiag_inverse_iteration,
 )
 from .rabi import ModelParams, _apply_rabi, _block_arrays
 
@@ -87,38 +88,36 @@ def build_full_system(N: int, omega_tilde: float, x: float, lam_sign: int = 1) -
     return A
 
 
-def _reduced_matrix(N: int, omega_tilde: float, x: float) -> np.ndarray:
-    # The N x N tridiagonal system on p alone, from the full system by
-    # eliminating q_n = wt p_n / (N - n) and q_N = -2 lam sqrt(N) p_{N-1} / wt.
-    # The reduced form is certified only by the root-set checks against the
-    # full form.
+def _reduced_band(N: int, omega_tilde: float) -> tuple[list[float], list[float]]:
+    # The N x N tridiagonal T(x) on p alone, from the full system by
+    # eliminating q_n = wt p_n / (N - n) and q_N = -2 lam sqrt(N) p_{N-1} / wt:
+    # diagonal d0_n + 4x and squared off-diagonal x e4_n, returned as (d0, e4).
     wt = float(omega_tilde)
-    n = np.arange(N, dtype=float)
-    diag = n - N + 4.0 * x + wt * wt / (N - n)
-    A = np.diag(diag)
-    if N > 1:
-        off = 2.0 * math.sqrt(x) * np.sqrt(n[1:])
-        A += np.diag(off, 1) + np.diag(off, -1)
-    return A
+    d0 = [n - N + wt * wt / (N - n) for n in range(N)]
+    e4 = [4.0 * n for n in range(1, N)]
+    return d0, e4
+
+
+def _reduced_matrix(N: int, omega_tilde: float, x: float) -> np.ndarray:
+    d0, e4 = _reduced_band(N, omega_tilde)
+    off = np.sqrt(float(x) * np.array(e4))
+    return np.diag(np.array(d0) + 4.0 * x) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def compatibility_polynomial(N: int, omega_tilde: float) -> Polynomial:
     """Degree-N polynomial in x = lam^2 whose positive roots locate the points.
 
-    Determinant of the reduced tridiagonal system: diagonal entries
-    n - N + 4x + wt^2/(N - n) are linear in x and the squared off-diagonals
-    4(n+1)x are as well, so the three-term recurrence assembles the
-    coefficients directly. Leading coefficient is 4^N > 0.
+    det T(x): its diagonal and squared off-diagonal entries are linear in x,
+    so the three-term recurrence assembles the coefficients directly.
+    Leading coefficient is 4^N > 0.
     """
     N = int(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
-    wt = float(omega_tilde)
-    diag = [
-        Polynomial((n - N + wt * wt / (N - n), 4.0)) for n in range(N)
-    ]
-    offdiag_sq = [Polynomial((0.0, 4.0 * (n + 1.0))) for n in range(N - 1)]
-    return tridiag_det_poly(diag, offdiag_sq)
+    d0, e4 = _reduced_band(N, omega_tilde)
+    return tridiag_det_poly(
+        [Polynomial((v, 4.0)) for v in d0], [Polynomial((0.0, c)) for c in e4]
+    )
 
 
 @dataclass
@@ -136,7 +135,6 @@ class JuddianPoint:
     lam: float
     g: float
     E: float
-    det_residual: float
     omega_tilde: float
     displacement_sign: int = 1
 
@@ -162,14 +160,11 @@ def _compatibility_count(N: int, omega_tilde: float) -> tuple[Callable[[float], 
     """The root-counting function of the compatibility determinant, and its bound.
 
     count(x) is the number of negative LDL^T pivots of the reduced matrix
-    T(x) (diagonal n - N + 4x + wt^2/(N - n), squared off-diagonal 4xn), the
-    Sturm count of T(x) below zero. It falls by one across each root and is
-    zero at x_max = N (3 + 2 sqrt 2) / 4, where Gershgorin makes T(x)
-    positive definite.
+    T(x), the Sturm count of T(x) below zero. It falls by one across each
+    root and is zero at x_max = N (3 + 2 sqrt 2) / 4, where Gershgorin makes
+    T(x) positive definite.
     """
-    wt2 = float(omega_tilde) ** 2
-    d0 = [n - N + wt2 / (N - n) for n in range(N)]
-    e4 = [4.0 * n for n in range(1, N)]
+    d0, e4 = _reduced_band(N, omega_tilde)
     x_max = N * _ROOT_BOUND
     tiny = _EPS * (max(abs(v) for v in d0) + 4.0 * x_max)
 
@@ -245,8 +240,7 @@ def juddian_points(N: int, params: ModelParams) -> list[JuddianPoint]:
     relative inside the Gershgorin bound N (3 + 2 sqrt 2) / 4 and certified
     by its bracket's count drop of one (see _compatibility_roots). At an
     integer omega_tilde the root at x = 0 is excluded. The roots map to
-    lam = sqrt(x), g = lam omega / 2, E = N - lam^2; det_residual is the
-    scaled compatibility polynomial at each root.
+    lam = sqrt(x), g = lam omega / 2, E = N - lam^2.
 
     Raises RootCountError when the count cannot be certified. omega_tilde
     = 0 is rejected: that limit solves every coupling exactly and has no
@@ -269,15 +263,9 @@ def juddian_points(N: int, params: ModelParams) -> list[JuddianPoint]:
             "omega_tilde must be positive: the omega0 = 0 limit is exactly "
             "solvable at every coupling and has no isolated points"
         )
-    roots = _compatibility_roots(N, wt)
-
-    poly = compatibility_polynomial(N, wt)
-    scale = max(abs(c) for c in poly.coeffs)
     points = []
-    for idx, x in enumerate(roots):
+    for idx, x in enumerate(_compatibility_roots(N, wt)):
         lam = math.sqrt(x)
-        xx = lam * lam  # evaluate residual at the representable square
-        residual = abs(poly_eval(poly, xx)) / (scale * max(1.0, xx) ** poly.degree)
         points.append(
             JuddianPoint(
                 N=N,
@@ -285,7 +273,6 @@ def juddian_points(N: int, params: ModelParams) -> list[JuddianPoint]:
                 lam=lam,
                 g=0.5 * lam * params.omega,
                 E=N - lam * lam,
-                det_residual=residual,
                 omega_tilde=wt,
             )
         )
@@ -309,13 +296,14 @@ class JuddianState:
 
 
 def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> JuddianState:
-    """Null vector of the full system, assembled in the original Fock basis.
+    """The point's finite state, assembled in the original Fock basis.
 
-    The (p, q) split solves the full (2N+1) system on the point's coherent
-    branch; its sign is null_vector's (first component above 1e-12
-    positive), so p leads with a positive entry. The displaced number
-    states D(z)|n>, z = sign * lam, n <= N, start from the closed-form
-    coherent state D(z)|0> and follow the ladder recurrence
+    p is the null vector of T(x) on the point's branch (off-diagonal
+    2 sign lam sqrt(n)), from two inverse-iteration steps at shift 0 started
+    from ones; q follows from p by the eliminations. (p, q) is normalized
+    with its first component above 1e-12 positive, null_vector's sign. The
+    displaced number states D(z)|n>, z = sign * lam, n <= N, start from the
+    closed-form coherent state D(z)|0> and follow the ladder recurrence
     D|n+1> = (b+ - z) D|n> / sqrt(n+1) on the truncated basis, each step
     corrected by one inverse iteration (bosons.displaced_number_states), at
     O(N M) cost; the sums over p and q are accumulated as they go, and no
@@ -323,25 +311,38 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     coupling-diagonal representation to the assembly basis (the Hadamard
     map up = (c1 + c2)/sqrt(2), down = (c1 - c2)/sqrt(2)) and normalized.
 
-    Raises ValueError when cutoff < N or z^2 > cutoff/4.
+    Raises ValueError when cutoff < N or z^2 > cutoff/4, and FullRankError
+    off the locus, when ||T(x) p|| > 1e-10 (max|d0| + 4x + 2 max|e|).
     """
     M = int(cutoff)
     N = point.N
     if M < N:
         raise ValueError(f"cutoff {M} too small for Ansatz order {N}")
-    sign = point.displacement_sign
-    x = point.lam * point.lam
-
-    system = build_full_system(N, point.omega_tilde, x, lam_sign=sign)
-    v = null_vector(system)
-    p = v[:N].copy()
-    q = v[N:].copy()
-    if abs(q[N]) <= 1e-12:
-        raise RuntimeError("degenerate null vector: q_N vanished")
+    sign, lam, wt = point.displacement_sign, point.lam, point.omega_tilde
+    x = lam * lam
+    d0, e4 = _reduced_band(N, wt)
+    d = np.array(d0) + 4.0 * x
+    e = sign * lam * np.sqrt(e4)
+    p = np.ones(N)
+    for _ in range(2):
+        p = tridiag_inverse_iteration(d, e, 0.0, p)
+    residual = d * p
+    residual[:-1] += e * p[1:]
+    residual[1:] += e * p[:-1]
+    norm = math.sqrt(float(residual @ residual))
+    # max|d0| + 4x + 2 max|e|, the scale before cancellation: ||T(x)|| vanishes at N = 1
+    scale = max(map(abs, d0)) + 4.0 * x + 4.0 * lam * math.sqrt(N - 1)
+    if norm > 1e-10 * scale:
+        raise FullRankError(f"||T(x) p|| = {norm:.3e} at scale {scale:.3e}: off the locus")
+    q_top = -2.0 * sign * lam * math.sqrt(N) * p[-1] / wt
+    v = np.concatenate((p, wt * p / (N - np.arange(N)), [q_top]))
+    norm = math.sqrt(float(v @ v))
+    v /= math.copysign(norm, v[np.argmax(np.abs(v) > 1e-12 * norm)])
+    p, q = v[:N], v[N:]
 
     coupled = np.zeros(M + 1)
     diagonal = np.zeros(M + 1)
-    states = displaced_number_states(sign * point.lam, M, N + 1)
+    states = displaced_number_states(sign * lam, M, N + 1)
     for n, column in enumerate(states):
         if n < N:
             coupled += p[n] * column

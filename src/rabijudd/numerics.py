@@ -1,13 +1,12 @@
 """Self-contained numerical kernel.
 
-Sturm-sequence bisection for selected eigenvalues of symmetric tridiagonal
-matrices and inverse iteration for their eigenvectors, symmetric
-eigendecomposition (Householder reduction +
-implicit-shift QL, the dense reference), polynomial arithmetic with
-real-root isolation, null vectors of rank-deficient systems, and tridiagonal
-determinant polynomials. ndarrays are used for storage and elementwise/matmul
-arithmetic only; the algorithms themselves live here, so there are no calls
-into numpy.linalg or any external solver.
+Package paths run on Sturm bisection for selected eigenvalues of symmetric
+tridiagonal matrices and inverse iteration for their eigen- and null
+vectors. Kept as references for tests and benchmark probes: sym_eig
+(Householder + implicit-shift QL), polynomials with real-root isolation,
+tridiagonal determinant polynomials, and Gaussian elimination for null
+vectors and determinants. ndarrays serve storage and elementwise/matmul
+arithmetic only; there are no calls into numpy.linalg or any external solver.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class FullRankError(RuntimeError):
-    """null_vector found no pivot below the rank-deficiency threshold."""
+    """A system taken to be singular is numerically full-rank."""
 
 
 class RootCountError(RuntimeError):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,9 @@ REFERENCE_G = {
 }
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "rabijudd", *args],
@@ -47,11 +51,11 @@ def run_cli(*args, check=True):
 def test_juddian_csv_output():
     out = run_cli("juddian", "--max-n", "4").stdout
     lines = out.strip().split("\n")
-    assert lines[0] == "N,index,lambda,g,E,det_residual"
+    assert lines[0] == "N,index,lambda,g,E"
     assert len(lines) == 11
     for line in lines[1:]:
         fields = line.split(",")
-        assert len(fields) == 6
+        assert len(fields) == 5
         n, idx = int(fields[0]), int(fields[1])
         g = float(fields[3])
         assert abs(g - REFERENCE_G[(n, idx)]) <= 1e-9
@@ -85,7 +89,7 @@ def test_juddian_boundary_filtered_run():
     proc = run_cli("juddian", "--max-n", "1", "--omega0", "2", "--omega", "1",
                    check=False)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "N,index,lambda,g,E,det_residual"
+    assert proc.stdout.strip() == "N,index,lambda,g,E"
 
 
 def test_juddian_rejects_bad_max_n():
@@ -225,6 +229,36 @@ def test_verify_failure_reports_tail_weight(capsys):
     assert len(rows) == 7 and rows[-1].endswith("FAIL") and "tail" not in out
     weight = float(err.rsplit("largest tail weight ", 1)[1])
     assert 1e-4 <= weight <= 1e-2
+
+
+def _readme_sample(command):
+    # the sample output printed under "$ rabijudd <command>", without "..."
+    block = README.read_text().split(f"$ rabijudd {command}\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines() if line != "..."]
+
+
+def test_readme_juddian_sample_matches_output():
+    sample = _readme_sample("juddian --max-n 4")
+    out = run_cli("juddian", "--max-n", "4").stdout.splitlines()
+    assert len(sample) >= 2
+    assert sample == out[: len(sample)]
+
+
+def test_readme_verify_sample_matches_output():
+    sample = _readme_sample("verify --n 4 --cutoff 100")
+    out = run_cli("verify", "--n", "4", "--cutoff", "100").stdout.splitlines()
+    assert sample[0] == out[0]
+    rows = {line.split()[0]: line.split() for line in out[1:-1]}
+    checked = 0
+    for line in sample[1:]:
+        fields = line.split()
+        if not fields[0].isdigit():
+            assert line == out[-1]
+            continue
+        # index, g, E and status; the e-notation gap and residual are rounding
+        assert fields[:3] + fields[-1:] == rows[fields[0]][:3] + rows[fields[0]][-1:]
+        checked += 1
+    assert checked >= 1
 
 
 # ---------------------------------------------------------------------------

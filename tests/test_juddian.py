@@ -139,7 +139,6 @@ def test_points_n1_resonance():
     assert abs(p.g - 0.2165063510) < 1e-9
     assert abs(p.E - 0.8125) < 1e-12
     assert p.E == p.N - p.lam * p.lam  # constructed identity, exact
-    assert p.det_residual <= 1e-12
     assert p.displacement_sign == 1
 
 
@@ -200,6 +199,16 @@ def test_high_order_points_certified(N, wt):
     assert all(a < b for a, b in zip(lams, lams[1:]))
     for p in pts[:: len(pts) // 4] + pts[-1:]:
         assert _opposite_parity_gap(p) <= 1e-9, (p.root_index, p.lam)
+
+
+@pytest.mark.parametrize("N", [145, 200])
+def test_orders_past_the_monomial_overflow(N):
+    # scaling a residual of the monomial determinant by max(1, x) ** N
+    # overflowed from N = 145 on; the Sturm-certified roots need no polynomial
+    pts = juddian_points(N, RESONANCE)
+    assert len(pts) == N
+    gs = [p.g for p in pts]
+    assert all(a < b for a, b in zip(gs, gs[1:]))
 
 
 @pytest.mark.parametrize("wt", [0.25, 0.5, 0.75, 1.3, 2.3, 5.3])
@@ -271,6 +280,20 @@ def test_reconstruct_n1_coefficient_relations():
     assert abs(state.q[-1]) > 1e-12
     assert abs(np.sqrt(state.fock_vector @ state.fock_vector) - 1.0) < 1e-10
     assert state.p[0] > 0
+
+
+@pytest.mark.parametrize("wt", [0.25, 0.5, 1.3, 2.3])
+def test_reconstruct_matches_dense_null_vector(wt):
+    # p and q from T(x) against the null vector of the (2N+1)-row system,
+    # with null_vector's sign (first component above 1e-12 positive)
+    for N in [*range(1, 9), 20, 32, 40]:
+        for point in juddian_points(N, _params(wt)):
+            for pt in (point, alternate_branch(point)):
+                x = pt.lam * pt.lam
+                state = reconstruct_state(pt, cutoff=max(N, math.ceil(4.0 * x)))
+                ref = null_vector(build_full_system(N, wt, x, pt.displacement_sign))
+                assert np.abs(state.p - ref[:N]).max() <= 1e-13, (N, pt.root_index)
+                assert np.abs(state.q - ref[N:]).max() <= 1e-13, (N, pt.root_index)
 
 
 def test_reconstruct_eigen_residual_single_point():
@@ -408,6 +431,8 @@ def test_perturbed_coupling_breaks_degeneracy():
     # and the full pipeline refuses the off-locus point outright
     with pytest.raises(RuntimeError):
         verify_point(fake, cutoff=100)
+    with pytest.raises(FullRankError):
+        reconstruct_state(fake, cutoff=100)
 
 
 def test_verify_undersized_cutoff_raises():
@@ -430,8 +455,14 @@ def test_verify_never_builds_the_dense_displacement(monkeypatch):
     def refuse(z, cutoff):
         raise AssertionError("dense displacement matrix built")
 
+    def refuse_reference(*args, **kwargs):
+        raise AssertionError("dense compatibility reference called")
+
     monkeypatch.setattr(bosons_module, "displacement_matrix", refuse)
-    assert not hasattr(juddian_module, "displacement_matrix")
+    monkeypatch.setattr(juddian_module, "build_full_system", refuse_reference)
+    monkeypatch.setattr(juddian_module, "compatibility_polynomial", refuse_reference)
+    for name in ("displacement_matrix", "null_vector", "poly_eval"):
+        assert not hasattr(juddian_module, name), name
     for point in juddian_points(4, RESONANCE):
         report = verify_point(point, cutoff=100)
         assert report.degeneracy_gap <= 1e-6
