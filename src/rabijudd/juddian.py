@@ -34,6 +34,8 @@ _SQRT_HALF = math.sqrt(0.5)
 _EPS = sys.float_info.epsilon
 # every root x of order N lies below N * _ROOT_BOUND (Gershgorin on T(x))
 _ROOT_BOUND = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
+# the root search gives up after this many rounds of counts
+_ROUNDS = 400
 # verify_point accepts a block level only this close to E
 _LEVEL_WINDOW = 1e-3
 
@@ -156,11 +158,12 @@ def _expected_root_count(N: int, omega_tilde: float) -> int:
     return sum(1 for k in range(1, N + 1) if k > omega_tilde)
 
 
-def _compatibility_count(N: int, omega_tilde: float) -> tuple[Callable[[float], int], float]:
+def _compatibility_count(N: int, omega_tilde: float) -> tuple[Callable[[float], tuple], float]:
     """The root-counting function of the compatibility determinant, and its bound.
 
-    count(x) is the number of negative LDL^T pivots of the reduced matrix
-    T(x), the Sturm count of T(x) below zero. It falls by one across each
+    count(x) is (c, q): c the number of negative LDL^T pivots of the reduced
+    matrix T(x), the Sturm count of T(x) below zero, and q its last pivot,
+    det T(x) / det T_{N-1}(x), from the same pass. c falls by one across each
     root and is zero at x_max = N (3 + 2 sqrt 2) / 4, where Gershgorin makes
     T(x) positive definite.
     """
@@ -168,66 +171,65 @@ def _compatibility_count(N: int, omega_tilde: float) -> tuple[Callable[[float], 
     x_max = N * _ROOT_BOUND
     tiny = _EPS * (max(abs(v) for v in d0) + 4.0 * x_max)
 
-    def count(x: float) -> int:
-        return _sturm_count(d0, [x * c for c in e4], -4.0 * x, tiny)
+    def count(x: float) -> tuple[int, float]:
+        return _sturm_count(d0, e4, -4.0 * x, tiny, scale=x, pivot=True)
 
     return count, x_max
-
-
-def _uncertified(found: list[float], expected: int, reason: str) -> RootCountError:
-    err = RootCountError(found, expected)
-    err.args = (f"{err.args[0]}: {reason}",)
-    return err
 
 
 def _compatibility_roots(N: int, omega_tilde: float) -> list[float]:
     """Positive roots x of the compatibility determinant, ascending, certified.
 
-    Root j sits where count(x) drops from R - j to R - j - 1. Bisection runs
-    on a list of brackets [lo, hi] with their counts: one count at the
-    midpoint serves every root the bracket still holds, and a half with no
-    drop is discarded. A bracket is final at width 4 eps hi and must then
-    hold exactly one drop, which certifies a sign change of det T(x).
-    Raises RootCountError when the count at 0+ is not R, the count at the
-    bound is not 0, a midpoint count lies outside its bracket's counts, or a
-    final bracket holds more than one root.
+    Root j sits where count(x) drops from R - j to R - j - 1. Each round
+    counts once inside every bracket [lo, hi] and keeps the parts holding a
+    drop. Several drops: the midpoint splits. One drop: regula falsi with
+    the Illinois weighting (Dowell & Jarratt 1971) on the last pivot q of
+    T(x) proposes a point at least 2 eps hi inside, and the count there
+    decides the side; the midpoint stands in while q_lo, q_hi share a sign
+    (q has poles where det T_{N-1} vanishes) and after three trials that did
+    not halve the bracket. A bracket is final at width 4 eps hi and must
+    then hold exactly one drop, certifying a sign change of det T(x). Raises
+    RootCountError when the count at 0+ is not R or at the bound not 0, a
+    trial count lies out of its bracket's, a final bracket holds more than
+    one root, or brackets are left after _ROUNDS rounds.
     """
     count, x_max = _compatibility_count(N, omega_tilde)
     expected = _expected_root_count(N, omega_tilde)
-    at_zero, at_bound = count(sys.float_info.min), count(x_max)
-    if at_zero != expected or at_bound != 0:
-        raise _uncertified(
-            [], expected,
-            f"pivot count {at_zero} at x = 0+ and {at_bound} at x = {x_max:g}",
-        )
-
     roots: list[float] = []
-    brackets = [(0.0, x_max, expected, 0)] if expected else []
-    while brackets:
+
+    def fail(reason: str) -> RootCountError:
+        return RootCountError(roots, expected, f": {reason}")
+
+    (at_zero, q_zero), (at_bound, q_bound) = count(sys.float_info.min), count(x_max)
+    if at_zero != expected or at_bound != 0:
+        raise fail(f"pivot count {at_zero} at x = 0+ and {at_bound} at x = {x_max:g}")
+    # (lo, hi, counts, last pivots, width w at the last halving, k trials since, end replaced last)
+    brackets = [(0.0, x_max, expected, 0, q_zero, q_bound, x_max, 0, 0)] if expected else []
+    for _ in range(_ROUNDS):
         split = []
-        for lo, hi, c_lo, c_hi in brackets:
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 4.0 * _EPS * hi or not lo < mid < hi:
+        for lo, hi, c_lo, c_hi, q_lo, q_hi, w, k, side in brackets:
+            x = 0.5 * (lo + hi)
+            if hi - lo <= 4.0 * _EPS * hi or not lo < x < hi:
                 if c_lo - c_hi != 1:
-                    raise _uncertified(
-                        roots, expected,
-                        f"{c_lo - c_hi} roots left in [{lo!r}, {hi!r}]",
-                    )
-                roots.append(mid)
+                    raise fail(f"{c_lo - c_hi} roots left in [{lo!r}, {hi!r}]")
+                roots.append(x)
                 continue
-            c_mid = count(mid)
-            if not c_hi <= c_mid <= c_lo:
-                raise _uncertified(
-                    roots, expected,
-                    f"pivot count {c_mid} at x = {mid!r} outside [{c_hi}, {c_lo}]",
-                )
-            if c_lo > c_mid:
-                split.append((lo, mid, c_lo, c_mid))
-            if c_mid > c_hi:
-                split.append((mid, hi, c_mid, c_hi))
+            if hi - lo <= 0.5 * w:
+                w, k = hi - lo, 0
+            if c_lo - c_hi == 1 and q_lo * q_hi <= 0.0 and q_lo != q_hi and k < 3:
+                margin = 2.0 * _EPS * hi
+                x = min(max(lo - q_lo * (hi - lo) / (q_hi - q_lo), lo + margin), hi - margin)
+            c, q = count(x)
+            if not c_hi <= c <= c_lo:
+                raise fail(f"pivot count {c} at x = {x!r} outside [{c_hi}, {c_lo}]")
+            if c_lo > c:  # x replaces hi; the end kept twice in a row has its q halved
+                split.append((lo, x, c_lo, c, q_lo * (0.5 if side < 0 else 1.0), q, w, k + 1, -1))
+            if c > c_hi:
+                split.append((x, hi, c, c_hi, q, q_hi * (0.5 if side > 0 else 1.0), w, k + 1, 1))
         brackets = split
-    roots.sort()
-    return roots
+        if not brackets:
+            return sorted(roots)
+    raise fail(f"{len(brackets)} brackets left after {_ROUNDS} rounds")
 
 
 def juddian_points(N: int, params: ModelParams) -> list[JuddianPoint]:
@@ -236,11 +238,11 @@ def juddian_points(N: int, params: ModelParams) -> list[JuddianPoint]:
     The roots x = lam^2 of the compatibility determinant are found by Sturm
     counting in x: the number of negative pivots of the reduced tridiagonal
     T(x) is #{k in 1..N : k > omega_tilde} at x = 0+ (N at resonance) and
-    falls by one across each root, so every root is bisected to 4 eps
-    relative inside the Gershgorin bound N (3 + 2 sqrt 2) / 4 and certified
-    by its bracket's count drop of one (see _compatibility_roots). At an
-    integer omega_tilde the root at x = 0 is excluded. The roots map to
-    lam = sqrt(x), g = lam omega / 2, E = N - lam^2.
+    falls by one across each root. The count splits the Gershgorin bound
+    N (3 + 2 sqrt 2) / 4 into brackets of one root, which count-sided regula
+    falsi narrows to 4 eps relative, certified by the count drop of one (see
+    _compatibility_roots). At an integer omega_tilde the root at x = 0 is
+    excluded. The roots map to lam = sqrt(x), g = lam omega / 2, E = N - lam^2.
 
     Raises RootCountError when the count cannot be certified. omega_tilde
     = 0 is rejected: that limit solves every coupling exactly and has no

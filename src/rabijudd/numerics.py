@@ -43,8 +43,8 @@ class RootCountError(RuntimeError):
     failed check appended to the message.
     """
 
-    def __init__(self, found: list[float], expected: int):
-        super().__init__(f"found {len(found)} roots where {expected} were expected")
+    def __init__(self, found: list[float], expected: int, reason: str = ""):
+        super().__init__(f"found {len(found)} roots where {expected} were expected{reason}")
         self.found = found
         self.expected = expected
 
@@ -563,38 +563,42 @@ def _sturm_stop(d: np.ndarray, bound: np.ndarray) -> _SturmStop:
     return _SturmStop(suffix.tolist() + [math.inf], b[1:].tolist(), scale)
 
 
-def _sturm_count(d, e2, x: float, tiny: float, stop: _SturmStop | None = None) -> int:
+def _sturm_count(
+    d, e2, x: float, tiny: float, stop: _SturmStop | None = None, scale: float = 1.0, pivot=False
+):
     """Number of eigenvalues below x: the negative LDL^T pivots of T - x.
 
-    d and e2 are sequences (diagonal and squared off-diagonal); pivots
-    smaller than tiny in magnitude are pushed out to +/- tiny. Scalar Python
-    floats beat vectorized calls by an order of magnitude when only one
-    shift is wanted per step. With stop data (_sturm_stop) the count ends
-    at the first row i >= stop.first_row(x) with q_i >= b_i, where the rest
-    of the sequence is certified to add nothing; without it every row is
-    walked.
+    d and e2 are sequences (diagonal and squared off-diagonal, times scale);
+    pivots smaller than tiny in magnitude are pushed out to +/- tiny. Scalar
+    Python floats beat vectorized calls by an order of magnitude when only
+    one shift is wanted per step. With stop data (_sturm_stop) the count
+    ends at the first row i >= stop.first_row(x) with q_i >= b_i, where the
+    rest of the sequence is certified to add nothing; without it every row
+    is walked, and pivot=True returns (count, q) with q the last pivot,
+    det(T - x) over the determinant of its leading minor.
     """
     n = len(d)
     first = n if stop is None else stop.first_row(x, abs(x))
+    neg_tiny = -tiny  # hoisted: negating on every row costs as much as the scale product
     q = d[0] - x
     count = 1 if q < 0.0 else 0
     for i in range(1, first):
-        if -tiny < q < tiny:
-            q = -tiny if q < 0.0 else tiny
-        q = d[i] - x - e2[i - 1] / q
+        if neg_tiny < q < tiny:
+            q = neg_tiny if q < 0.0 else tiny
+        q = d[i] - x - scale * e2[i - 1] / q
         if q < 0.0:
             count += 1
     if first < n:
         bound = stop.bound
         for i in range(max(first, 1), n):
-            if -tiny < q < tiny:
-                q = -tiny if q < 0.0 else tiny
-            q = d[i] - x - e2[i - 1] / q
+            if neg_tiny < q < tiny:
+                q = neg_tiny if q < 0.0 else tiny
+            q = d[i] - x - scale * e2[i - 1] / q
             if q < 0.0:
                 count += 1
             elif q >= bound[i]:
                 break
-    return count
+    return (count, q) if pivot else count
 
 
 def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float, stop: _SturmStop) -> float:

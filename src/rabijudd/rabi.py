@@ -27,8 +27,8 @@ class ModelParams:
     """Physical couplings (omega, omega0, g) with the rescaled derived pair.
 
     omega_tilde = omega0 / (2 omega) and lam = 2 g / omega are properties, so
-    they can never go stale. Energies of the scaled Hamiltonian are in units
-    of omega.
+    they can never go stale; all five must be finite, and omega positive.
+    Energies of the scaled Hamiltonian are in units of omega.
     """
 
     omega: float = 1.0
@@ -36,11 +36,11 @@ class ModelParams:
     g: float = 0.0
 
     def __post_init__(self):
-        for name in ("omega", "omega0", "g"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
+        for name in ("omega", "omega0", "g", "omega_tilde", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def omega_tilde(self) -> float:
@@ -193,6 +193,9 @@ def spectrum_sweep(
     if not 1 <= k <= M + 1:
         raise ValueError(f"levels_per_block={k} out of range for cutoff {M}")
 
+    lam_max = 2.0 * float(np.max(np.abs(g_values))) / params.omega
+    if not math.isfinite(lam_max * lam_max * M):
+        raise ValueError("squared couplings (2 g / omega)^2 n overflow: g / omega too large")
     lams = 2.0 * g_values / params.omega
     e_base = np.sqrt(np.arange(1.0, M + 1.0))
     e2_rows = (lams[:, None] * e_base[None, :]) ** 2

@@ -92,6 +92,11 @@ def test_juddian_boundary_filtered_run():
     assert proc.stdout.strip() == "N,index,lambda,g,E"
 
 
+def test_juddian_max_n_100_lists_every_point():
+    lines = run_cli("juddian", "--max-n", "100").stdout.strip().split("\n")
+    assert len(lines) == 1 + 100 * 101 // 2
+
+
 def test_juddian_rejects_bad_max_n():
     proc = run_cli("juddian", "--max-n", "0", check=False)
     assert proc.returncode == 2
@@ -101,6 +106,8 @@ def test_juddian_rejects_bad_max_n():
     ("juddian", "--max-n", "2", "--omega0", "0"),
     ("verify", "--n", "1", "--omega0", "-1"),
     ("verify", "--n", "1", "--cutoff", "-5"),
+    ("spectrum", "--omega", "1e-300", "--g-steps", "3"),
+    ("juddian", "--max-n", "3", "--omega0", "1e308", "--omega", "1e-308"),
 ])
 def test_bad_model_input_is_an_error(args):
     proc = run_cli(*args, check=False)
@@ -122,6 +129,11 @@ def test_bad_model_input_is_an_error(args):
     (("verify", "--n", "1", "--omega0", "-1"),
      "H(-omega0) is sigma_x-equivalent to H(|omega0|), with the same g and E "
      "and the parities swapped; pass |omega0|"),
+    # (2 g / omega)^2 n and omega0 / (2 omega) overflow: no nan levels, no inf splitting
+    (("spectrum", "--omega", "1e-300", "--g-steps", "3"),
+     "squared couplings (2 g / omega)^2 n overflow"),
+    (("juddian", "--max-n", "3", "--omega0", "1e308", "--omega", "1e-308"),
+     "omega_tilde must be finite"),
 ])
 def test_bad_input_message_names_the_flag(args, message):
     proc = run_cli(*args, check=False)
@@ -209,7 +221,7 @@ def test_verify_off_resonance_flags():
 @pytest.mark.parametrize("command", [("juddian", "--max-n", "2"), ("verify", "--n", "2")])
 def test_uncertified_root_count_is_reported(monkeypatch, capsys, command):
     # a pivot count that never clears the bound fails the certification
-    monkeypatch.setattr(juddian_module, "_sturm_count", lambda d, e2, x, tiny: 1)
+    monkeypatch.setattr(juddian_module, "_sturm_count", lambda d, e2, x, tiny, **kwargs: (1, 1.0))
     assert main(list(command)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "pivot count" in err

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import re
 import warnings
 
@@ -10,9 +11,11 @@ import pytest
 
 import rabijudd.bosons as bosons_module
 import rabijudd.juddian as juddian_module
+import rabijudd.numerics as numerics_module
 from rabijudd.bosons import displacement_matrix
 from rabijudd.juddian import (
     _compatibility_count,
+    _reduced_band,
     _reduced_matrix,
     alternate_branch,
     baseline_energy,
@@ -218,7 +221,7 @@ def test_pivot_count_non_increasing_in_x(wt):
         count, x_max = _compatibility_count(N, wt)
         xs = np.linspace(0.0, x_max, 401)
         xs[0] = 1e-300
-        counts = [count(float(x)) for x in xs]
+        counts = [count(float(x))[0] for x in xs]
         assert counts[0] == _expected_count(N, wt)
         assert counts[-1] == 0
         assert all(a >= b for a, b in zip(counts, counts[1:])), N
@@ -230,7 +233,19 @@ def test_pivot_count_matches_dense_spectrum():
             count, x_max = _compatibility_count(N, wt)
             for x in np.linspace(0.01, x_max, 13):
                 values = sym_eig(_reduced_matrix(N, wt, float(x))).values
-                assert count(float(x)) == int(np.sum(values < 0.0)), (N, wt, x)
+                assert count(float(x))[0] == int(np.sum(values < 0.0)), (N, wt, x)
+
+
+def test_count_returns_the_last_pivot():
+    # the last LDL^T pivot of T(x) is det T(x) / det T_{N-1}(x)
+    for N in (1, 2, 5, 8):
+        for wt in (0.5, 2.3):
+            count, x_max = _compatibility_count(N, wt)
+            for x in np.linspace(0.01, x_max, 7):
+                T = _reduced_matrix(N, wt, float(x))
+                minor = determinant(T[:-1, :-1]) if N > 1 else 1.0
+                want = determinant(T) / minor
+                assert abs(count(float(x))[1] - want) <= 1e-10 * max(1.0, abs(want)), (N, wt, x)
 
 
 def test_off_resonance_points_raise_no_warning():
@@ -241,8 +256,8 @@ def test_off_resonance_points_raise_no_warning():
 
 
 def _fake_count(counts):
-    # stand-in for the pivot count of T(x): the shift passed is -4x
-    return lambda d, e2, shift, tiny: counts(-0.25 * shift)
+    # stand-in for the pivot count of T(x) and its last pivot: the shift passed is -4x
+    return lambda d, e2, shift, tiny, **kwargs: (counts(-0.25 * shift), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -258,6 +273,89 @@ def test_uncertified_count_raises(monkeypatch, counts, fragment):
     monkeypatch.setattr(juddian_module, "_sturm_count", _fake_count(counts))
     with pytest.raises(RootCountError, match=re.escape(fragment)):
         juddian_points(2, RESONANCE)
+
+
+def _bisection_roots(N, wt):
+    # reference: pure count bisection, each bracket halved until it is
+    # 4 eps hi wide and holds one count drop
+    eps = np.finfo(float).eps
+    d0, e4 = _reduced_band(N, wt)
+    x_max = N * juddian_module._ROOT_BOUND
+    tiny = eps * (max(abs(v) for v in d0) + 4.0 * x_max)
+
+    def count(x):
+        return numerics_module._sturm_count(d0, [x * c for c in e4], -4.0 * x, tiny)
+
+    roots = []
+    brackets = [(0.0, x_max, _expected_count(N, wt), 0)]
+    while brackets:
+        split = []
+        for lo, hi, c_lo, c_hi in brackets:
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= 4.0 * eps * hi or not lo < mid < hi:
+                assert c_lo - c_hi == 1
+                roots.append(mid)
+                continue
+            c_mid = count(mid)
+            if c_lo > c_mid:
+                split.append((lo, mid, c_lo, c_mid))
+            if c_mid > c_hi:
+                split.append((mid, hi, c_mid, c_hi))
+        brackets = split
+    return sorted(roots)
+
+
+@pytest.mark.parametrize("wt", [0.25, 0.5, 0.75, 1.3, 2.3, 5.3])
+def test_roots_match_bisection_reference(wt):
+    for N in [*range(1, 41), 64, 100]:
+        got = juddian_module._compatibility_roots(N, wt)
+        want = _bisection_roots(N, wt)
+        assert len(got) == len(want) == _expected_count(N, wt)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-15 * b, (N, a, b)
+
+
+def _lying_pivot(lie):
+    # the true count of T(x) with a false last pivot, so that only the
+    # count can keep the finish on the root's side
+    count = numerics_module._sturm_count
+    rng = random.Random(7)
+
+    def lying(d, e2, shift, tiny, **kwargs):
+        c, q = count(d, e2, shift, tiny, **kwargs)
+        return c, lie(q, -0.25 * shift, rng)
+
+    return lying
+
+
+@pytest.mark.parametrize(
+    "lie",
+    [
+        lambda q, x, rng: 1.0,
+        lambda q, x, rng: -q,
+        lambda q, x, rng: rng.choice((-1.0, 1.0)) * q,
+        lambda q, x, rng: x - 0.7,
+    ],
+    ids=["constant", "negated", "random-sign", "wrong-zero"],
+)
+def test_finish_ignores_a_lying_pivot(monkeypatch, lie):
+    eps = np.finfo(float).eps
+    references = {(N, wt): _bisection_roots(N, wt) for N in range(1, 13) for wt in (0.5, 2.3)}
+    monkeypatch.setattr(juddian_module, "_sturm_count", _lying_pivot(lie))
+    for (N, wt), want in references.items():
+        got = juddian_module._compatibility_roots(N, wt)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 4.0 * eps * b, (N, wt, a, b)
+
+
+def test_finish_past_its_round_cap_raises(monkeypatch):
+    # with a pivot that never brackets a zero the finish bisects, which
+    # needs about 50 rounds of counts
+    monkeypatch.setattr(juddian_module, "_sturm_count", _lying_pivot(lambda q, x, rng: 1.0))
+    monkeypatch.setattr(juddian_module, "_ROUNDS", 20)
+    with pytest.raises(RootCountError, match=re.escape("3 brackets left after 20 rounds")):
+        juddian_points(3, RESONANCE)
 
 
 def test_points_reject_nonpositive_splitting():

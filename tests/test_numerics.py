@@ -376,6 +376,21 @@ def test_early_count_equals_full_count(matrix):
             assert numerics._sturm_count(dl, e2l, x, tiny, stop) == _full_count(dl, e2l, x, tiny)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_tridiagonals(), st.sampled_from([0.0, 1e-300, 0.3, 1.0, 7.5]))
+def test_scaled_count_equals_count_on_scaled_list(matrix, scale):
+    # scale * e2_j / q is (scale * e2_j) / q, so it matches the list
+    # [scale * c for c in e2] bit for bit, count and last pivot alike
+    d, e = matrix
+    dl, e2l = d.tolist(), (e * e).tolist()
+    scaled = [scale * c for c in e2l]
+    tiny = numerics._EPS * max(float(np.max(np.abs(d))), 1.0)
+    for x in _stop_shifts(d, e).tolist():
+        got = numerics._sturm_count(dl, e2l, x, tiny, scale=scale, pivot=True)
+        assert got == numerics._sturm_count(dl, scaled, x, tiny, pivot=True)
+        assert got[0] == _full_count(dl, scaled, x, tiny)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_tridiagonals(), st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.7]), min_size=1, max_size=4))
 def test_early_batch_equals_full_batch(matrix, scales):

@@ -1,5 +1,7 @@
 """Tests for Hamiltonian assembly, parity blocks, sweeps, and crossings."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,16 @@ def test_model_params_derived_fields():
         ModelParams(omega=0.0)
     with pytest.raises(ValueError):
         ModelParams(omega=-1.0)
+    # omega0 / (2 omega) and 2 g / omega overflow
+    with pytest.raises(ValueError, match="omega_tilde must be finite"):
+        ModelParams(omega0=1e308, omega=1e-308)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        ModelParams(g=1e308, omega=1e-10)
+
+
+def test_spectrum_sweep_rejects_overflowing_couplings():
+    with pytest.raises(ValueError, match=re.escape("(2 g / omega)^2 n overflow")):
+        spectrum_sweep(ModelParams(omega=1e-300), [0.05, 0.4, 0.8], cutoff=100)
 
 
 def test_build_rabi_uncoupled_ladder():
