@@ -135,17 +135,12 @@ class SqueezeParams:
     """Physical-branch squeeze parameters for coupling strength lam.
 
     Omega = sqrt(1 - 4 lam^2) is the squeezed-oscillator frequency and sigma
-    the Bogoliubov amplitude, |sigma| < 1. The polar fields follow
-    sigma = -exp(-i theta) tanh(rho / 2) with real beta = 0; they document the
-    operator form and are never read by any computation here.
+    the Bogoliubov amplitude, |sigma| < 1.
     """
 
     lam: float
     sigma: float
     Omega: float
-    rho: float
-    theta: float
-    beta: float
 
 
 def squeeze_params(lam: float) -> SqueezeParams:
@@ -155,9 +150,7 @@ def squeeze_params(lam: float) -> SqueezeParams:
         raise ValueError(f"|lam| must be below 1/2, got {lam}")
     Omega = math.sqrt(1.0 - 4.0 * lam * lam)
     sigma = 0.0 if lam == 0.0 else (1.0 - Omega) / (2.0 * lam)
-    rho = 2.0 * math.atanh(abs(sigma))
-    theta = math.pi if sigma > 0.0 else 0.0
-    return SqueezeParams(lam=lam, sigma=sigma, Omega=Omega, rho=rho, theta=theta, beta=0.0)
+    return SqueezeParams(lam=lam, sigma=sigma, Omega=Omega)
 
 
 def displaced_osc_hamiltonian(lam: float, cutoff: int) -> np.ndarray:

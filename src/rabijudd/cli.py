@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -260,6 +261,9 @@ def _load_spectrum_csv(path: str) -> list[tuple[float, int, int, float]]:
             raise CLIError(f"{path}, line {i}: {exc}") from exc
         if parity not in (1, -1):
             raise CLIError(f"{path}, line {i}: parity must be 1 or -1")
+        for name, value in (("g", g), ("energy", energy)):
+            if not math.isfinite(value):
+                raise CLIError(f"{path}, line {i}: {name} must be finite, got {value}")
         rows.append((g, parity, level, energy))
     if not rows:
         raise CLIError(f"{path}: no data rows")
@@ -286,6 +290,14 @@ def _load_points_json(path: str) -> list[dict]:
                 entry[key], bool
             ):
                 raise CLIError(f"{path}, entry {k}: key '{key}' must be a number")
+            if not math.isfinite(entry[key]):
+                raise CLIError(f"{path}, entry {k}: key '{key}' must be finite")
+        for key in ("lambda", "g"):
+            if not entry[key] > 0:
+                raise CLIError(f"{path}, entry {k}: key '{key}' must be positive")
+        # the baselines map g to lambda through omega = 2 g / lambda
+        if not 0.0 < 2.0 * entry["g"] / entry["lambda"] < math.inf:
+            raise CLIError(f"{path}, entry {k}: 2 g / lambda must be positive and finite")
     return data
 
 

@@ -3,10 +3,11 @@
 Package paths run on Sturm bisection for selected eigenvalues of symmetric
 tridiagonal matrices and inverse iteration for their eigen- and null
 vectors. Kept as references for tests and benchmark probes: sym_eig
-(Householder + implicit-shift QL), polynomials with real-root isolation,
-tridiagonal determinant polynomials, and Gaussian elimination for null
-vectors and determinants. ndarrays serve storage and elementwise/matmul
-arithmetic only; there are no calls into numpy.linalg or any external solver.
+(Householder + implicit-shift QL, eigenvalues only), polynomials with
+real-root isolation, tridiagonal determinant polynomials, and Gaussian
+elimination for null vectors and determinants. ndarrays serve storage and
+elementwise/matmul arithmetic only; there are no calls into numpy.linalg or
+any external solver.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 _EPS = np.finfo(float).eps
+# QL splits at couplings this small whatever the diagonal: the rotation chase
+# multiplies two of them, which underflows to 0 and stalls the sweep
+_QL_SPLIT = math.sqrt(np.finfo(float).tiny)
 
 
 class NonConvergenceError(RuntimeError):
@@ -282,10 +286,13 @@ def poly_real_roots(
 
 @dataclass(frozen=True)
 class EigResult:
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
+    """Ascending eigenvalues of a symmetric matrix.
+
+    A one-field record rather than a bare array because its callers,
+    perfbench's workloads among them, read sym_eig(A).values.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
 
 
 def _is_tridiagonal(A: np.ndarray) -> bool:
@@ -296,18 +303,16 @@ def _is_tridiagonal(A: np.ndarray) -> bool:
     return not np.any(A[mask])
 
 
-def _householder(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce symmetric A to tridiagonal (d, e) with accumulated transform Z.
+def _householder(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce symmetric A to the tridiagonal (d, e) of a similar matrix.
 
     Classic Householder similarity chain, one reflector per trailing row,
-    applied to the shrinking leading block with rank-2 updates. Satisfies
-    A = Z T Z^T with T = tridiag(e, d, e).
+    applied to the shrinking leading block with rank-2 updates.
     """
     V = A.copy()
     n = V.shape[0]
     d = np.zeros(n)
     e = np.zeros(n)  # e[j] = T[j, j+1]; e[n-1] stays 0
-    reflectors: list[tuple[int, np.ndarray, float]] = []
 
     for i in range(n - 1, 1, -1):
         x = V[i, :i].copy()
@@ -328,22 +333,18 @@ def _householder(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         K = float(x @ pv) / (2.0 * h)
         w = pv - K * x
         B -= np.outer(x, w) + np.outer(w, x)
-        reflectors.append((i, x, h))
     if n >= 2:
         e[0] = V[1, 0]
     d[:] = np.diagonal(V)
-
-    Z = np.eye(n)
-    for i, u, h in reversed(reflectors):
-        # apply P = I - u u^T / h to rows 0..i-1 of Z
-        Z[:i, :] -= np.outer(u / h, u @ Z[:i, :])
-    return d, e, Z
+    return d, e
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray, Z: np.ndarray | None) -> None:
-    """Implicit-shift QL on tridiagonal (d, e), in place; Z columns rotate along.
+def _ql_implicit(d: np.ndarray, e: np.ndarray) -> None:
+    """Implicit-shift QL on tridiagonal (d, e), in place.
 
-    d holds the diagonal, e[j] the subdiagonal T[j, j+1] with e[n-1] = 0.
+    d holds the diagonal, e[j] the subdiagonal T[j, j+1] with e[n-1] = 0;
+    on return d holds the eigenvalues, unsorted. The matrix splits where
+    |e[j]| <= eps (|d[j]| + |d[j+1]|) or |e[j]| <= sqrt(tiny) ~ 1.5e-154.
     Raises NonConvergenceError after 30 sweeps on a single eigenvalue.
     """
     n = d.size
@@ -351,6 +352,7 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, Z: np.ndarray | None) -> None:
         sweeps = 0
         while True:
             thr = _EPS * (np.abs(d[l : n - 1]) + np.abs(d[l + 1 : n]))
+            np.maximum(thr, _QL_SPLIT, out=thr)
             small = np.nonzero(np.abs(e[l : n - 1]) <= thr)[0]
             m = l + int(small[0]) if small.size else n - 1
             if m == l:
@@ -382,10 +384,6 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, Z: np.ndarray | None) -> None:
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if Z is not None:
-                    zcol = Z[:, i + 1].copy()
-                    Z[:, i + 1] = s * Z[:, i] + c * zcol
-                    Z[:, i] = c * Z[:, i] - s * zcol
             if underflow:
                 continue
             d[l] -= p
@@ -394,7 +392,7 @@ def _ql_implicit(d: np.ndarray, e: np.ndarray, Z: np.ndarray | None) -> None:
 
 
 def sym_eig(A: np.ndarray) -> EigResult:
-    """Full eigendecomposition of a real symmetric matrix.
+    """All eigenvalues of a real symmetric matrix; no eigenvectors are formed.
 
     Parameters
     ----------
@@ -402,9 +400,8 @@ def sym_eig(A: np.ndarray) -> EigResult:
 
     Returns
     -------
-    EigResult with ascending values and orthonormal vector columns;
-    vectors[:, k] pairs with values[k]. Deterministic: fixed sweep order and
-    a fixed sign convention (largest-magnitude component positive).
+    EigResult with the values in ascending order. Deterministic: fixed sweep
+    order and a stable sort.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
@@ -420,20 +417,11 @@ def sym_eig(A: np.ndarray) -> EigResult:
         e = np.zeros(n)
         if n >= 2:
             e[: n - 1] = np.diagonal(A, 1)
-        Z = np.eye(n)
     else:
-        d, e, Z = _householder(A)
+        d, e = _householder(A)
 
-    _ql_implicit(d, e, Z)
-
-    order = np.argsort(d, kind="stable")
-    values = d[order].copy()
-    vectors = Z[:, order].copy()
-    for k in range(n):
-        j = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[j, k] < 0.0:
-            vectors[:, k] = -vectors[:, k]
-    return EigResult(values=values, vectors=vectors)
+    _ql_implicit(d, e)
+    return EigResult(values=np.sort(d, kind="stable"))
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,10 @@ def render_figure(
     """SVG text for the sweep, markers, and (optionally) baseline curves.
 
     spectrum_rows holds (g, parity, level, energy) records; points holds
-    mappings with keys N, lambda, g, E. Baselines are drawn for
-    N = 1..max(point N) and need at least one point row to fix the
-    g -> lam mapping, so they are skipped when points is empty.
+    mappings with keys N, lambda, g, E. Baselines are drawn for the
+    N in 1..max(point N) whose curve can reach the plotted energy window,
+    and need at least one point row to fix the g -> lam mapping, so they
+    are skipped when points is empty.
     """
     if not spectrum_rows:
         raise ValueError("no spectrum rows to plot")
@@ -114,7 +115,10 @@ def render_figure(
         # the g -> lam mapping comes from any point row (lam = 2 g / omega)
         ref = points[0]
         omega = 2.0 * float(ref["g"]) / float(ref["lambda"])
-        for n in range(1, n_max + 1):
+        # E = n - lam^2 >= n - lam_max^2, so higher orders never enter the window
+        lam_max = 2.0 * max(abs(g_lo), abs(g_hi)) / abs(omega)
+        n_top = int(min(n_max, e_hi + lam_max * lam_max + 1.0))
+        for n in range(1, n_top + 1):
             coords = []
             for s in range(241):
                 g = g_lo + (g_hi - g_lo) * s / 240.0

@@ -111,14 +111,6 @@ def test_squeeze_params_defining_quadratic():
         assert abs(-sp.sigma + lam + lam * sp.sigma ** 2) <= 1e-14
 
 
-def test_squeeze_params_polar_fields_reconstruct_sigma():
-    for lam in (0.45, 0.2, -0.3, -0.05):
-        sp = squeeze_params(lam)
-        rebuilt = -math.cos(sp.theta) * math.tanh(sp.rho / 2.0)
-        assert abs(rebuilt - sp.sigma) < 1e-13
-        assert sp.beta == 0.0
-
-
 def test_squeeze_params_domain():
     for bad in (0.5, -0.5, 0.7):
         with pytest.raises(ValueError):

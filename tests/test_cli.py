@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -380,6 +381,56 @@ def test_plot_reports_bad_points_entry(tmp_path):
                    "--out", str(tmp_path / "x.svg"), check=False)
     assert proc.returncode == 2
     assert "entry 0" in proc.stderr and "'E'" in proc.stderr
+
+
+@pytest.mark.parametrize("entry, message", [
+    ('{"N": 1, "lambda": 0, "g": 0.2, "E": 0.8}', "key 'lambda' must be positive"),
+    ('{"N": 1, "lambda": 0.4, "g": 0, "E": 0.8}', "key 'g' must be positive"),
+    ('{"N": 1, "lambda": 0.4, "g": 0.2, "E": NaN}', "key 'E' must be finite"),
+    ('{"N": Infinity, "lambda": 0.4, "g": 0.2, "E": 0.8}', "key 'N' must be finite"),
+    ('{"N": 1, "lambda": 1e300, "g": 1e-300, "E": 0.8}', "2 g / lambda must be positive"),
+])
+def test_plot_rejects_unplottable_point(tmp_path, entry, message):
+    csv = tmp_path / "s.csv"
+    csv.write_text("g,parity,level,energy\n0.1,1,0,1.25\n0.2,1,0,1.3\n")
+    pts = tmp_path / "p.json"
+    pts.write_text(f'[{{"N": 1, "lambda": 0.4, "g": 0.2, "E": 0.84}}, {entry}]')
+    proc = run_cli("plot", "--spectrum", str(csv), "--points", str(pts),
+                   "--out", str(tmp_path / "x.svg"), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {pts}, entry 1: {message}")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.2,1,0,nan", "energy must be finite"),
+    ("inf,-1,0,1.3", "g must be finite"),
+])
+def test_plot_rejects_non_finite_spectrum_row(tmp_path, row, message):
+    csv = tmp_path / "s.csv"
+    csv.write_text(f"g,parity,level,energy\n0.1,1,0,1.25\n{row}\n")
+    proc = run_cli("plot", "--spectrum", str(csv),
+                   "--out", str(tmp_path / "x.svg"), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {csv}, line 3: {message}")
+
+
+def test_plot_huge_order_renders_quickly(tmp_path):
+    # only orders that can reach the energy window are walked, not all 10^9
+    csv = tmp_path / "s.csv"
+    csv.write_text("g,parity,level,energy\n0.1,1,0,0.5\n0.8,1,0,3.5\n")
+    svgs = []
+    for n in ("1e9", "40"):
+        pts = tmp_path / f"p{n}.json"
+        pts.write_text(f'[{{"N": {n}, "lambda": 0.4, "g": 0.2, "E": 2.0}}]')
+        svg = tmp_path / f"x{n}.svg"
+        start = time.perf_counter()
+        assert main(["plot", "--spectrum", str(csv), "--points", str(pts),
+                     "--out", str(svg)]) == 0
+        assert time.perf_counter() - start < 1.0
+        svgs.append(svg.read_text())
+    # the same figure as a small order: baselines N = 1..6 cross the window
+    assert svgs[0] == svgs[1]
+    assert svgs[0].count('<polyline class="baseline"') == 6
 
 
 def test_plot_missing_file(tmp_path):
