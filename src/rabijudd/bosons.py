@@ -4,8 +4,10 @@ Ladder operators on the lowest M+1 number states, the displaced number
 states D(z)|n> built from the closed-form coherent state by their ladder
 recurrence, squeeze parameters on the physical branch, and the
 displaced / squeezed oscillator Hamiltonians whose exact spectra anchor the
-validation suite. The dense displacement matrix (scaling-and-squaring of the
-truncated generator) is kept as a reference for the tests only.
+validation suite, each written once as its band (diagonal, coupling,
+stride), from which the dense reference matrices are formed. The dense
+displacement matrix (scaling-and-squaring of the truncated generator) is
+kept as a reference for the tests only.
 """
 
 from __future__ import annotations
@@ -153,8 +155,8 @@ def squeeze_params(lam: float) -> SqueezeParams:
     return SqueezeParams(lam=lam, sigma=sigma, Omega=Omega)
 
 
-def displaced_osc_hamiltonian(lam: float, cutoff: int) -> np.ndarray:
-    """b+b + lam (b+ + b) + 1/2 + lam^2 on the truncated basis.
+def displaced_osc_band(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """b+b + lam (b+ + b) + 1/2 + lam^2 as (diagonal, coupling, stride 1).
 
     The c-number completes the square, so the exact spectrum is n + 1/2
     independent of lam.
@@ -163,23 +165,34 @@ def displaced_osc_hamiltonian(lam: float, cutoff: int) -> np.ndarray:
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
     M = int(cutoff)
-    n = np.arange(M + 1.0)
-    H = np.diag(n + 0.5 + lam * lam)
-    if M > 0:
-        off = lam * np.sqrt(np.arange(1.0, M + 1.0))
-        H += np.diag(off, 1) + np.diag(off, -1)
-    return H
+    return np.arange(M + 1.0) + 0.5 + lam * lam, lam * np.sqrt(np.arange(1.0, M + 1.0)), 1
 
 
-def squeezed_osc_hamiltonian(lam: float, cutoff: int) -> np.ndarray:
-    """b+b + 1/2 + lam (b+^2 + b^2) on the truncated basis; needs |lam| < 1/2."""
+def squeezed_osc_band(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """b+b + 1/2 + lam (b+^2 + b^2) as (diagonal, coupling, stride 2); needs |lam| < 1/2.
+
+    coupling[j] joins n = j and j + 2, so the even-n and odd-n sectors
+    (d[f::2], coupling[f::2]) for f = 0, 1 are tridiagonal and never mix.
+    """
     lam = float(lam)
     if not abs(lam) < 0.5:
         raise ValueError(f"|lam| must be below 1/2, got {lam}")
     M = int(cutoff)
-    n = np.arange(M + 1.0)
-    H = np.diag(n + 0.5)
-    if M > 1:
-        pair = lam * np.sqrt(np.arange(1.0, M) * np.arange(2.0, M + 1.0))
-        H += np.diag(pair, 2) + np.diag(pair, -2)
+    return np.arange(M + 1.0) + 0.5, lam * np.sqrt(np.arange(1.0, M) * np.arange(2.0, M + 1.0)), 2
+
+
+def _band_matrix(d: np.ndarray, c: np.ndarray, stride: int) -> np.ndarray:
+    H = np.diag(d)
+    if c.size:
+        H += np.diag(c, stride) + np.diag(c, -stride)
     return H
+
+
+def displaced_osc_hamiltonian(lam: float, cutoff: int) -> np.ndarray:
+    """Dense matrix of displaced_osc_band, a reference for the tests and probes."""
+    return _band_matrix(*displaced_osc_band(lam, cutoff))
+
+
+def squeezed_osc_hamiltonian(lam: float, cutoff: int) -> np.ndarray:
+    """Dense matrix of squeezed_osc_band, a reference for the tests and probes."""
+    return _band_matrix(*squeezed_osc_band(lam, cutoff))

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bosons import displaced_osc_hamiltonian, squeezed_osc_hamiltonian
+from .bosons import displaced_osc_band, squeeze_params, squeezed_osc_band
 from .juddian import juddian_points, verify_point
 from .numerics import RootCountError, tridiag_eigvals_lowest
 from .rabi import ModelParams, spectrum_sweep
@@ -192,18 +192,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # oscillator
 
-def _lowest_levels(ham: np.ndarray, levels: int, stride: int) -> np.ndarray:
-    """Lowest eigenvalues of a Hamiltonian that couples n only to n +/- stride.
+def _lowest_levels(sectors, levels: int) -> np.ndarray:
+    """Lowest eigenvalues over tridiagonal sectors given as (diagonal, coupling).
 
-    Each residue class of n modulo stride spans a tridiagonal sector; the
-    lowest levels of every sector are found by Sturm bisection and merged.
+    The lowest levels of every sector are found by Sturm bisection and merged.
     """
-    parts = []
-    for first in range(stride):
-        sector = ham[first::stride, first::stride]
-        if sector.shape[0]:
-            k = min(levels, sector.shape[0])
-            parts.append(tridiag_eigvals_lowest(np.diagonal(sector), np.diagonal(sector, 1), k))
+    parts = [tridiag_eigvals_lowest(d, c, min(levels, d.size)) for d, c in sectors if d.size]
     return np.sort(np.concatenate(parts))[:levels]
 
 
@@ -211,18 +205,15 @@ def cmd_oscillator(args) -> int:
     _check_cutoff_and_levels(args)
     try:
         if args.osc_type == "displaced":
-            ham = displaced_osc_hamiltonian(args.lam, cutoff=args.cutoff)
+            d, c, stride = displaced_osc_band(args.lam, cutoff=args.cutoff)
             exact = np.arange(args.levels) + 0.5
-            stride = 1
         else:
             # b+^2 + b^2 changes n by two: even and odd n never mix
-            ham = squeezed_osc_hamiltonian(args.lam, cutoff=args.cutoff)
-            omega_eff = np.sqrt(1.0 - 4.0 * args.lam * args.lam)
-            exact = (np.arange(args.levels) + 0.5) * omega_eff
-            stride = 2
+            d, c, stride = squeezed_osc_band(args.lam, cutoff=args.cutoff)
+            exact = (np.arange(args.levels) + 0.5) * squeeze_params(args.lam).Omega
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    numeric = _lowest_levels(ham, args.levels, stride)
+    numeric = _lowest_levels([(d[f::stride], c[f::stride]) for f in range(stride)], args.levels)
     dev = np.abs(numeric - exact)
     print(f"{'n':>4}  {'numeric':>18}  {'closed form':>18}  {'deviation':>11}")
     for n in range(args.levels):
@@ -292,6 +283,8 @@ def _load_points_json(path: str) -> list[dict]:
                 raise CLIError(f"{path}, entry {k}: key '{key}' must be a number")
             if not math.isfinite(entry[key]):
                 raise CLIError(f"{path}, entry {k}: key '{key}' must be finite")
+        if not (entry["N"] >= 1 and float(entry["N"]).is_integer()):
+            raise CLIError(f"{path}, entry {k}: key 'N' must be a positive integer")
         for key in ("lambda", "g"):
             if not entry[key] > 0:
                 raise CLIError(f"{path}, entry {k}: key '{key}' must be positive")
@@ -304,7 +297,10 @@ def _load_points_json(path: str) -> list[dict]:
 def cmd_plot(args) -> int:
     rows = _load_spectrum_csv(args.spectrum)
     points = _load_points_json(args.points) if args.points else []
-    svg = render_figure(rows, points, baselines=args.baselines == "on")
+    try:
+        svg = render_figure(rows, points, baselines=args.baselines == "on")
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
     _write_text(args.out, svg)
     return 0
 

@@ -21,10 +21,8 @@ import numpy as np
 from .bosons import DEFAULT_CUTOFF, displaced_number_states
 from .numerics import (
     FullRankError,
-    Polynomial,
     RootCountError,
     _sturm_count,
-    tridiag_det_poly,
     tridiag_eigval_within,
     tridiag_inverse_iteration,
 )
@@ -106,20 +104,29 @@ def _reduced_matrix(N: int, omega_tilde: float, x: float) -> np.ndarray:
     return np.diag(np.array(d0) + 4.0 * x) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def compatibility_polynomial(N: int, omega_tilde: float) -> Polynomial:
-    """Degree-N polynomial in x = lam^2 whose positive roots locate the points.
+def compatibility_polynomial(N: int, omega_tilde: float) -> tuple[float, ...]:
+    """Coefficients of the degree-N polynomial in x = lam^2 whose positive
+    roots locate the points; entry k multiplies x**k.
 
-    det T(x): its diagonal and squared off-diagonal entries are linear in x,
-    so the three-term recurrence assembles the coefficients directly.
-    Leading coefficient is 4^N > 0.
+    det T(x): its diagonal d0_n + 4x and squared off-diagonal x e4_{n-1} are
+    linear in x, so the three-term recurrence D_n = (d0_n + 4x) D_{n-1}
+    - x e4_{n-1} D_{n-2} over the leading minors assembles the coefficients
+    directly. Leading coefficient is 4^N > 0.
     """
     N = int(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
     d0, e4 = _reduced_band(N, omega_tilde)
-    return tridiag_det_poly(
-        [Polynomial((v, 4.0)) for v in d0], [Polynomial((0.0, c)) for c in e4]
-    )
+    prev, cur = [1.0], [d0[0], 4.0]
+    for a, b in zip(d0[1:], e4):
+        # 0.0 + turns a -0.0 product into +0.0: no coefficient is ever -0.0
+        nxt = [0.0 + a * c for c in cur] + [0.0]
+        for k, c in enumerate(cur):
+            nxt[k + 1] += 4.0 * c
+        for k, c in enumerate(prev):
+            nxt[k + 1] -= b * c
+        prev, cur = cur, nxt
+    return tuple(cur)
 
 
 @dataclass

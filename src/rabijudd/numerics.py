@@ -3,9 +3,9 @@
 Package paths run on Sturm bisection for selected eigenvalues of symmetric
 tridiagonal matrices and inverse iteration for their eigen- and null
 vectors. Kept as references for tests and benchmark probes: sym_eig
-(Householder + implicit-shift QL, eigenvalues only), polynomials with
-real-root isolation, tridiagonal determinant polynomials, and Gaussian
-elimination for null vectors and determinants. ndarrays serve storage and
+(Householder + implicit-shift QL, eigenvalues only), real-root isolation
+for polynomials held as coefficient tuples, and Gaussian elimination for
+null vectors and determinants. ndarrays serve storage and
 elementwise/matmul arithmetic only; there are no calls into numpy.linalg or
 any external solver.
 """
@@ -61,77 +61,24 @@ class NearDoubleRootWarning(UserWarning):
 # polynomials
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense real polynomial; coeffs[k] multiplies x**k.
-
-    Trailing zero coefficients are stripped on construction, so degree is
-    always len(coeffs) - 1 and the top coefficient of a nonzero polynomial
-    is nonzero.
-    """
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        c = tuple(float(v) for v in self.coeffs)
-        while len(c) > 1 and c[-1] == 0.0:
-            c = c[:-1]
-        if not c:
-            c = (0.0,)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for k, v in enumerate(b):
-            summed[k] += v
-        return Polynomial(tuple(summed))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-v for v in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0.0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(tuple(out))
-        return Polynomial(tuple(float(other) * v for v in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def deriv(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(k * v for k, v in enumerate(self.coeffs) if k > 0))
-
-
-def poly_eval(p: Polynomial, x):
-    """Horner evaluation; x may be a scalar or an ndarray."""
+def poly_eval(p: tuple[float, ...], x):
+    """Horner evaluation of the coefficient tuple p, p[k] times x**k, at a scalar or ndarray x."""
     acc = 0.0 * x if isinstance(x, np.ndarray) else 0.0
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * x + c
     return acc
 
 
-def _root_scale(p: Polynomial, x: float) -> float:
+def _deriv(p: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(k * c for k, c in enumerate(p) if k) or (0.0,)
+
+
+def _root_scale(p: tuple[float, ...], x: float) -> float:
     # residual scale for a candidate root: max-coefficient * max(1,|x|)^degree
-    return max(abs(c) for c in p.coeffs) * max(1.0, abs(x)) ** p.degree
+    return max(abs(c) for c in p) * max(1.0, abs(x)) ** (len(p) - 1)
 
 
-def _bisect_root(p: Polynomial, a: float, b: float) -> tuple[float, float]:
+def _bisect_root(p: tuple[float, ...], a: float, b: float) -> tuple[float, float]:
     fa = poly_eval(p, a)
     for _ in range(200):
         if b - a <= 1e-12:
@@ -147,8 +94,8 @@ def _bisect_root(p: Polynomial, a: float, b: float) -> tuple[float, float]:
     return a, b
 
 
-def _newton_polish(p: Polynomial, x0: float, a: float, b: float) -> float:
-    dp = p.deriv()
+def _newton_polish(p: tuple[float, ...], x0: float, a: float, b: float) -> float:
+    dp = _deriv(p)
     x, best, best_f = x0, x0, abs(poly_eval(p, x0))
     for _ in range(50):
         fx = poly_eval(p, x)
@@ -171,7 +118,7 @@ def _newton_polish(p: Polynomial, x0: float, a: float, b: float) -> float:
     return x if fx <= best_f else best
 
 
-def _scan_roots(p: Polynomial, lo: float, hi: float, intervals: int) -> list[float]:
+def _scan_roots(p: tuple[float, ...], lo: float, hi: float, intervals: int) -> list[float]:
     xs = np.linspace(lo, hi, intervals + 1)
     vals = poly_eval(p, xs)
     roots: list[float] = []
@@ -220,9 +167,9 @@ def _scan_roots(p: Polynomial, lo: float, hi: float, intervals: int) -> list[flo
     return merged
 
 
-def _polish_extremum(p: Polynomial, a: float, b: float) -> float:
+def _polish_extremum(p: tuple[float, ...], a: float, b: float) -> float:
     # locate the stationary point of p inside (a, b) by bisection on p'
-    dp = p.deriv()
+    dp = _deriv(p)
     fa = poly_eval(dp, a)
     fb = poly_eval(dp, b)
     if (fa < 0) == (fb < 0):
@@ -242,23 +189,28 @@ def _polish_extremum(p: Polynomial, a: float, b: float) -> float:
 
 
 def poly_real_roots(
-    p: Polynomial,
+    p: tuple[float, ...],
     bracket: tuple[float, float],
     expected_count: int | None = None,
 ) -> list[float]:
-    """All real roots of p inside the open bracket, ascending.
+    """All real roots inside the open bracket of the polynomial whose
+    coefficient tuple is p (p[k] multiplies x**k), ascending.
 
-    Roots are isolated by a uniform sign-change scan (1000 intervals),
-    bisected to a 1e-12-wide cell and Newton-polished to a scaled residual
-    of 1e-12. When expected_count is given and the scan comes up short, the
-    grid is refined tenfold once and the upper bracket bound doubled once
-    before RootCountError is raised (carrying whatever was found).
+    Trailing zero coefficients are dropped first. Roots are isolated by a
+    uniform sign-change scan (1000 intervals), bisected to a 1e-12-wide cell
+    and Newton-polished to a scaled residual of 1e-12. When expected_count
+    is given and the scan comes up short, the grid is refined tenfold once
+    and the upper bracket bound doubled once before RootCountError is
+    raised (carrying whatever was found).
 
     Raises ValueError for a degree-0 input or when a bracket endpoint is
     itself a root (the caller must perturb the bracket).
     """
+    p = tuple(float(c) for c in p)
+    while len(p) > 1 and p[-1] == 0.0:
+        p = p[:-1]
     lo, hi = float(bracket[0]), float(bracket[1])
-    if p.degree == 0:
+    if len(p) < 2:
         raise ValueError("cannot isolate roots of a degree-0 polynomial")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid bracket ({lo}, {hi})")
@@ -761,23 +713,3 @@ def determinant(A: np.ndarray) -> float:
         below = M[c + 1 :, c] / M[c, c]
         M[c + 1 :, c:] -= np.outer(below, M[c, c:])
     return sign * float(np.prod(np.diagonal(M)))
-
-
-def tridiag_det_poly(diag: list[Polynomial], offdiag_sq: list[Polynomial]) -> Polynomial:
-    """Determinant of a symmetric tridiagonal matrix with polynomial entries.
-
-    Three-term recurrence D_k = a_k D_{k-1} - b_{k-1}^2 D_{k-2}. Only the
-    squares of the off-diagonal enter it, so offdiag_sq holds the squared
-    entries b_k^2 as polynomials, len(diag) - 1 of them.
-    """
-    ndim = len(diag)
-    if ndim == 0:
-        raise ValueError("empty diagonal")
-    if len(offdiag_sq) != ndim - 1:
-        raise ValueError("off-diagonal length must be len(diag) - 1")
-
-    prev = Polynomial((1.0,))
-    cur = diag[0]
-    for k in range(1, ndim):
-        prev, cur = cur, diag[k] * cur - offdiag_sq[k - 1] * prev
-    return cur

@@ -64,7 +64,8 @@ def render_figure(
     mappings with keys N, lambda, g, E. Baselines are drawn for the
     N in 1..max(point N) whose curve can reach the plotted energy window,
     and need at least one point row to fix the g -> lam mapping, so they
-    are skipped when points is empty.
+    are skipped when points is empty. Raises ValueError when the padded g
+    or energy window, or its span, is not finite.
     """
     if not spectrum_rows:
         raise ValueError("no spectrum rows to plot")
@@ -77,6 +78,10 @@ def render_figure(
         g_lo, g_hi = g_lo - 0.5, g_hi + 0.5
     pad = 0.04 * (e_hi - e_lo) or 0.5
     e_lo, e_hi = e_lo - pad, e_hi + pad
+    # a finite span implies finite ends: inf - x and inf - inf are not finite
+    for name, lo, hi in (("g", g_lo, g_hi), ("energy", e_lo, e_hi)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"the {name} window [{lo:g}, {hi:g}] overflows the float range")
 
     x_span = _WIDTH - _MARGIN_L - _MARGIN_R
     y_span = _HEIGHT - _MARGIN_T - _MARGIN_B

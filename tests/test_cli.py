@@ -4,13 +4,19 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rabijudd.bosons import displaced_osc_hamiltonian, squeezed_osc_hamiltonian
+from rabijudd.bosons import (
+    displaced_osc_band,
+    displaced_osc_hamiltonian,
+    squeezed_osc_band,
+    squeezed_osc_hamiltonian,
+)
 import rabijudd.juddian as juddian_module
 from rabijudd.cli import _lowest_levels, main
 from rabijudd.juddian import juddian_points
@@ -293,15 +299,30 @@ def test_oscillator_squeezed_report():
 
 @pytest.mark.parametrize("M", [0, 1, 7, 60])
 @pytest.mark.parametrize(
-    "build, lam, stride",
-    [(displaced_osc_hamiltonian, 1.0, 1), (squeezed_osc_hamiltonian, 0.3, 2),
-     (squeezed_osc_hamiltonian, -0.45, 2)],
+    "build, band, lam",
+    [(displaced_osc_hamiltonian, displaced_osc_band, 1.0),
+     (squeezed_osc_hamiltonian, squeezed_osc_band, 0.3),
+     (squeezed_osc_hamiltonian, squeezed_osc_band, -0.45)],
 )
-def test_oscillator_sector_levels_match_full_diagonalization(build, lam, stride, M):
-    ham = build(lam, M)
+def test_oscillator_sector_levels_match_full_diagonalization(build, band, lam, M):
     levels = min(10, M + 1)
-    reference = sym_eig(ham).values[:levels]
-    assert np.abs(_lowest_levels(ham, levels, stride) - reference).max() <= 1e-10
+    reference = sym_eig(build(lam, M)).values[:levels]
+    d, c, stride = band(lam, M)
+    sectors = [(d[f::stride], c[f::stride]) for f in range(stride)]
+    assert np.abs(_lowest_levels(sectors, levels) - reference).max() <= 1e-10
+
+
+def test_oscillator_forms_no_dense_matrix(capsys):
+    # the dense (M+1)^2 matrix alone would take 32 MB at M = 2000
+    args = ["oscillator", "--type", "squeezed", "--lambda", "0.3", "--cutoff", "2000"]
+    assert main(args[:-1] + ["10"]) == 0  # first-call allocations outside the window
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_oscillator_squeezed_domain_error():
@@ -389,6 +410,9 @@ def test_plot_reports_bad_points_entry(tmp_path):
     ('{"N": 1, "lambda": 0.4, "g": 0.2, "E": NaN}', "key 'E' must be finite"),
     ('{"N": Infinity, "lambda": 0.4, "g": 0.2, "E": 0.8}', "key 'N' must be finite"),
     ('{"N": 1, "lambda": 1e300, "g": 1e-300, "E": 0.8}', "2 g / lambda must be positive"),
+    ('{"N": 2.7, "lambda": 0.4, "g": 0.2, "E": 0.8}', "key 'N' must be a positive integer"),
+    ('{"N": -3, "lambda": 0.4, "g": 0.2, "E": 0.8}', "key 'N' must be a positive integer"),
+    ('{"N": 0, "lambda": 0.4, "g": 0.2, "E": 0.8}', "key 'N' must be a positive integer"),
 ])
 def test_plot_rejects_unplottable_point(tmp_path, entry, message):
     csv = tmp_path / "s.csv"
@@ -414,6 +438,20 @@ def test_plot_rejects_non_finite_spectrum_row(tmp_path, row, message):
     assert proc.stderr.startswith(f"error: {csv}, line 3: {message}")
 
 
+@pytest.mark.parametrize("rows, message", [
+    (("0.1,1,0,1e308", "0.2,1,0,-1e308"), "the energy window [-inf, inf]"),
+    (("0.1,1,0,1.79e308", "0.2,1,0,0"), "the energy window [-7.16e+306, inf]"),  # the padding
+    (("1e308,1,0,1", "-1e308,1,0,2"), "the g window [-1e+308, 1e+308]"),  # the span
+])
+def test_plot_rejects_overflowing_window(tmp_path, rows, message):
+    csv = tmp_path / "s.csv"
+    csv.write_text("g,parity,level,energy\n" + "\n".join(rows) + "\n")
+    proc = run_cli("plot", "--spectrum", str(csv),
+                   "--out", str(tmp_path / "x.svg"), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {message} overflows the float range")
+
+
 def test_plot_huge_order_renders_quickly(tmp_path):
     # only orders that can reach the energy window are walked, not all 10^9
     csv = tmp_path / "s.csv"
@@ -428,7 +466,8 @@ def test_plot_huge_order_renders_quickly(tmp_path):
                      "--out", str(svg)]) == 0
         assert time.perf_counter() - start < 1.0
         svgs.append(svg.read_text())
-    # the same figure as a small order: baselines N = 1..6 cross the window
+    # the same figure as a small order (1e9 parses as an integral float, which
+    # is accepted): baselines N = 1..6 cross the window
     assert svgs[0] == svgs[1]
     assert svgs[0].count('<polyline class="baseline"') == 6
 

@@ -27,7 +27,6 @@ from rabijudd.juddian import (
 )
 from rabijudd.numerics import (
     FullRankError,
-    Polynomial,
     RootCountError,
     determinant,
     null_vector,
@@ -85,28 +84,21 @@ def test_full_system_nonroot_is_full_rank():
         null_vector(build_full_system(2, 0.5, 0.3))
 
 
-def test_polynomial_n1_closed_form():
-    for wt in (0.25, 0.5, 0.75, 1.0):
-        p = compatibility_polynomial(1, wt)
-        target = Polynomial((wt * wt - 1.0, 4.0))
-        ratio = p.coeffs[-1] / target.coeffs[-1]
-        for a, b in zip(p.coeffs, target.coeffs):
-            assert abs(a - ratio * b) <= 1e-12 * max(abs(c) for c in p.coeffs)
-
-
-def test_polynomial_n2_closed_form():
-    for wt in (0.25, 0.5, 0.75):
-        w2 = wt * wt
-        p = compatibility_polynomial(2, wt)
-        target = Polynomial((w2 * w2 - 5.0 * w2 + 4.0, 12.0 * w2 - 32.0, 32.0))
-        ratio = p.coeffs[-1] / target.coeffs[-1]
-        for a, b in zip(p.coeffs, target.coeffs):
-            assert abs(a - ratio * b) <= 1e-12 * max(abs(c) for c in p.coeffs)
-
-
 def test_polynomial_leading_coefficient_positive():
     for n in range(1, 9):
-        assert compatibility_polynomial(n, 0.5).coeffs[-1] > 0
+        assert compatibility_polynomial(n, 0.5)[-1] > 0
+
+
+def test_polynomial_matches_reduced_determinant():
+    # the coefficient recurrence against elimination on T(x) itself
+    for n in range(1, 11):
+        for wt in (0.3, 0.5, 1.7, 4.2):
+            p = compatibility_polynomial(n, wt)
+            for x in np.linspace(0.0, 1.46 * n, 9):
+                got = poly_eval(p, x)
+                want = determinant(_reduced_matrix(n, wt, x))
+                floor = 1e-12 * sum(abs(c) * x**k for k, c in enumerate(p))
+                assert abs(got - want) <= max(1e-10 * max(abs(got), abs(want)), floor), (n, wt, x)
 
 
 def test_polynomial_n3_resonance_couplings():

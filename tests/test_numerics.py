@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyfromroots
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -11,14 +12,12 @@ import rabijudd.numerics as numerics
 from rabijudd.numerics import (
     FullRankError,
     NearDoubleRootWarning,
-    Polynomial,
     RootCountError,
     determinant,
     null_vector,
     poly_eval,
     poly_real_roots,
     sym_eig,
-    tridiag_det_poly,
     _gershgorin,
     tridiag_eigval_within,
     tridiag_eigvals_lowest,
@@ -29,45 +28,24 @@ from rabijudd.rabi import ModelParams, _block_arrays
 
 
 # ---------------------------------------------------------------------------
-# Polynomial arithmetic
-
-def test_polynomial_trims_trailing_zeros():
-    p = Polynomial((1.0, 2.0, 0.0, 0.0))
-    assert p.coeffs == (1.0, 2.0)
-    assert p.degree == 1
-    assert Polynomial((0.0, 0.0)).coeffs == (0.0,)
-
-
-def test_polynomial_arithmetic_matches_pointwise():
-    p = Polynomial((1.0, -3.0, 2.0))
-    q = Polynomial((0.5, 4.0))
-    xs = np.linspace(-2.0, 2.0, 7)
-    for x in xs:
-        assert math.isclose(poly_eval(p + q, x), poly_eval(p, x) + poly_eval(q, x),
-                            rel_tol=1e-14, abs_tol=1e-14)
-        assert math.isclose(poly_eval(p * q, x), poly_eval(p, x) * poly_eval(q, x),
-                            rel_tol=1e-13, abs_tol=1e-13)
-        assert math.isclose(poly_eval(p - q, x), poly_eval(p, x) - poly_eval(q, x),
-                            rel_tol=1e-14, abs_tol=1e-14)
-
+# polynomials as coefficient tuples
 
 def test_polynomial_derivative():
-    p = Polynomial((5.0, -1.0, 3.0))  # 5 - x + 3x^2
-    assert p.deriv().coeffs == (-1.0, 6.0)
-    assert Polynomial((7.0,)).deriv().coeffs == (0.0,)
+    assert numerics._deriv((5.0, -1.0, 3.0)) == (-1.0, 6.0)  # 5 - x + 3x^2
+    assert numerics._deriv((7.0,)) == (0.0,)
 
 
 def test_poly_eval_known_values():
-    assert poly_eval(Polynomial((-1.0, 0.0, 1.0)), 2.0) == 3.0
+    assert poly_eval((-1.0, 0.0, 1.0), 2.0) == 3.0
     # resonance condition for the lowest baseline: 4x + (1/4 - 1) at x = 3/16
     wt = 0.5
-    p = Polynomial((wt * wt - 1.0, 4.0))
+    p = (wt * wt - 1.0, 4.0)
     assert poly_eval(p, 3.0 / 16.0) == 0.0
-    assert poly_eval(Polynomial((4.25,)), 123.0) == 4.25
+    assert poly_eval((4.25,), 123.0) == 4.25
 
 
 def test_poly_eval_vectorized():
-    p = Polynomial((-1.0, 0.0, 1.0))
+    p = (-1.0, 0.0, 1.0)
     xs = np.array([0.0, 1.0, 2.0, -3.0])
     assert np.array_equal(poly_eval(p, xs), xs * xs - 1.0)
 
@@ -76,7 +54,7 @@ def test_poly_eval_vectorized():
 # root isolation
 
 def test_roots_of_quadratic():
-    roots = poly_real_roots(Polynomial((-1.0, 0.0, 1.0)), (-2.0, 2.0))
+    roots = poly_real_roots((-1.0, 0.0, 1.0), (-2.0, 2.0))
     assert len(roots) == 2
     assert abs(roots[0] + 1.0) < 1e-12
     assert abs(roots[1] - 1.0) < 1e-12
@@ -84,7 +62,7 @@ def test_roots_of_quadratic():
 
 def test_roots_quadratic_formula_oracle():
     # 32x^2 - 29x + 45/16 has roots (29 +- sqrt(481))/64
-    p = Polynomial((45.0 / 16.0, -29.0, 32.0))
+    p = (45.0 / 16.0, -29.0, 32.0)
     roots = poly_real_roots(p, (0.0, 2.0))
     s = math.sqrt(481.0)
     expected = [(29.0 - s) / 64.0, (29.0 + s) / 64.0]
@@ -94,30 +72,26 @@ def test_roots_quadratic_formula_oracle():
 
 
 def test_roots_linear():
-    roots = poly_real_roots(Polynomial((-0.75, 4.0)), (0.0, 1.0))
+    roots = poly_real_roots((-0.75, 4.0), (0.0, 1.0))
     assert roots == pytest.approx([3.0 / 16.0], abs=1e-15)
 
 
 def test_root_residual_scaling_invariant():
     # roots planted at awkward spots; residual must meet the scaled bound
     planted = [-1.75, -0.3, 0.42, 2.9]
-    p = Polynomial((1.0,))
-    for r in planted:
-        p = p * Polynomial((-r, 1.0))
+    p = tuple(polyfromroots(planted))
     roots = poly_real_roots(p, (-3.0, 3.0))
     assert len(roots) == len(planted)
-    cmax = max(abs(c) for c in p.coeffs)
+    cmax = max(abs(c) for c in p)
     for r, e in zip(roots, planted):
         assert abs(r - e) < 1e-10
-        assert abs(poly_eval(p, r)) <= 1e-10 * cmax * max(1.0, abs(r)) ** p.degree
+        assert abs(poly_eval(p, r)) <= 1e-10 * cmax * max(1.0, abs(r)) ** (len(p) - 1)
 
 
 def test_expected_count_triggers_grid_refinement():
     # two roots 4e-4 apart land in one cell of the default 1000-interval scan
     close = [0.4001, 0.4005, 0.9]
-    p = Polynomial((1.0,))
-    for r in close:
-        p = p * Polynomial((-r, 1.0))
+    p = tuple(polyfromroots(close))
     coarse = poly_real_roots(p, (0.0, 1.0))
     assert len(coarse) < 3  # sanity: the default grid really does miss them
     fine = poly_real_roots(p, (0.0, 1.0), expected_count=3)
@@ -127,7 +101,7 @@ def test_expected_count_triggers_grid_refinement():
 
 
 def test_root_count_error_carries_findings():
-    p = Polynomial((1.0, 0.0, 1.0))  # x^2 + 1, no real roots
+    p = (1.0, 0.0, 1.0)  # x^2 + 1, no real roots
     with pytest.raises(RootCountError) as exc:
         poly_real_roots(p, (-2.0, 2.0), expected_count=2)
     assert exc.value.expected == 2
@@ -136,7 +110,7 @@ def test_root_count_error_carries_findings():
 
 def test_near_double_root_detected():
     # (x-1)^2 (x+2): the squared factor never crosses zero
-    p = Polynomial((-1.0, 1.0)) * Polynomial((-1.0, 1.0)) * Polynomial((2.0, 1.0))
+    p = tuple(polyfromroots([1.0, 1.0, -2.0]))
     with pytest.warns(NearDoubleRootWarning):
         roots = poly_real_roots(p, (-3.0, 3.0))
     assert len(roots) == 2
@@ -145,13 +119,13 @@ def test_near_double_root_detected():
 
 
 def test_root_bracket_validation():
-    p = Polynomial((-1.0, 0.0, 1.0))
+    p = (-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         poly_real_roots(p, (2.0, -2.0))
     with pytest.raises(ValueError):
         poly_real_roots(p, (1.0, 2.0))  # endpoint is a root
     with pytest.raises(ValueError):
-        poly_real_roots(Polynomial((3.0,)), (0.0, 1.0))
+        poly_real_roots((3.0,), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -498,65 +472,3 @@ def test_determinant_triangular_and_permutation():
     assert determinant(A) == pytest.approx(6.0, rel=1e-14)
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert determinant(P) == pytest.approx(-1.0, rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# tridiagonal determinant polynomial
-
-def _dense_poly_det(M):
-    """Cofactor expansion over the polynomial ring; fine for dim <= 6."""
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = Polynomial((0.0,))
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = M[0][j] * _dense_poly_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _as_poly(c):
-    return c if isinstance(c, Polynomial) else Polynomial((float(c),))
-
-
-def test_tridiag_det_poly_small_cases():
-    p = Polynomial((-0.75, 4.0))
-    assert tridiag_det_poly([p], []).coeffs == p.coeffs
-
-    q = Polynomial((1.0, 1.0))
-    out = tridiag_det_poly([p, q], [Polynomial((4.0,))])
-    expected = p * q - Polynomial((4.0,))
-    assert np.allclose(out.coeffs, expected.coeffs, rtol=1e-14)
-
-
-def test_tridiag_det_poly_matches_dense_expansion():
-    rng = np.random.RandomState(13)
-    for n in range(2, 7):
-        diag = [Polynomial(tuple(rng.randint(-4, 5, size=2).astype(float)))
-                for _ in range(n)]
-        off = [float(rng.randint(1, 4)) for _ in range(n - 1)]
-        M = [[_as_poly(0.0)] * n for _ in range(n)]
-        for i in range(n):
-            M[i][i] = diag[i]
-        for i in range(n - 1):
-            M[i][i + 1] = _as_poly(off[i])
-            M[i + 1][i] = _as_poly(off[i])
-        got = tridiag_det_poly(diag, [Polynomial((b * b,)) for b in off])
-        want = _dense_poly_det(M)
-        scale = max(abs(c) for c in want.coeffs) or 1.0
-        got_c = np.zeros(max(len(got.coeffs), len(want.coeffs)))
-        want_c = got_c.copy()
-        got_c[: len(got.coeffs)] = got.coeffs
-        want_c[: len(want.coeffs)] = want.coeffs
-        assert np.abs(got_c - want_c).max() <= 1e-12 * scale
-
-
-def test_tridiag_det_poly_validation():
-    p = Polynomial((1.0,))
-    with pytest.raises(ValueError):
-        tridiag_det_poly([], [])
-    with pytest.raises(ValueError):
-        tridiag_det_poly([p, p], [])
-    with pytest.raises(ValueError):
-        tridiag_det_poly([p, p], [p, p])
