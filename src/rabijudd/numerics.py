@@ -541,15 +541,15 @@ def _sturm_count(
     return (count, q) if pivot else count
 
 
-def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float, stop: _SturmStop) -> float:
+def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float, stop, scale=None) -> float:
     """Single eigenvalue by Sturm bisection, scalar arithmetic throughout.
 
     d and e2 are sequences (diagonal and squared off-diagonal) and stop
     their _sturm_stop data; index is the 0-based ascending eigenvalue index;
-    (lo, hi) must bracket it. This is the crossing-refinement and
-    verification inner loop.
+    (lo, hi) must bracket it; it ends at width 4 eps scale, by default
+    scale = max(|lo|, |hi|, 1). The crossing-refinement and verification loop.
     """
-    scale = max(abs(lo), abs(hi), 1.0)
+    scale = scale or max(abs(lo), abs(hi), 1.0)
     tiny = _EPS * scale
     target = index + 1
     for _ in range(90):
@@ -561,6 +561,31 @@ def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float, stop: _SturmSto
         if hi - lo <= 4.0 * _EPS * scale:
             break
     return 0.5 * (lo + hi)
+
+
+def _sturm_eigval_near(d, e2, index: int, guess: float, width: float, lo, hi, stop) -> float:
+    """_sturm_eigval_index from a bracket around guess that Sturm counts confirm.
+
+    (lo, hi) is the Gershgorin interval, whose scale sets the stopping width.
+    Each end of guess -/+ width (at least 16 eps scale) is checked by one
+    count and moved out 16-fold while it fails, up to lo or hi; a failed end
+    bounds the level from the other side, so a wrong guess costs counts only.
+    """
+    scale = max(abs(lo), abs(hi), 1.0)
+    tiny = _EPS * scale
+    if not lo < guess < hi:
+        guess = 0.5 * (lo + hi)
+    start = max(width, 16.0 * _EPS * scale)
+    for sign in (-1.0, 1.0):
+        step = start
+        while lo < guess + sign * step < hi:
+            x = guess + sign * step
+            above = _sturm_count(d, e2, x, tiny, stop) > index  # the level lies below x
+            lo, hi = (lo, x) if above else (x, hi)
+            if above == (sign > 0.0):
+                break
+            step *= 16.0
+    return _sturm_eigval_index(d, e2, index, lo, hi, stop, scale)
 
 
 def tridiag_eigval_within(

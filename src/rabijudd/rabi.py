@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bosons import DEFAULT_CUTOFF, ladder_matrices
-from .numerics import _gershgorin, _sturm_eigval_index, _sturm_lowest_batch, _sturm_stop
+from .numerics import _gershgorin, _sturm_eigval_near, _sturm_lowest_batch, _sturm_stop
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -214,24 +214,20 @@ def spectrum_sweep(
     )
 
 
-def _eigval_at(
-    params: ModelParams, cutoff: int, parity: int, index: int, scaled: bool
-) -> float:
-    diag, off = _block_arrays(params, cutoff, parity)
-    lo, hi = _gershgorin(diag, off)
-    stop = _sturm_stop(diag, np.abs(off))
-    val = _sturm_eigval_index(diag.tolist(), (off * off).tolist(), index, lo, hi, stop)
-    return val if scaled else params.omega * val
-
-
 def find_crossings(table: SpectrumTable) -> list[Crossing]:
     """Opposite-parity degeneracies found on the table and refined in g.
 
     Every (i, j) pair among the tracked levels is scanned for sign changes of
-    E+_i - E-_j between adjacent grid points; each sign change is refined by
-    safeguarded bisection (with secant acceleration) on the table's own
-    model, cutoff and energy units until |E+ - E-| <= 1e-9. Results are
-    ascending in g_star.
+    E+_i - E-_j between adjacent grid points; each sign change is refined on
+    the table's own model, cutoff and energy units until |E+ - E-| <= 1e-9.
+    The first trial g is the root in the cell of the cubic through the
+    table's E+_i - E-_j at rows m-1..m+2, then regula falsi with the Illinois
+    weighting follows, sided by the sign of E+ - E-. At a trial each level is
+    interpolated from its four nearest known values (table rows, earlier
+    trials) and bisected from a bracket of 4 times the last Newton term
+    around that, which two Sturm counts confirm or widen up to the Gershgorin
+    interval. So counts certify each value as level i (j) of its block, to
+    the width 4 eps times the Gershgorin scale. Results ascend in g_star.
 
     Raises RuntimeError, naming the grid cell and level pair, if a bracket
     collapses without reaching 1e-9 - the symptom of a non-isolated crossing
@@ -239,6 +235,7 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     """
     k = table.levels_plus.shape[1]
     g = table.g_values
+    refiner = _CrossingRefiner(table)
     crossings: list[Crossing] = []
 
     for i in range(k):
@@ -257,14 +254,7 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
             neg = diff < 0.0
             changes = (neg[:-1] != neg[1:]) & ~exact[:-1] & ~exact[1:]
             for m in np.nonzero(changes)[0]:
-                crossings.append(
-                    _refine_crossing(
-                        table,
-                        i, j,
-                        float(g[m]), float(g[m + 1]),
-                        float(diff[m]), float(diff[m + 1]),
-                    )
-                )
+                crossings.append(refiner.crossing(i, j, int(m), diff))
 
     crossings.sort(key=lambda c: (c.g_star, c.level_plus, c.level_minus))
     deduped: list[Crossing] = []
@@ -279,38 +269,81 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     return deduped
 
 
-def _refine_crossing(
-    table: SpectrumTable,
-    i: int,
-    j: int,
-    ga: float,
-    gb: float,
-    fa: float,
-    fb: float,
-) -> Crossing:
-    cell = (ga, gb)
+class _CrossingRefiner:
+    """Refines the crossings of one table; holds what does not depend on g."""
 
-    def gap(gv: float) -> tuple[float, float, float]:
-        p = table.params.with_g(gv)
-        ep = _eigval_at(p, table.cutoff, 1, i, table.scaled)
-        em = _eigval_at(p, table.cutoff, -1, j, table.scaled)
-        return ep - em, ep, em
+    def __init__(self, table: SpectrumTable):
+        self.table = table
+        self.unit = 1.0 if table.scaled else table.params.omega
+        self.root_n = np.sqrt(np.arange(1.0, table.cutoff + 1.0))
+        self.diags = [_block_arrays(table.params, table.cutoff, parity)[0] for parity in (1, -1)]
+        self.lists = [d.tolist() for d in self.diags]
 
+    def crossing(self, i: int, j: int, m: int, diff: np.ndarray) -> Crossing:
+        """The crossing of levels (+i, -j) where diff = E+_i - E-_j changes sign in cell m."""
+        t = self.table
+        ga, gb = float(t.g_values[m]), float(t.g_values[m + 1])
+        fa, fb = float(diff[m]), float(diff[m + 1])
+        first = max(min(m - 1, diff.size - 4), 0)  # rows m-1..m+2, shifted inside short grids
+        rows = slice(first, first + 4)
+        grid = t.g_values[rows].tolist()
+        known = (list(zip(grid, t.levels_plus[rows, i].tolist())),
+                 list(zip(grid, t.levels_minus[rows, j].tolist())))
+        diffs = list(zip(grid, diff[rows].tolist()))
+
+        def gap(x: float) -> float:
+            off = 2.0 * x / t.params.omega * self.root_n
+            e2, bound = (off * off).tolist(), np.abs(off)
+            for d, dl, index, pairs in zip(self.diags, self.lists, (i, j), known):
+                lo, hi = _gershgorin(d, off)
+                guess, term = _interpolate(sorted(pairs, key=lambda p: abs(p[0] - x))[:4], x)
+                pairs.append((x, self.unit * _sturm_eigval_near(
+                    dl, e2, index, guess / self.unit, 4.0 * abs(term) / self.unit,
+                    lo, hi, _sturm_stop(d, bound),
+                )))
+            return known[0][-1][1] - known[1][-1][1]
+
+        # the cubic's root is resolved below the tolerance: its own error decides
+        seed = _illinois(lambda x: _interpolate(diffs, x)[0], ga, gb, fa, fb, _CROSSING_TOL / 16)
+        gs = _illinois(gap, ga, gb, fa, fb, _CROSSING_TOL, seed)
+        if gs is None:
+            raise RuntimeError(
+                f"crossing of levels (+{i}, -{j}) in cell g = [{ga:.6g}, {gb:.6g}] did not resolve "
+                f"to |dE| <= {_CROSSING_TOL:g}; grid too coarse or crossing not isolated"
+            )
+        return Crossing(g_star=gs, E_star=0.5 * (known[0][-1][1] + known[1][-1][1]),
+                        level_plus=i, level_minus=j)
+
+
+def _interpolate(pairs: list[tuple[float, float]], x: float) -> tuple[float, float]:
+    """Value at x of the polynomial through the (g, E) pairs, and its last Newton term."""
+    xs, c = [p[0] for p in pairs], [p[1] for p in pairs]
+    for k in range(1, len(c)):
+        for r in range(len(c) - 1, k - 1, -1):
+            c[r] = (c[r] - c[r - 1]) / (xs[r] - xs[r - k])
+    value, w = c[0], 1.0
+    for k in range(1, len(c)):
+        w *= x - xs[k - 1]
+        value += c[k] * w
+    return value, c[-1] * w
+
+
+def _illinois(f, ga: float, gb: float, fa: float, fb: float, tol: float, gs: float | None = None):
+    """Regula falsi with the Illinois weighting on a sign change of f over (ga, gb).
+
+    The sign of f at each trial picks the side; each trial, the first one gs
+    if given, is kept inside the shrinking bracket. Returns the first trial
+    with |f| <= tol, or None once the bracket collapses or 120 trials pass.
+    """
     side = 0
     for _ in range(120):
-        # regula falsi with the Illinois anti-stall weighting, safeguarded
-        # inside the shrinking bracket
-        if fb != fa:
-            gs = (ga * fb - gb * fa) / (fb - fa)
+        if gs is None or not ga < gs < gb:
+            gs = (ga * fb - gb * fa) / (fb - fa) if fb != fa else 0.5 * (ga + gb)
             if not ga < gs < gb:
                 gs = 0.5 * (ga + gb)
-        else:
-            gs = 0.5 * (ga + gb)
-        fm, ep, em = gap(gs)
-        if abs(fm) <= _CROSSING_TOL:
-            return Crossing(
-                g_star=gs, E_star=0.5 * (ep + em), level_plus=i, level_minus=j
-            )
+        fm = f(gs)
+        if abs(fm) <= tol:
+            return gs
         if (fm < 0.0) == (fa < 0.0):
             ga, fa = gs, fm
             if side == -1:
@@ -322,8 +355,6 @@ def _refine_crossing(
                 fa *= 0.5
             side = 1
         if gb - ga <= 1e-15 * max(1.0, abs(gb)):
-            break
-    raise RuntimeError(
-        f"crossing of levels (+{i}, -{j}) in cell g = [{cell[0]:.6g}, {cell[1]:.6g}] "
-        f"did not resolve to |dE| <= {_CROSSING_TOL:g}; grid too coarse or crossing not isolated"
-    )
+            return None
+        gs = None
+    return None

@@ -46,10 +46,12 @@ def _tick_values(lo: float, hi: float, target: int) -> list[float]:
             break
     first = math.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
+    # bounded by span / step <= target, also where step is below the float spacing
+    for k in range(target + 2):
+        t = first + k * step
+        if t > hi + 1e-12 * span:
+            break
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
     return ticks
 
 
@@ -120,15 +122,17 @@ def render_figure(
         # the g -> lam mapping comes from any point row (lam = 2 g / omega)
         ref = points[0]
         omega = 2.0 * float(ref["g"]) / float(ref["lambda"])
-        # E = n - lam^2 >= n - lam_max^2, so higher orders never enter the window
-        lam_max = 2.0 * max(abs(g_lo), abs(g_hi)) / abs(omega)
-        n_top = int(min(n_max, e_hi + lam_max * lam_max + 1.0))
-        for n in range(1, n_top + 1):
+        samples = [g_lo + (g_hi - g_lo) * s / 240.0 for s in range(241)]
+        lam2 = [(2.0 * g / omega) * (2.0 * g / omega) for g in samples]
+        # walk only orders with n - lam^2 in the window at two adjacent samples (as
+        # drawn), widened by one against rounding; an overflowing lam^2 allows none
+        pairs = [(a, b) for a, b in zip(lam2, lam2[1:]) if abs(b - a) <= e_hi - e_lo]
+        n_bottom = max(1, math.ceil(e_lo + min(max(p) for p in pairs)) - 1) if pairs else 1
+        n_top = min(n_max, math.floor(e_hi + max(min(p) for p in pairs)) + 1) if pairs else 0
+        for n in range(n_bottom, n_top + 1):
             coords = []
-            for s in range(241):
-                g = g_lo + (g_hi - g_lo) * s / 240.0
-                lam = 2.0 * g / omega
-                e = n - lam * lam
+            for g, l2 in zip(samples, lam2):
+                e = n - l2
                 if e_lo <= e <= e_hi:
                     coords.append(f"{_fmt(sx(g))},{_fmt(sy(e))}")
                 elif coords:

@@ -280,6 +280,17 @@ def test_readme_verify_sample_matches_output():
     assert checked >= 1
 
 
+def test_readme_library_example_runs(capsys):
+    code = README.read_text().split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    # three points of order 3, then the 24 crossings of the criterion-8 table
+    assert [int(line.split()[0]) for line in lines[:3]] == [3, 3, 3]
+    crossings = [line.split() for line in lines[3:]]
+    assert len(crossings) == 24
+    assert all(len(c) == 4 and 0.05 <= float(c[0]) <= 0.8 for c in crossings)
+
+
 # ---------------------------------------------------------------------------
 # oscillator
 
@@ -470,6 +481,37 @@ def test_plot_huge_order_renders_quickly(tmp_path):
     # is accepted): baselines N = 1..6 cross the window
     assert svgs[0] == svgs[1]
     assert svgs[0].count('<polyline class="baseline"') == 6
+
+
+def test_tick_values_return_for_a_window_narrow_for_its_magnitude():
+    # the tick step 0.25 lies below the float spacing at 1e16; a subprocess,
+    # so that a hang fails after 10 s instead of holding the run
+    code = (
+        "from rabijudd.svgplot import _tick_values\n"
+        "ticks = _tick_values(1e16, 1e16 + 2, 9)\n"
+        "assert 1 <= len(ticks) <= 11 and all(1e16 <= t <= 1e16 + 2 for t in ticks), ticks\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("g", ["1e-300", "1e-100"])
+def test_plot_renders_quickly_when_lambda_squared_is_huge(tmp_path, g):
+    # omega = 2 g / lambda is tiny, so lambda^2 over the g window overflows
+    # (1e-300) or is finite but far beyond the window (1e-100): no baseline
+    # holds two adjacent samples, and none of the 1e300 orders is walked
+    csv = tmp_path / "s.csv"
+    csv.write_text("g,parity,level,energy\n0.1,1,0,1.25\n0.2,1,0,1.3\n")
+    pts = tmp_path / "p.json"
+    pts.write_text(f'[{{"N": 1e300, "lambda": 1, "g": {g}, "E": 1}}]')
+    svg = tmp_path / "x.svg"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rabijudd", "plot", "--spectrum", str(csv),
+         "--points", str(pts), "--out", str(svg)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert 'class="baseline"' not in svg.read_text()
 
 
 def test_plot_missing_file(tmp_path):

@@ -267,7 +267,7 @@ def test_sturm_within_window():
 
 def test_sturm_within_takes_lower_index_on_tie(monkeypatch):
     # bisection lands just above each eigenvalue, so force an exact tie
-    monkeypatch.setattr(numerics, "_sturm_eigval_index", lambda d, e2, i, lo, hi, stop: d[i])
+    monkeypatch.setattr(numerics, "_sturm_eigval_index", lambda d, e2, i, lo, hi, stop, scale=None: d[i])
     d = np.array([1.0, 3.0])
     assert tridiag_eigval_within(d, np.zeros(1), 2.0, 1.5) == (0, 1.0)
 

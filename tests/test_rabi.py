@@ -1,16 +1,25 @@
 """Tests for Hamiltonian assembly, parity blocks, sweeps, and crossings."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabijudd.numerics import sym_eig
+import rabijudd.numerics as numerics
+from rabijudd.numerics import (
+    _gershgorin,
+    _sturm_eigval_near,
+    _sturm_stop,
+    sym_eig,
+    tridiag_eigvals_lowest,
+)
 from rabijudd.rabi import (
     ModelParams,
     _apply_rabi,
+    _block_arrays,
     build_rabi,
     find_crossings,
     parity_blocks,
@@ -230,3 +239,80 @@ def test_unscaled_table_refines_its_own_model():
     for u, s in zip(unscaled, scaled):
         assert abs(u.g_star - s.g_star) <= 1e-8
         assert abs(u.E_star - p.omega * s.E_star) <= 1e-8
+
+
+def _sign_change_cells(table):
+    """(i, j, m) for every grid cell [g_m, g_m+1] where E+_i - E-_j changes sign."""
+    k = table.levels_plus.shape[1]
+    cells = []
+    for i in range(k):
+        for j in range(k):
+            diff = table.levels_plus[:, i] - table.levels_minus[:, j]
+            cells += [(i, j, m) for m in range(diff.size - 1) if diff[m] * diff[m + 1] < 0.0]
+    return cells
+
+
+@pytest.mark.parametrize("omega_tilde", [0.5, 2.0])
+def test_crossings_match_sign_changes_and_meet_within_tol(omega_tilde):
+    # the benchmark's costliest table shape: G = 201, M = 60, k = 16
+    p = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
+    t = spectrum_sweep(p, np.linspace(0.05, 0.8, 201), cutoff=60, levels_per_block=16)
+    crossings = find_crossings(t)
+    cells = _sign_change_cells(t)
+    assert len(cells) >= 40
+    # one crossing per sign change, inside its cell
+    ordered = sorted(crossings, key=lambda c: (c.level_plus, c.level_minus, c.g_star))
+    assert len(ordered) == len(cells)
+    for c, (i, j, m) in zip(ordered, sorted(cells)):
+        assert (c.level_plus, c.level_minus) == (i, j)
+        assert t.g_values[m] <= c.g_star <= t.g_values[m + 1]
+        levels = []
+        for parity in (1, -1):
+            diag, off = _block_arrays(p.with_g(c.g_star), 60, parity)
+            levels.append(tridiag_eigvals_lowest(diag, off, 16))
+        ep, em = levels[0][i], levels[1][j]
+        assert abs(ep - em) <= 1e-9
+        assert abs(c.E_star - 0.5 * (ep + em)) <= 1e-9
+
+
+@pytest.mark.parametrize("index, guess, width", [
+    (3, "level 6", 1e-12),   # a higher level: the lower side fails and widens
+    (3, "level 0", 1e-12),   # a lower level: the upper side fails and widens
+    (5, "level 5", 0.0),     # the right level, zero width: the floor applies
+    (2, 1e6, 1e-3),          # outside the Gershgorin interval
+    (2, float("nan"), 1e-3),
+    (4, "level 4", float("inf")),
+])
+def test_warm_bracket_returns_confirmed_level(index, guess, width):
+    diag, off = _block_arrays(ModelParams(omega0=1.3, g=0.37), 80, -1)
+    lo, hi = _gershgorin(diag, off)
+    ref = tridiag_eigvals_lowest(diag, off, 8)
+    if isinstance(guess, str):
+        guess = float(ref[int(guess.split()[1])]) + 3e-13
+    value = _sturm_eigval_near(
+        diag.tolist(), (off * off).tolist(), index, guess, width, lo, hi, _sturm_stop(diag, np.abs(off))
+    )
+    assert abs(value - ref[index]) <= 1e-12 * max(abs(lo), abs(hi))
+
+
+def test_crossing_refinement_count_budget(monkeypatch):
+    # the criterion-8 table: a refinement that falls back to bisecting from the
+    # Gershgorin interval spends about 390 counts per crossing
+    calls = []
+    count = numerics._sturm_count
+    monkeypatch.setattr(numerics, "_sturm_count", lambda *a, **kw: calls.append(1) or count(*a, **kw))
+    t = spectrum_sweep(ModelParams(), np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
+    crossings = find_crossings(t)
+    assert len(crossings) == 24
+    assert len(calls) / len(crossings) <= 150
+
+
+def test_sign_change_the_model_lacks_does_not_resolve():
+    # a table whose levels were altered so that E+_0 - E-_0 changes sign in a
+    # cell where the model's levels never meet: the counts keep every trial on
+    # the true levels, so the bracket collapses and the error names the cell
+    t = spectrum_sweep(ModelParams(), np.linspace(0.01, 0.03, 5), cutoff=40, levels_per_block=2)
+    fake = t.levels_plus.copy()
+    fake[:, 0] = t.levels_minus[:, 0] + np.array([-2e-3, -1e-3, 1e-3, 2e-3, 3e-3])
+    with pytest.raises(RuntimeError, match=r"levels \(\+0, -0\) in cell g = \[0.015, 0.02\] did not resolve"):
+        find_crossings(replace(t, levels_plus=fake))
