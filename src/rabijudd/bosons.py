@@ -159,12 +159,13 @@ def displaced_osc_band(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray,
     """b+b + lam (b+ + b) + 1/2 + lam^2 as (diagonal, coupling, stride 1).
 
     The c-number completes the square, so the exact spectrum is n + 1/2
-    independent of lam.
+    independent of lam. Raises ValueError when lam^2 or lam sqrt(M)
+    overflows (or lam is not finite).
     """
     lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValueError("lam must be finite")
     M = int(cutoff)
+    if not (math.isfinite(lam * lam) and math.isfinite(lam * math.sqrt(max(M, 0)))):
+        raise ValueError(f"lam^2 and lam sqrt(M) must be finite, got lam = {lam}, M = {M}")
     return np.arange(M + 1.0) + 0.5 + lam * lam, lam * np.sqrt(np.arange(1.0, M + 1.0)), 1
 
 

@@ -107,6 +107,11 @@ def cmd_juddian(args) -> int:
 # spectrum
 
 def cmd_spectrum(args) -> int:
+    for flag, value in (("--g-min", args.g_min), ("--g-max", args.g_max)):
+        if not math.isfinite(value):
+            raise CLIError(f"{flag} must be finite, got {value}")
+    if not math.isfinite(args.g_max - args.g_min):
+        raise CLIError("--g-max - --g-min overflows: the g range is too wide")
     single = args.g_steps == 1
     if single:
         if args.g_min != args.g_max:
@@ -211,9 +216,9 @@ def cmd_oscillator(args) -> int:
             # b+^2 + b^2 changes n by two: even and odd n never mix
             d, c, stride = squeezed_osc_band(args.lam, cutoff=args.cutoff)
             exact = (np.arange(args.levels) + 0.5) * squeeze_params(args.lam).Omega
+        numeric = _lowest_levels([(d[f::stride], c[f::stride]) for f in range(stride)], args.levels)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    numeric = _lowest_levels([(d[f::stride], c[f::stride]) for f in range(stride)], args.levels)
     dev = np.abs(numeric - exact)
     print(f"{'n':>4}  {'numeric':>18}  {'closed form':>18}  {'deviation':>11}")
     for n in range(args.levels):

@@ -393,14 +393,19 @@ def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     """Lowest k eigenvalues of the symmetric tridiagonal (d, e), ascending.
 
     Bisection with Sturm counts, bisecting all k target indices in lockstep.
-    Only e**2 enters, so spectra are exactly even in the sign of e.
+    Only e**2 enters, so spectra are exactly even in the sign of e. Raises
+    ValueError when d, e or e**2 has a non-finite entry.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
     n = d.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for dimension {n}")
-    return _sturm_lowest_batch(d, (e * e)[None, :], k)[0]
+    with np.errstate(over="ignore"):
+        e2 = e * e
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e2))):
+        raise ValueError("tridiag_eigvals_lowest needs finite d and e, with e**2 finite")
+    return _sturm_lowest_batch(d, e2[None, :], k)[0]
 
 
 def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarray:
@@ -419,6 +424,17 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
     couplings and a shift no lower than every lane's (the largest midpoint)
     certify all lanes at once. Every 4 rows from the first row the slack
     allows, the loop ends once every lane's pivot is at least b_i.
+
+    The pivots, the e^2 / q quotients, a mask and the counts live in (G, k)
+    buffers made once per call; each row writes them by ufuncs with out=,
+    rounding d_i - x - e^2 / q in the order of the full-length recurrence.
+    The pivot clamp (a pivot with |q| < tiny becomes -tiny if q < 0, else
+    tiny) runs, and allocates, only on a row where the mask |q| < tiny
+    holds in some lane. The mask is elementwise, so the test needs no
+    finiteness guarantee: a NaN pivot fails it in its own lane only, which
+    the clamp leaves as it is, whereas a min over the lanes would turn NaN
+    and skip the clamp in every lane. Outputs are bit-identical to
+    clamping every row.
     """
     d = np.asarray(d, dtype=float)
     e2_rows = np.atleast_2d(np.asarray(e2_rows, dtype=float))
@@ -436,16 +452,26 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
     his = np.full((G, k), hi)
     targets = np.arange(1, k + 1)[None, :]
     e2col = e2_rows[:, :, None]  # (G, n-1, 1) broadcasting against (G, k)
+    dl = d.tolist()
+    q = np.empty((G, k))
+    t = np.empty((G, k))
+    small = np.empty((G, k), dtype=bool)
+    count = np.empty((G, k), dtype=np.int64)
     for _ in range(90):
         mids = 0.5 * (los + his)
         first = stop.first_row(float(np.max(mids)), float(np.max(np.abs(mids))))
-        q = d[0] - mids
-        count = (q < 0.0).astype(np.int64)
+        np.subtract(dl[0], mids, out=q)
+        np.less(q, 0.0, out=count)
         for i in range(1, n):
-            q = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
-            q = d[i] - mids - e2col[:, i - 1] / q
-            count += q < 0.0
-            if i >= first and (i - first) % 4 == 0 and np.min(q) >= bound[i]:
+            np.abs(q, out=t)
+            if np.less(t, tiny, out=small).any():
+                q = np.where(small, np.where(q < 0, -tiny, tiny), q)
+            # d_i - x - e2 / q, rounded in that order
+            np.divide(e2col[:, i - 1], q, out=t)
+            np.subtract(dl[i], mids, out=q)
+            np.subtract(q, t, out=q)
+            np.add(count, np.less(q, 0.0, out=small), out=count)
+            if i >= first and (i - first) % 4 == 0 and q.min() >= bound[i]:
                 break
         below = count >= targets
         his = np.where(below, mids, his)

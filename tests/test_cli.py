@@ -183,6 +183,19 @@ def test_spectrum_rejects_degenerate_range():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("g_range, message", [
+    (("--g-min=-inf", "--g-max=inf", "--g-steps=5"), "--g-min must be finite"),
+    (("--g-min=-1e308", "--g-max=1e308", "--g-steps=3"), "--g-max - --g-min overflows"),
+    (("--g-min", "nan", "--g-max", "nan", "--g-steps", "1"), "--g-min must be finite"),
+])
+def test_spectrum_rejects_non_finite_or_overflowing_range(g_range, message):
+    proc = run_cli("spectrum", *g_range, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Warning" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
 def test_spectrum_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -334,6 +347,21 @@ def test_oscillator_forms_no_dense_matrix(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("lam, cutoff, message", [
+    # lam^2 = inf on the diagonal: the band is refused
+    ("1e200", "5", "lam^2 and lam sqrt(M) must be finite"),
+    # lam^2 and lam sqrt(M) are finite, but lam^2 M, a squared coupling, is not
+    ("1e153", "10000", "tridiag_eigvals_lowest needs finite d and e"),
+])
+def test_oscillator_rejects_overflowing_lambda(lam, cutoff, message):
+    proc = run_cli("oscillator", "--type", "displaced", "--lambda", lam,
+                   "--cutoff", cutoff, "--levels", "2", check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Warning" not in proc.stderr and proc.stderr.count("\n") == 1
 
 
 def test_oscillator_squeezed_domain_error():

@@ -23,6 +23,7 @@ from rabijudd.numerics import (
     tridiag_eigvals_lowest,
     tridiag_inverse_iteration,
 )
+from rabijudd.bosons import displaced_osc_band, squeezed_osc_band
 from rabijudd.juddian import juddian_points
 from rabijudd.rabi import ModelParams, _block_arrays
 
@@ -413,15 +414,74 @@ def test_within_counts_stop_early_and_stay_exact(monkeypatch):
             assert tridiag_eigval_within(diag, off, point.E, 1e-3) == early
 
 
-@pytest.mark.parametrize("omega_tilde, M, k", [(0.5, 100, 8), (2.0, 60, 16), (0.4, 300, 8)])
-@pytest.mark.parametrize("parity", [1, -1])
-def test_sweep_batch_is_bit_identical_to_full_length(omega_tilde, M, k, parity):
+# G = 201 on both parities; the long-grid G = 2001 case on one parity keeps
+# the full-length reference affordable
+@pytest.mark.parametrize("omega_tilde, M, k, parity, G", [
+    pytest.param(omega_tilde, M, k, parity, 201, id=f"{parity}-{omega_tilde}-{M}-{k}")
+    for parity in (1, -1)
+    for omega_tilde, M, k in [(0.5, 100, 8), (2.0, 60, 16), (0.4, 300, 8)]
+] + [pytest.param(0.5, 60, 8, 1, 2001, id="1-0.5-60-8-G2001")])
+def test_sweep_batch_is_bit_identical_to_full_length(omega_tilde, M, k, parity, G):
     params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
     diag, _ = _block_arrays(params, M, parity)
-    lams = 2.0 * np.linspace(0.05, 0.8, 201)
+    lams = 2.0 * np.linspace(0.05, 0.8, G)
     e2_rows = (lams[:, None] * np.sqrt(np.arange(1.0, M + 1.0))[None, :]) ** 2
     got = numerics._sturm_lowest_batch(diag, e2_rows, k)
     assert got.tobytes() == _full_lowest_batch(diag, e2_rows, k).tobytes()
+
+
+@pytest.mark.parametrize("band, lam, M", [
+    (displaced_osc_band, 1.0, 200),
+    (squeezed_osc_band, 0.3, 300),
+    (squeezed_osc_band, -0.45, 300),
+])
+def test_oscillator_sectors_are_bit_identical_to_full_length(band, lam, M):
+    # G = 1: one tridiagonal per call, the oscillator subcommand's path
+    d, c, stride = band(lam, M)
+    for f in range(stride):
+        ds, cs = d[f::stride], c[f::stride]
+        got = tridiag_eigvals_lowest(ds, cs, 10)
+        assert got.tobytes() == _full_lowest_batch(ds, (cs * cs)[None, :], 10)[0].tobytes()
+
+
+def _lanes_with_small_pivots(d, e2_rows):
+    """For each row of e2_rows: does a pivot at the first midpoint fall within tiny of 0?"""
+    tiny = numerics._EPS * (np.max(np.abs(d)) + math.sqrt(np.max(e2_rows)) + 1.0)
+    lo, hi = _gershgorin(d, np.sqrt(np.max(e2_rows, axis=0)))
+    x = 0.5 * (lo + hi)
+    hits = []
+    for e2 in e2_rows.tolist():
+        q, hit = d[0] - x, False
+        for i in range(1, d.size):
+            if -tiny < q < tiny:
+                hit, q = True, (-tiny if q < 0.0 else tiny)
+            q = d[i] - x - e2[i - 1] / q
+        hits.append(hit)
+    return hits
+
+
+@pytest.mark.parametrize("d, e2_rows, clamped", [
+    # the first midpoint is 0, so q_0 = 0 in every lane
+    ([0.0, 0.0], [[1.0]], [True]),
+    # at midpoint 0, q_0 = 1 and q_1 = -e2_0: exactly 0 in the first row,
+    # -1e-17 (inside tiny) in the third, -1 in the second, which is unclamped
+    ([1.0, 0.0, 0.0], [[0.0, 0.0], [1.0, 1.0], [1e-17, 1e-17]], [True, False, True]),
+])
+def test_clamped_pivots_batch_equals_full_batch(d, e2_rows, clamped):
+    d, e2_rows = np.array(d), np.array(e2_rows)
+    assert _lanes_with_small_pivots(d, e2_rows) == clamped
+    got = numerics._sturm_lowest_batch(d, e2_rows, d.size)
+    assert got.tobytes() == _full_lowest_batch(d, e2_rows, d.size).tobytes()
+
+
+@pytest.mark.parametrize("d, e", [
+    ([1.0, np.nan], [0.5]),
+    ([1.0, 2.0], [np.inf]),
+    ([1.0, 2.0], [1e200]),  # e**2 overflows
+])
+def test_lowest_rejects_non_finite_input(d, e):
+    with pytest.raises(ValueError, match="needs finite d and e"):
+        tridiag_eigvals_lowest(np.array(d), np.array(e), 1)
 
 
 def test_inverse_iteration_recovers_eigenvector():
