@@ -134,16 +134,16 @@ def cmd_spectrum(args) -> int:
             grid,
             cutoff=args.cutoff,
             levels_per_block=args.levels,
-            scaled=not args.unscaled,
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
 
+    unit = params.omega if args.unscaled else 1.0
     lines = [_SPECTRUM_HEADER]
     for i, g in enumerate(table.g_values):
         for parity, block in ((1, table.levels_plus), (-1, table.levels_minus)):
             for level in range(block.shape[1]):
-                lines.append(f"{g:.12g},{parity},{level},{block[i, level]:.12g}")
+                lines.append(f"{g:.12g},{parity},{level},{unit * block[i, level]:.12g}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -19,13 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .bosons import DEFAULT_CUTOFF, displaced_number_states
-from .numerics import (
-    FullRankError,
-    RootCountError,
-    _sturm_count,
-    tridiag_eigval_within,
-    tridiag_inverse_iteration,
-)
+from .numerics import FullRankError, RootCountError, tridiag_eigval_within, tridiag_inverse_iteration
 from .rabi import ModelParams, _apply_rabi, _block_arrays
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -172,14 +166,26 @@ def _compatibility_count(N: int, omega_tilde: float) -> tuple[Callable[[float], 
     matrix T(x), the Sturm count of T(x) below zero, and q its last pivot,
     det T(x) / det T_{N-1}(x), from the same pass. c falls by one across each
     root and is zero at x_max = N (3 + 2 sqrt 2) / 4, where Gershgorin makes
-    T(x) positive definite.
+    T(x) positive definite. The pivots q_0 = d0_0 + 4x,
+    q_n = d0_n + 4x - x e4_{n-1} / q_{n-1} walk all N rows, since the last
+    one is wanted; one below tiny in magnitude is pushed out to +/- tiny.
     """
     d0, e4 = _reduced_band(N, omega_tilde)
     x_max = N * _ROOT_BOUND
     tiny = _EPS * (max(abs(v) for v in d0) + 4.0 * x_max)
+    neg_tiny = -tiny
 
     def count(x: float) -> tuple[int, float]:
-        return _sturm_count(d0, e4, -4.0 * x, tiny, scale=x, pivot=True)
+        x4 = 4.0 * x
+        q = d0[0] + x4
+        c = 1 if q < 0.0 else 0
+        for i in range(1, N):
+            if neg_tiny < q < tiny:
+                q = neg_tiny if q < 0.0 else tiny
+            q = d0[i] + x4 - x * e4[i - 1] / q
+            if q < 0.0:
+                c += 1
+        return c, q
 
     return count, x_max
 
@@ -343,8 +349,11 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     scale = max(map(abs, d0)) + 4.0 * x + 4.0 * lam * math.sqrt(N - 1)
     if norm > 1e-10 * scale:
         raise FullRankError(f"||T(x) p|| = {norm:.3e} at scale {scale:.3e}: off the locus")
-    q_top = -2.0 * sign * lam * math.sqrt(N) * p[-1] / wt
-    v = np.concatenate((p, wt * p / (N - np.arange(N)), [q_top]))
+    # q_N = c / wt overflows as wt -> 0, so v is formed over 2^k, exactly
+    c = -2.0 * sign * lam * math.sqrt(N) * p[-1]
+    k = max(math.frexp(c)[1] - math.frexp(wt)[1], 0)
+    v = np.ldexp(np.concatenate((p, wt * p / (N - np.arange(N)), [0.0])), -k)
+    v[-1] = c / math.ldexp(wt, k)
     norm = math.sqrt(float(v @ v))
     v /= math.copysign(norm, v[np.argmax(np.abs(v) > 1e-12 * norm)])
     p, q = v[:N], v[N:]

@@ -1,13 +1,16 @@
 """Self-contained numerical kernel.
 
 Package paths run on Sturm bisection for selected eigenvalues of symmetric
-tridiagonal matrices and inverse iteration for their eigen- and null
-vectors. Kept as references for tests and benchmark probes: sym_eig
-(Householder + implicit-shift QL, eigenvalues only), real-root isolation
-for polynomials held as coefficient tuples, and Gaussian elimination for
-null vectors and determinants. ndarrays serve storage and
-elementwise/matmul arithmetic only; there are no calls into numpy.linalg or
-any external solver.
+tridiagonal matrices: the lowest k (tridiag_eigvals_lowest, or
+_sturm_lowest_batch for many couplings on one diagonal), the one nearest a
+shift (tridiag_eigval_within) and a given index near a guess
+(tridiag_eigval_near), each forming its own Gershgorin interval and stop
+data; inverse iteration gives eigen- and null vectors. Kept as references
+for tests and benchmark probes: sym_eig (Householder + implicit-shift QL,
+eigenvalues only), real-root isolation for polynomials held as coefficient
+tuples, and Gaussian elimination for null vectors and determinants.
+ndarrays serve storage and elementwise/matmul arithmetic only; there are no
+calls into numpy.linalg or any external solver.
 """
 
 from __future__ import annotations
@@ -394,7 +397,8 @@ def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
 
     Bisection with Sturm counts, bisecting all k target indices in lockstep.
     Only e**2 enters, so spectra are exactly even in the sign of e. Raises
-    ValueError when d, e or e**2 has a non-finite entry.
+    ValueError when d, e or e**2 has a non-finite entry, or when the
+    Gershgorin interval reaches past half the float range.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -415,7 +419,9 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
     per instance (the sweep case: a fixed diagonal with a coupling that
     scales). Returns shape (G, k), ascending along the last axis. All G*k
     bisections advance in lockstep, so the whole sweep costs one Sturm
-    recurrence per bisection step.
+    recurrence per bisection step. Raises ValueError when the Gershgorin
+    interval reaches past half the float range, where the midpoints and the
+    stopping width would overflow.
 
     The recurrence ends early by the rule of _sturm_stop, with one bound
     for every lane: the column-wise maximum |e|. A lane with couplings
@@ -444,6 +450,8 @@ def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarra
 
     e_max = np.sqrt(np.max(e2_rows, axis=0, initial=0.0))
     lo, hi = _gershgorin(d, e_max)
+    if not math.isfinite(2.0 * max(abs(lo), abs(hi))):  # hi - lo and lo + hi would overflow
+        raise ValueError(f"Gershgorin interval [{lo:g}, {hi:g}] reaches past half the float range")
     span = max(hi - lo, 1.0)
     stop = _sturm_stop(d, e_max)
     bound = stop.bound
@@ -529,53 +537,40 @@ def _sturm_stop(d: np.ndarray, bound: np.ndarray) -> _SturmStop:
     return _SturmStop(suffix.tolist() + [math.inf], b[1:].tolist(), scale)
 
 
-def _sturm_count(
-    d, e2, x: float, tiny: float, stop: _SturmStop | None = None, scale: float = 1.0, pivot=False
-):
+def _sturm_count(d, e2, x: float, tiny: float, stop: _SturmStop) -> int:
     """Number of eigenvalues below x: the negative LDL^T pivots of T - x.
 
-    d and e2 are sequences (diagonal and squared off-diagonal, times scale);
-    pivots smaller than tiny in magnitude are pushed out to +/- tiny. Scalar
-    Python floats beat vectorized calls by an order of magnitude when only
-    one shift is wanted per step. With stop data (_sturm_stop) the count
-    ends at the first row i >= stop.first_row(x) with q_i >= b_i, where the
-    rest of the sequence is certified to add nothing; without it every row
-    is walked, and pivot=True returns (count, q) with q the last pivot,
-    det(T - x) over the determinant of its leading minor.
+    d and e2 are sequences (diagonal and squared off-diagonal) and stop
+    their _sturm_stop data; pivots smaller than tiny in magnitude are pushed
+    out to +/- tiny. Scalar Python floats beat vectorized calls by an order
+    of magnitude when only one shift is wanted per step. The count ends at
+    the first row i >= stop.first_row(x) with q_i >= b_i, where the rest of
+    the sequence is certified to add nothing.
     """
-    n = len(d)
-    first = n if stop is None else stop.first_row(x, abs(x))
-    neg_tiny = -tiny  # hoisted: negating on every row costs as much as the scale product
+    first = stop.first_row(x, abs(x))
+    bound = stop.bound
+    neg_tiny = -tiny
     q = d[0] - x
     count = 1 if q < 0.0 else 0
-    for i in range(1, first):
+    for i in range(1, len(d)):
         if neg_tiny < q < tiny:
             q = neg_tiny if q < 0.0 else tiny
-        q = d[i] - x - scale * e2[i - 1] / q
+        q = d[i] - x - e2[i - 1] / q
         if q < 0.0:
             count += 1
-    if first < n:
-        bound = stop.bound
-        for i in range(max(first, 1), n):
-            if neg_tiny < q < tiny:
-                q = neg_tiny if q < 0.0 else tiny
-            q = d[i] - x - scale * e2[i - 1] / q
-            if q < 0.0:
-                count += 1
-            elif q >= bound[i]:
-                break
-    return (count, q) if pivot else count
+        elif i >= first and q >= bound[i]:
+            break
+    return count
 
 
-def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float, stop, scale=None) -> float:
+def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float, stop: _SturmStop, scale: float) -> float:
     """Single eigenvalue by Sturm bisection, scalar arithmetic throughout.
 
     d and e2 are sequences (diagonal and squared off-diagonal) and stop
     their _sturm_stop data; index is the 0-based ascending eigenvalue index;
-    (lo, hi) must bracket it; it ends at width 4 eps scale, by default
-    scale = max(|lo|, |hi|, 1). The crossing-refinement and verification loop.
+    (lo, hi) must bracket it. Pivots below eps scale are clamped, and the
+    bisection ends at width 4 eps scale.
     """
-    scale = scale or max(abs(lo), abs(hi), 1.0)
     tiny = _EPS * scale
     target = index + 1
     for _ in range(90):
@@ -589,16 +584,24 @@ def _sturm_eigval_index(d, e2, index: int, lo: float, hi: float, stop, scale=Non
     return 0.5 * (lo + hi)
 
 
-def _sturm_eigval_near(d, e2, index: int, guess: float, width: float, lo, hi, stop) -> float:
-    """_sturm_eigval_index from a bracket around guess that Sturm counts confirm.
+def tridiag_eigval_near(d: np.ndarray, e: np.ndarray, index: int, guess: float, width: float) -> float:
+    """Eigenvalue index (0-based, ascending) of the symmetric tridiagonal (d, e),
+    bisected from a bracket around guess that Sturm counts confirm.
 
-    (lo, hi) is the Gershgorin interval, whose scale sets the stopping width.
-    Each end of guess -/+ width (at least 16 eps scale) is checked by one
-    count and moved out 16-fold while it fails, up to lo or hi; a failed end
-    bounds the level from the other side, so a wrong guess costs counts only.
+    Each end of guess -/+ width (at least 16 eps scale, scale the largest
+    magnitude of the Gershgorin interval or 1) is checked by one count and
+    moved out 16-fold while it fails, up to the Gershgorin interval; a
+    failed end bounds the level from the other side, so a wrong guess costs
+    counts only. The bisection ends at width 4 eps scale.
     """
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    lo, hi = _gershgorin(d, e)
     scale = max(abs(lo), abs(hi), 1.0)
     tiny = _EPS * scale
+    stop = _sturm_stop(d, np.abs(e))
+    dl = d.tolist()
+    e2l = (e * e).tolist()
     if not lo < guess < hi:
         guess = 0.5 * (lo + hi)
     start = max(width, 16.0 * _EPS * scale)
@@ -606,12 +609,12 @@ def _sturm_eigval_near(d, e2, index: int, guess: float, width: float, lo, hi, st
         step = start
         while lo < guess + sign * step < hi:
             x = guess + sign * step
-            above = _sturm_count(d, e2, x, tiny, stop) > index  # the level lies below x
+            above = _sturm_count(dl, e2l, x, tiny, stop) > index  # the level lies below x
             lo, hi = (lo, x) if above else (x, hi)
             if above == (sign > 0.0):
                 break
             step *= 16.0
-    return _sturm_eigval_index(d, e2, index, lo, hi, stop, scale)
+    return _sturm_eigval_index(dl, e2l, index, lo, hi, stop, scale)
 
 
 def tridiag_eigval_within(
@@ -642,9 +645,9 @@ def tridiag_eigval_within(
     c_left, c, c_right = (_sturm_count(dl, e2l, s, tiny, stop) for s in (left, x, right))
     best: tuple[int, float] | None = None
     if c > c_left:
-        best = (c - 1, _sturm_eigval_index(dl, e2l, c - 1, left, x, stop))
+        best = (c - 1, _sturm_eigval_index(dl, e2l, c - 1, left, x, stop, max(abs(left), abs(x), 1.0)))
     if c_right > c:
-        value = _sturm_eigval_index(dl, e2l, c, x, right, stop)
+        value = _sturm_eigval_index(dl, e2l, c, x, right, stop, max(abs(x), abs(right), 1.0))
         if best is None or abs(value - x) < abs(best[1] - x):
             best = (c, value)
     return best

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bosons import DEFAULT_CUTOFF, ladder_matrices
-from .numerics import _gershgorin, _sturm_eigval_near, _sturm_lowest_batch, _sturm_stop
+from .numerics import _sturm_lowest_batch, tridiag_eigval_near
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -148,9 +148,8 @@ def parity_blocks(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> tuple[Pa
 class SpectrumTable:
     """Lowest-k energies per parity over a strictly increasing g grid.
 
-    levels_plus[m] / levels_minus[m] are ascending within each row. Energies
-    are eigenvalues of the scaled Hamiltonian unless scaled=False, in which
-    case they carry the omega factor.
+    levels_plus[m] / levels_minus[m] are ascending within each row, each an
+    eigenvalue of the scaled Hamiltonian.
     """
 
     g_values: np.ndarray
@@ -158,7 +157,6 @@ class SpectrumTable:
     levels_minus: np.ndarray
     params: ModelParams
     cutoff: int
-    scaled: bool = True
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,6 @@ def spectrum_sweep(
     g_grid,
     cutoff: int = DEFAULT_CUTOFF,
     levels_per_block: int = 8,
-    scaled: bool = True,
 ) -> SpectrumTable:
     """Lowest levels_per_block energies of each parity at every grid point.
 
@@ -202,15 +199,13 @@ def spectrum_sweep(
     out = []
     for parity in (1, -1):
         diag, _ = _block_arrays(params, cutoff, parity)
-        levels = _sturm_lowest_batch(diag, e2_rows, k)
-        out.append(levels if scaled else params.omega * levels)
+        out.append(_sturm_lowest_batch(diag, e2_rows, k))
     return SpectrumTable(
         g_values=g_values,
         levels_plus=out[0],
         levels_minus=out[1],
         params=params,
         cutoff=M,
-        scaled=scaled,
     )
 
 
@@ -219,7 +214,7 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
 
     Every (i, j) pair among the tracked levels is scanned for sign changes of
     E+_i - E-_j between adjacent grid points; each sign change is refined on
-    the table's own model, cutoff and energy units until |E+ - E-| <= 1e-9.
+    the table's own model and cutoff until |E+ - E-| <= 1e-9.
     The first trial g is the root in the cell of the cubic through the
     table's E+_i - E-_j at rows m-1..m+2, then regula falsi with the Illinois
     weighting follows, sided by the sign of E+ - E-. At a trial each level is
@@ -274,10 +269,8 @@ class _CrossingRefiner:
 
     def __init__(self, table: SpectrumTable):
         self.table = table
-        self.unit = 1.0 if table.scaled else table.params.omega
         self.root_n = np.sqrt(np.arange(1.0, table.cutoff + 1.0))
         self.diags = [_block_arrays(table.params, table.cutoff, parity)[0] for parity in (1, -1)]
-        self.lists = [d.tolist() for d in self.diags]
 
     def crossing(self, i: int, j: int, m: int, diff: np.ndarray) -> Crossing:
         """The crossing of levels (+i, -j) where diff = E+_i - E-_j changes sign in cell m."""
@@ -293,14 +286,9 @@ class _CrossingRefiner:
 
         def gap(x: float) -> float:
             off = 2.0 * x / t.params.omega * self.root_n
-            e2, bound = (off * off).tolist(), np.abs(off)
-            for d, dl, index, pairs in zip(self.diags, self.lists, (i, j), known):
-                lo, hi = _gershgorin(d, off)
+            for d, index, pairs in zip(self.diags, (i, j), known):
                 guess, term = _interpolate(sorted(pairs, key=lambda p: abs(p[0] - x))[:4], x)
-                pairs.append((x, self.unit * _sturm_eigval_near(
-                    dl, e2, index, guess / self.unit, 4.0 * abs(term) / self.unit,
-                    lo, hi, _sturm_stop(d, bound),
-                )))
+                pairs.append((x, tridiag_eigval_near(d, off, index, guess, 4.0 * abs(term))))
             return known[0][-1][1] - known[1][-1][1]
 
         # the cubic's root is resolved below the tolerance: its own error decides

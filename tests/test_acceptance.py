@@ -67,7 +67,7 @@ def test_criterion_1_table_reproduction():
     """CLI point list matches all ten reference (g, E, N) to 1e-9, fast."""
     t0 = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "rabijudd", "juddian", "--max-n", "4"],
+        [sys.executable, "-W", "error", "-m", "rabijudd", "juddian", "--max-n", "4"],
         capture_output=True, text=True,
     )
     elapsed = time.monotonic() - t0

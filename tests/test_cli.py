@@ -21,7 +21,7 @@ import rabijudd.juddian as juddian_module
 from rabijudd.cli import _lowest_levels, main
 from rabijudd.juddian import juddian_points
 from rabijudd.numerics import sym_eig
-from rabijudd.rabi import ModelParams
+from rabijudd.rabi import ModelParams, spectrum_sweep
 
 REFERENCE_G = {
     (1, 0): 0.2165063510,
@@ -41,8 +41,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, check=True):
+    # -W error: a warning fails the command, as the suite's filterwarnings does in-process
     proc = subprocess.run(
-        [sys.executable, "-m", "rabijudd", *args],
+        [sys.executable, "-W", "error", "-m", "rabijudd", *args],
         capture_output=True, text=True,
     )
     if check and proc.returncode != 0:
@@ -196,6 +197,29 @@ def test_spectrum_rejects_non_finite_or_overflowing_range(g_range, message):
     assert "Warning" not in proc.stderr and proc.stderr.count("\n") == 1
 
 
+def test_spectrum_unscaled_carries_the_omega_factor():
+    args = ("--omega", "2", "--omega0", "1.3")
+    table = spectrum_sweep(ModelParams(omega=2.0, omega0=1.3), np.linspace(0.05, 0.8, 201))
+    levels = [E for p, m in zip(table.levels_plus, table.levels_minus) for E in (*p, *m)]
+    for flags, unit in (((), 1.0), (("--unscaled",), 2.0)):
+        lines = run_cli("spectrum", *flags, *args).stdout.strip().split("\n")[1:]
+        assert [line.split(",")[3] for line in lines] == [f"{unit * E:.12g}" for E in levels]
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--omega", "0.5", "--omega0", "1.7e308", "--g-steps", "2",
+     "--levels", "2", "--cutoff", "3"),
+    ("oscillator", "--type", "displaced", "--lambda", "1e154", "--cutoff", "0", "--levels", "1"),
+])
+def test_gershgorin_interval_past_half_the_float_range_is_an_error(args):
+    # the bisection overflowed: -8.5e+307 for every level, or inf, with exit 0
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "reaches past half the float range" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_spectrum_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -241,10 +265,20 @@ def test_verify_off_resonance_flags():
 @pytest.mark.parametrize("command", [("juddian", "--max-n", "2"), ("verify", "--n", "2")])
 def test_uncertified_root_count_is_reported(monkeypatch, capsys, command):
     # a pivot count that never clears the bound fails the certification
-    monkeypatch.setattr(juddian_module, "_sturm_count", lambda d, e2, x, tiny, **kwargs: (1, 1.0))
+    monkeypatch.setattr(juddian_module, "_compatibility_count",
+                        lambda N, wt: (lambda x: (1, 1.0), N * juddian_module._ROOT_BOUND))
     assert main(list(command)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "pivot count" in err
+
+
+@pytest.mark.parametrize("omega0", ["1e-160", "1e-320"])
+def test_verify_at_tiny_splitting(omega0):
+    # the state's q_N ~ 1 / omega_tilde overflowed: nan residuals, RuntimeWarnings
+    # and a FAIL blamed on the cutoff
+    proc = run_cli("verify", "--n", "3", "--omega0", omega0)
+    assert proc.stdout.strip().split("\n")[-1] == "all 3 points verified at cutoff 100"
+    assert proc.stderr == ""
 
 
 def test_verify_fails_with_cutoff_diagnostic():
@@ -534,7 +568,7 @@ def test_plot_renders_quickly_when_lambda_squared_is_huge(tmp_path, g):
     pts.write_text(f'[{{"N": 1e300, "lambda": 1, "g": {g}, "E": 1}}]')
     svg = tmp_path / "x.svg"
     proc = subprocess.run(
-        [sys.executable, "-m", "rabijudd", "plot", "--spectrum", str(csv),
+        [sys.executable, "-W", "error", "-m", "rabijudd", "plot", "--spectrum", str(csv),
          "--points", str(pts), "--out", str(svg)],
         capture_output=True, text=True, timeout=10,
     )

@@ -11,7 +11,6 @@ import pytest
 
 import rabijudd.bosons as bosons_module
 import rabijudd.juddian as juddian_module
-import rabijudd.numerics as numerics_module
 from rabijudd.bosons import displacement_matrix
 from rabijudd.juddian import (
     _compatibility_count,
@@ -248,8 +247,8 @@ def test_off_resonance_points_raise_no_warning():
 
 
 def _fake_count(counts):
-    # stand-in for the pivot count of T(x) and its last pivot: the shift passed is -4x
-    return lambda d, e2, shift, tiny, **kwargs: (counts(-0.25 * shift), 1.0)
+    # stand-in for _compatibility_count: the pivot count of T(x), with a last pivot of 1
+    return lambda N, wt: (lambda x: (counts(x), 1.0), N * juddian_module._ROOT_BOUND)
 
 
 @pytest.mark.parametrize(
@@ -262,21 +261,62 @@ def _fake_count(counts):
     ],
 )
 def test_uncertified_count_raises(monkeypatch, counts, fragment):
-    monkeypatch.setattr(juddian_module, "_sturm_count", _fake_count(counts))
+    monkeypatch.setattr(juddian_module, "_compatibility_count", _fake_count(counts))
     with pytest.raises(RootCountError, match=re.escape(fragment)):
         juddian_points(2, RESONANCE)
+
+
+def _full_walk(d, e2, x, tiny):
+    """Negative LDL^T pivots of T - x over every row, and the last pivot."""
+    q = d[0] - x
+    count = 1 if q < 0.0 else 0
+    for i in range(1, len(d)):
+        if -tiny < q < tiny:
+            q = -tiny if q < 0.0 else tiny
+        q = d[i] - x - e2[i - 1] / q
+        if q < 0.0:
+            count += 1
+    return count, q
+
+
+def _reference_count(N, wt):
+    # T(x) as diagonal d0 at shift -4x with squared couplings x e4, walked by
+    # _full_walk, and the compatibility tiny
+    d0, e4 = _reduced_band(N, wt)
+    x_max = N * juddian_module._ROOT_BOUND
+    tiny = np.finfo(float).eps * (max(abs(v) for v in d0) + 4.0 * x_max)
+    return lambda x: _full_walk(d0, [x * c for c in e4], -4.0 * x, tiny)
+
+
+@pytest.mark.parametrize("wt", [0.5, 1.0, 1.3, 5.3])
+def test_compatibility_count_is_the_full_walk(wt):
+    # d0_n + 4x - x e4 / q is d0_n - (-4x) - (x e4) / q bit for bit, so count
+    # and last pivot equal the reference exactly; at x = -d0_0 / 4 the first
+    # pivot is exactly 0 and the clamp sets the rest
+    for N in [*range(1, 41), 64, 100]:
+        count, x_max = _compatibility_count(N, wt)
+        reference = _reference_count(N, wt)
+        d0, _ = _reduced_band(N, wt)
+        xs = [1e-300, *np.linspace(0.0, x_max, 17)[1:].tolist(),
+              *juddian_module._compatibility_roots(N, wt)]
+        if N > 1 and d0[0] < 0.0:
+            clamped = -0.25 * d0[0]
+            assert d0[0] + 4.0 * clamped == 0.0
+            xs.append(clamped)
+            assert math.isfinite(count(clamped)[1])
+        for x in xs:
+            assert count(x) == reference(x), (N, x)
 
 
 def _bisection_roots(N, wt):
     # reference: pure count bisection, each bracket halved until it is
     # 4 eps hi wide and holds one count drop
     eps = np.finfo(float).eps
-    d0, e4 = _reduced_band(N, wt)
     x_max = N * juddian_module._ROOT_BOUND
-    tiny = eps * (max(abs(v) for v in d0) + 4.0 * x_max)
+    walk = _reference_count(N, wt)
 
     def count(x):
-        return numerics_module._sturm_count(d0, [x * c for c in e4], -4.0 * x, tiny)
+        return walk(x)[0]
 
     roots = []
     brackets = [(0.0, x_max, _expected_count(N, wt), 0)]
@@ -310,12 +350,17 @@ def test_roots_match_bisection_reference(wt):
 def _lying_pivot(lie):
     # the true count of T(x) with a false last pivot, so that only the
     # count can keep the finish on the root's side
-    count = numerics_module._sturm_count
+    real = juddian_module._compatibility_count
     rng = random.Random(7)
 
-    def lying(d, e2, shift, tiny, **kwargs):
-        c, q = count(d, e2, shift, tiny, **kwargs)
-        return c, lie(q, -0.25 * shift, rng)
+    def lying(N, wt):
+        count, x_max = real(N, wt)
+
+        def lying_count(x):
+            c, q = count(x)
+            return c, lie(q, x, rng)
+
+        return lying_count, x_max
 
     return lying
 
@@ -333,7 +378,7 @@ def _lying_pivot(lie):
 def test_finish_ignores_a_lying_pivot(monkeypatch, lie):
     eps = np.finfo(float).eps
     references = {(N, wt): _bisection_roots(N, wt) for N in range(1, 13) for wt in (0.5, 2.3)}
-    monkeypatch.setattr(juddian_module, "_sturm_count", _lying_pivot(lie))
+    monkeypatch.setattr(juddian_module, "_compatibility_count", _lying_pivot(lie))
     for (N, wt), want in references.items():
         got = juddian_module._compatibility_roots(N, wt)
         assert len(got) == len(want)
@@ -344,7 +389,7 @@ def test_finish_ignores_a_lying_pivot(monkeypatch, lie):
 def test_finish_past_its_round_cap_raises(monkeypatch):
     # with a pivot that never brackets a zero the finish bisects, which
     # needs about 50 rounds of counts
-    monkeypatch.setattr(juddian_module, "_sturm_count", _lying_pivot(lambda q, x, rng: 1.0))
+    monkeypatch.setattr(juddian_module, "_compatibility_count", _lying_pivot(lambda q, x, rng: 1.0))
     monkeypatch.setattr(juddian_module, "_ROUNDS", 20)
     with pytest.raises(RootCountError, match=re.escape("3 brackets left after 20 rounds")):
         juddian_points(3, RESONANCE)
@@ -403,6 +448,20 @@ def test_reconstructed_state_mixes_parity():
     minus_norm = math.sqrt(float(v[signs < 0] @ v[signs < 0]))
     assert plus_norm >= 1e-3
     assert minus_norm >= 1e-3
+
+
+@pytest.mark.parametrize("omega0", [1e-160, 1e-320])
+def test_reconstruct_at_tiny_splitting(omega0):
+    # q_N = -2 lam sqrt(N) p_{N-1} / wt: its square overflowed at omega0 =
+    # 1e-160 (nan residuals, with RuntimeWarnings that fail this suite) and
+    # q_N itself at 1e-320; the state tends to q_N alone as wt -> 0
+    for point in juddian_points(3, ModelParams(omega=1.0, omega0=omega0)):
+        state = reconstruct_state(point, cutoff=100)
+        v = np.concatenate((state.p, state.q))
+        assert np.all(np.isfinite(v)) and abs(v @ v - 1.0) <= 1e-15
+        assert abs(abs(state.q[-1]) - 1.0) <= 1e-15
+        report = verify_point(point, cutoff=100)
+        assert report.degeneracy_gap <= 1e-6 and report.eigen_residual <= 1e-14
 
 
 def test_reconstruct_cutoff_guard():

@@ -268,7 +268,7 @@ def test_sturm_within_window():
 
 def test_sturm_within_takes_lower_index_on_tie(monkeypatch):
     # bisection lands just above each eigenvalue, so force an exact tie
-    monkeypatch.setattr(numerics, "_sturm_eigval_index", lambda d, e2, i, lo, hi, stop, scale=None: d[i])
+    monkeypatch.setattr(numerics, "_sturm_eigval_index", lambda d, e2, i, lo, hi, stop, scale: d[i])
     d = np.array([1.0, 3.0])
     assert tridiag_eigval_within(d, np.zeros(1), 2.0, 1.5) == (0, 1.0)
 
@@ -353,21 +353,6 @@ def test_early_count_equals_full_count(matrix):
     for tiny in (numerics._EPS * max(abs(lo), abs(hi), 1.0), 1e-3):
         for x in _stop_shifts(d, e).tolist():
             assert numerics._sturm_count(dl, e2l, x, tiny, stop) == _full_count(dl, e2l, x, tiny)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_tridiagonals(), st.sampled_from([0.0, 1e-300, 0.3, 1.0, 7.5]))
-def test_scaled_count_equals_count_on_scaled_list(matrix, scale):
-    # scale * e2_j / q is (scale * e2_j) / q, so it matches the list
-    # [scale * c for c in e2] bit for bit, count and last pivot alike
-    d, e = matrix
-    dl, e2l = d.tolist(), (e * e).tolist()
-    scaled = [scale * c for c in e2l]
-    tiny = numerics._EPS * max(float(np.max(np.abs(d))), 1.0)
-    for x in _stop_shifts(d, e).tolist():
-        got = numerics._sturm_count(dl, e2l, x, tiny, scale=scale, pivot=True)
-        assert got == numerics._sturm_count(dl, scaled, x, tiny, pivot=True)
-        assert got[0] == _full_count(dl, scaled, x, tiny)
 
 
 @settings(max_examples=40, deadline=None)
@@ -482,6 +467,24 @@ def test_clamped_pivots_batch_equals_full_batch(d, e2_rows, clamped):
 def test_lowest_rejects_non_finite_input(d, e):
     with pytest.raises(ValueError, match="needs finite d and e"):
         tridiag_eigvals_lowest(np.array(d), np.array(e), 1)
+
+
+@pytest.mark.parametrize("d, e", [
+    ([-1.7e308, 1.7e308], [1.0]),  # hi - lo overflows
+    ([1e308], []),                  # lo + hi overflows
+    ([0.0, 9e307], [1.0]),          # lo + hi overflows once the top level is bracketed
+])
+def test_lowest_rejects_gershgorin_interval_past_half_the_float_range(d, e):
+    # the bisection took hi - lo as its span and 0.5 (lo + hi) as its midpoint,
+    # and returned half-bisected values such as +/-8.5e307 for the first case
+    # and inf for the last
+    with pytest.raises(ValueError, match="reaches past half the float range"):
+        tridiag_eigvals_lowest(np.array(d), np.array(e), len(d))
+
+
+def test_lowest_keeps_large_entries_inside_half_the_float_range():
+    got = tridiag_eigvals_lowest(np.array([-8e307, 8e307]), np.array([1.0]), 2)
+    assert np.all(np.abs(got - [-8e307, 8e307]) <= 4.0 * numerics._EPS * 8e307)
 
 
 def test_inverse_iteration_recovers_eigenvector():

@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 import rabijudd.numerics as numerics
 from rabijudd.numerics import (
     _gershgorin,
-    _sturm_eigval_near,
-    _sturm_stop,
     sym_eig,
+    tridiag_eigval_near,
     tridiag_eigvals_lowest,
 )
 from rabijudd.rabi import (
@@ -224,23 +223,6 @@ def test_no_crossings_on_quiet_segment():
     assert find_crossings(t) == []
 
 
-def test_unscaled_table_refines_its_own_model():
-    # refinement reads the model, cutoff and units from the table alone
-    p = ModelParams(omega=2.0, omega0=1.3)
-    grid = np.linspace(0.1, 1.6, 151)
-    scaled = find_crossings(spectrum_sweep(p, grid, cutoff=80, levels_per_block=6))
-    unscaled = find_crossings(
-        spectrum_sweep(p, grid, cutoff=80, levels_per_block=6, scaled=False)
-    )
-    assert scaled
-    assert [(c.level_plus, c.level_minus) for c in unscaled] == [
-        (c.level_plus, c.level_minus) for c in scaled
-    ]
-    for u, s in zip(unscaled, scaled):
-        assert abs(u.g_star - s.g_star) <= 1e-8
-        assert abs(u.E_star - p.omega * s.E_star) <= 1e-8
-
-
 def _sign_change_cells(table):
     """(i, j, m) for every grid cell [g_m, g_m+1] where E+_i - E-_j changes sign."""
     k = table.levels_plus.shape[1]
@@ -289,9 +271,7 @@ def test_warm_bracket_returns_confirmed_level(index, guess, width):
     ref = tridiag_eigvals_lowest(diag, off, 8)
     if isinstance(guess, str):
         guess = float(ref[int(guess.split()[1])]) + 3e-13
-    value = _sturm_eigval_near(
-        diag.tolist(), (off * off).tolist(), index, guess, width, lo, hi, _sturm_stop(diag, np.abs(off))
-    )
+    value = tridiag_eigval_near(diag, off, index, guess, width)
     assert abs(value - ref[index]) <= 1e-12 * max(abs(lo), abs(hi))
 
 
