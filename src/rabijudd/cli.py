@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .bosons import displaced_osc_band, squeeze_params, squeezed_osc_band
+from .bosons import displaced_osc_band, squeeze_params, squeezed_osc_band, support_rows
 from .juddian import juddian_points, verify_point
 from .numerics import RootCountError, tridiag_eigvals_lowest
 from .rabi import ModelParams, spectrum_sweep
@@ -151,6 +151,17 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
+def _support_note(point, cutoff: int) -> str:
+    """Why a failing point may have failed: a cutoff below its support rows."""
+    R = support_rows(point.lam, point.N)
+    if cutoff >= R:
+        return ""
+    return (
+        f"cutoff {cutoff} is below the support R = {R} of order {point.N} "
+        f"at lambda = {point.lam:.10f}; use --cutoff >= {R}"
+    )
+
+
 def cmd_verify(args) -> int:
     if args.n < 1:
         raise CLIError("--n must be at least 1")
@@ -168,19 +179,23 @@ def cmd_verify(args) -> int:
         try:
             report = verify_point(p, cutoff=args.cutoff)
         except (RuntimeError, ValueError) as exc:
+            note = _support_note(p, args.cutoff)
+            reason = f"{exc}; {note}" if note else str(exc)
             print(
                 f"{p.root_index:>5}  {p.g:>14.10f}  {p.E:>14.10f}  "
-                f"{'-':>11}  {'-':>11}  FAIL ({exc})"
+                f"{'-':>11}  {'-':>11}  FAIL ({reason})"
             )
             all_ok = False
             continue
         tails.append(report.tail_weight)
         ok = report.degeneracy_gap <= gap_tol and report.eigen_residual <= res_tol
         all_ok = all_ok and ok
+        note = "" if ok else _support_note(p, args.cutoff)
+        status = f"FAIL ({note})" if note else "ok" if ok else "FAIL"
         print(
             f"{p.root_index:>5}  {p.g:>14.10f}  {p.E:>14.10f}  "
             f"{report.degeneracy_gap:>11.3e}  {report.eigen_residual:>11.3e}  "
-            f"{'ok' if ok else 'FAIL'}"
+            f"{status}"
         )
     if all_ok:
         print(f"all {len(points)} points verified at cutoff {args.cutoff}")
@@ -219,6 +234,14 @@ def cmd_oscillator(args) -> int:
         numeric = _lowest_levels([(d[f::stride], c[f::stride]) for f in range(stride)], args.levels)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
+    # the displaced levels belong to D(-lambda)|n>, which needs the cutoff
+    # bound lambda^2 <= M/4 of bosons.displaced_number_states
+    lam2 = args.lam * args.lam
+    if args.osc_type == "displaced" and lam2 > args.cutoff / 4.0:
+        raise CLIError(
+            f"--lambda {args.lam:g} is too large for cutoff {args.cutoff}: the displaced "
+            f"levels need lambda^2 <= M/4, a cutoff >= 4 lambda^2 = {4.0 * lam2:.12g}"
+        )
     dev = np.abs(numeric - exact)
     print(f"{'n':>4}  {'numeric':>18}  {'closed form':>18}  {'deviation':>11}")
     for n in range(args.levels):

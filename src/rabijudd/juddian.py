@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bosons import DEFAULT_CUTOFF, displaced_number_states
+from .bosons import DEFAULT_CUTOFF, displaced_number_states, support_rows
 from .numerics import FullRankError, RootCountError, tridiag_eigval_within, tridiag_inverse_iteration
 from .rabi import ModelParams, _apply_rabi, _block_arrays
 
@@ -320,11 +320,15 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     displaced number states D(z)|n>, z = sign * lam, n <= N, start from the
     closed-form coherent state D(z)|0> and follow the ladder recurrence
     D|n+1> = (b+ - z) D|n> / sqrt(n+1) on the truncated basis, each step
-    corrected by one inverse iteration (bosons.displaced_number_states), at
-    O(N M) cost; the sums over p and q are accumulated as they go, and no
-    matrix is formed. The two spinor components are then rotated from the
-    coupling-diagonal representation to the assembly basis (the Hadamard
-    map up = (c1 + c2)/sqrt(2), down = (c1 - c2)/sqrt(2)) and normalized.
+    corrected by one inverse iteration (bosons.displaced_number_states).
+    The states are built on their support, the rows below
+    R = (lam + sqrt(N) + 6)^2 (bosons.support_rows), and are zero above
+    it, so the Python-level work is O(N R), not O(N M); the sums over p and
+    q, one O(M) array operation per state, are accumulated as they go, and
+    no matrix is formed. The two spinor components are then rotated from
+    the coupling-diagonal representation to the assembly basis (the
+    Hadamard map up = (c1 + c2)/sqrt(2), down = (c1 - c2)/sqrt(2)) and
+    normalized.
 
     Raises ValueError when cutoff < N or z^2 > cutoff/4, and FullRankError
     off the locus, when ||T(x) p|| > 1e-10 (max|d0| + 4x + 2 max|e|).
@@ -389,6 +393,14 @@ class VerificationReport:
     tail_weight is the weight of the unit reconstructed state on the top
     ceil(M/10) Fock levels, both spins: a cutoff-health figure that stays
     far below the verification tolerances while the cutoff is adequate.
+    The state is built on its support rows and is zero above them, so
+    tail_weight reads exactly 0 when support_rows <= M + 1 - ceil(M/10);
+    a cutoff short of the support still shows as weight in the tail.
+
+    support_rows is ceil(R), R = (lam + sqrt(N) + 6)^2, the rows that hold
+    the point's displaced number states (bosons.support_rows). A cutoff
+    M >= R keeps the whole state; R is sufficient, not necessary, so a
+    point with M < R may still pass.
     """
 
     point: JuddianPoint
@@ -400,6 +412,7 @@ class VerificationReport:
     degeneracy_gap: float
     eigen_residual: float
     tail_weight: float
+    support_rows: int
 
 
 def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> VerificationReport:
@@ -412,8 +425,11 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
     The opposite-parity gap |E+ - E-| is recorded on the report; the point
     itself is left unchanged. The reconstructed state's eigen-residual
     ||(H - E) psi|| on the same cutoff is included, with H applied through
-    its band, and so is the state's tail weight. No matrix is formed, so
-    the cost is linear in the cutoff.
+    its band, and so is the state's tail weight and its support rows. No
+    matrix is formed; each bisection counts only inside a narrow bracket
+    at E that one count confirms (numerics.tridiag_eigval_within), about
+    20 counts per point, and the state is built on its support, so the
+    cost is O(N R) plus a linear pass over the cutoff.
 
     Raises RuntimeError when either block has no eigenvalue within 1e-3 of
     E - the signature of an under-sized cutoff or an invalid point.
@@ -450,4 +466,5 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
         degeneracy_gap=gap,
         eigen_residual=eigen_residual,
         tail_weight=float(tail @ tail),
+        support_rows=support_rows(point.lam, point.N),
     )

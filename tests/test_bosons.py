@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from rabijudd.bosons import (
+    displaced_number_states,
     displaced_osc_hamiltonian,
     displacement_matrix,
     ladder_matrices,
     squeeze_params,
     squeezed_osc_hamiltonian,
+    support_rows,
 )
-from rabijudd.numerics import sym_eig
+from rabijudd.numerics import sym_eig, tridiag_inverse_iteration
 
 
 def test_ladder_matrices_m1():
@@ -88,6 +90,53 @@ def test_displacement_near_orthogonality(z):
 def test_displacement_cutoff_guard():
     with pytest.raises(ValueError):
         displacement_matrix(6.0, 100)  # 36 > 100/4
+
+
+# ---------------------------------------------------------------------------
+# displaced number states on their support
+
+def _full_length_states(z, M, count):
+    """D(z)|n>, n < count, built on all M + 1 rows: the coherent state from
+    its peak by running products, then ladder steps each corrected by
+    inverse iteration, the same arithmetic as the support-built states."""
+    n = np.arange(M + 1.0)
+    root = np.sqrt(n[1:])
+    column = np.zeros(M + 1)
+    a = abs(z)
+    n0 = int(a * a)
+    column[n0] = 1.0 if z == 0.0 else math.exp(n0 * math.log(a) - 0.5 * a * a - 0.5 * math.lgamma(n0 + 1.0))
+    if z != 0.0:
+        column[n0 + 1:] = column[n0] * np.cumprod(a / root[n0:])
+        column[:n0] = column[n0] * np.cumprod(root[:n0][::-1] / a)[::-1]
+        column[1::2] *= np.sign(z)
+    states = [column]
+    for k in range(1, count):
+        raised = -z * column
+        raised[1:] += root * column[:-1]
+        column = tridiag_inverse_iteration(n + z * z, -z * root, float(k), raised / math.sqrt(k))
+        states.append(column)
+    return states
+
+
+@pytest.mark.parametrize("M, N", [(100, 0), (100, 10), (300, 1), (300, 100), (2500, 4), (2500, 100)])
+@pytest.mark.parametrize("share", [0.0, 0.3, 1.0 - 1e-12])
+def test_support_states_match_full_length_build(M, N, share):
+    # z^2 from 0 up to M/4, the bound displaced_number_states accepts
+    for z in {math.sqrt(share * M / 4.0), -math.sqrt(share * M / 4.0)}:
+        rows = min(M + 1, support_rows(z, N))
+        got = list(displaced_number_states(z, M, N + 1))
+        assert len(got) == N + 1
+        for column, reference in zip(got, _full_length_states(z, M, N + 1)):
+            assert column.shape == (M + 1,) and not column[rows:].any()
+            assert np.abs(column - reference).max() <= 1e-15
+
+
+def test_support_rows_bound():
+    assert support_rows(0.0, 0) == 36
+    assert support_rows(-2.0, 9) == 121
+    # above both guards of the reconstruction: N, and 4 z^2 where z^2 <= M/4
+    for z, N in [(0.0, 100), (5.0, 1), (12.0, 100)]:
+        assert support_rows(z, N) > max(N, 4.0 * z * z)
 
 
 # ---------------------------------------------------------------------------

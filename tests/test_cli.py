@@ -16,6 +16,7 @@ from rabijudd.bosons import (
     displaced_osc_hamiltonian,
     squeezed_osc_band,
     squeezed_osc_hamiltonian,
+    support_rows,
 )
 import rabijudd.juddian as juddian_module
 from rabijudd.cli import _lowest_levels, main
@@ -292,9 +293,28 @@ def test_verify_failure_reports_tail_weight(capsys):
     assert main(["verify", "--n", "7", "--cutoff", "30"]) == 1
     out, err = capsys.readouterr()
     rows = out.strip().split("\n")[1:]
-    assert len(rows) == 7 and rows[-1].endswith("FAIL") and "tail" not in out
+    assert len(rows) == 7 and rows[-1].endswith("FAIL (cutoff 30 is below the support R = 118 "
+                                                "of order 7 at lambda = 2.1925225004; use --cutoff >= 118)")
+    assert "tail" not in out
     weight = float(err.rsplit("largest tail weight ", 1)[1])
     assert 1e-4 <= weight <= 1e-2
+
+
+def test_verify_failures_name_the_support_bound(capsys):
+    # order 30 at the default cutoff 100: points 23-24 fail the tolerance,
+    # 25-29 the 1e-3 window; each failure names the support R > 100
+    assert main(["verify", "--n", "30"]) == 1
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    points = juddian_points(30, ModelParams())
+    assert len(rows) == len(points) == 30
+    for row, point in zip(rows, points):
+        R = support_rows(point.lam, 30)
+        note = (f"cutoff 100 is below the support R = {R} of order 30 "
+                f"at lambda = {point.lam:.10f}; use --cutoff >= {R})")
+        if point.root_index < 23:
+            assert row.endswith("  ok") and "support" not in row
+        else:
+            assert R > 100 and " FAIL (" in row and row.endswith(note)
 
 
 def _readme_sample(command):
@@ -347,6 +367,18 @@ def test_oscillator_displaced_report():
     assert lines[-1].startswith("max deviation = ")
     assert float(lines[-1].split("=")[1]) <= 1e-8
     assert len(lines) == 12  # header + 10 levels + footer
+
+
+@pytest.mark.parametrize("lam, need", [("1e10", "4e+20"), ("7", "196"), ("6", "144")])
+def test_displaced_oscillator_past_its_cutoff_bound_is_an_error(lam, need):
+    # lambda = 1e10 printed levels near 1e20 and max deviation 1e20 with exit 0
+    proc = run_cli("oscillator", "--type", "displaced", "--lambda", lam, check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"need lambda^2 <= M/4, a cutoff >= 4 lambda^2 = {need}" in proc.stderr
+    # the bound is inclusive: lambda^2 = M/4 still runs
+    edge = run_cli("oscillator", "--type", "displaced", "--lambda", "5", "--levels", "3")
+    assert float(edge.stdout.strip().split("\n")[-1].split("=")[1]) <= 1e-8
 
 
 def test_oscillator_squeezed_report():

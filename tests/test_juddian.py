@@ -11,7 +11,7 @@ import pytest
 
 import rabijudd.bosons as bosons_module
 import rabijudd.juddian as juddian_module
-from rabijudd.bosons import displacement_matrix
+from rabijudd.bosons import displacement_matrix, support_rows
 from rabijudd.juddian import (
     _compatibility_count,
     _reduced_band,
@@ -635,6 +635,14 @@ def test_tail_weight_separates_adequate_from_short_cutoff():
     short = verify_point(juddian_points(7, RESONANCE)[-1], cutoff=30)
     assert short.tail_weight >= 1e-4
     assert short.eigen_residual > 1e-6
+
+
+def test_tail_weight_is_zero_below_the_top_tenth():
+    # the state is built on its support rows and zero above them
+    for point in juddian_points(4, RESONANCE):
+        report = verify_point(point, cutoff=300)
+        assert report.support_rows == support_rows(point.lam, 4) <= 301 - 30
+        assert report.tail_weight == 0.0
 
 
 def _assert_verify_matches_dense(point, cutoff):

@@ -24,7 +24,7 @@ from rabijudd.numerics import (
     tridiag_inverse_iteration,
 )
 from rabijudd.bosons import displaced_osc_band, squeezed_osc_band
-from rabijudd.juddian import juddian_points
+from rabijudd.juddian import juddian_points, verify_point
 from rabijudd.rabi import ModelParams, _block_arrays
 
 
@@ -268,9 +268,112 @@ def test_sturm_within_window():
 
 def test_sturm_within_takes_lower_index_on_tie(monkeypatch):
     # bisection lands just above each eigenvalue, so force an exact tie
-    monkeypatch.setattr(numerics, "_sturm_eigval_index", lambda d, e2, i, lo, hi, stop, scale: d[i])
+    monkeypatch.setattr(numerics, "_sturm_eigval_index",
+                        lambda d, e2, i, lo, hi, stop, scale, confirmed: d[i])
     d = np.array([1.0, 3.0])
     assert tridiag_eigval_within(d, np.zeros(1), 2.0, 1.5) == (0, 1.0)
+
+
+def _within_counting_every_midpoint(d, e, x, radius):
+    """tridiag_eigval_within without a confirmed bracket: each level is
+    bisected from its half window with a count at every midpoint."""
+    lo, hi = _gershgorin(d, e)
+    tiny = numerics._EPS * max(abs(lo), abs(hi), 1.0)
+    stop = numerics._sturm_stop(d, np.abs(e))
+    dl, e2l = d.tolist(), (e * e).tolist()
+    left, right = x - radius, x + radius
+    c_left, c, c_right = (numerics._sturm_count(dl, e2l, s, tiny, stop) for s in (left, x, right))
+
+    def bisect(index, lo, hi):
+        scale = max(abs(lo), abs(hi), 1.0)
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            if numerics._sturm_count(dl, e2l, mid, numerics._EPS * scale, stop) > index:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 4.0 * numerics._EPS * scale:
+                break
+        return 0.5 * (lo + hi)
+
+    best = None
+    if c > c_left:
+        best = (c - 1, bisect(c - 1, left, x))
+    if c_right > c:
+        value = bisect(c, x, right)
+        if best is None or abs(value - x) < abs(best[1] - x):
+            best = (c, value)
+    return best
+
+
+def _assert_within_is_bit_identical(d, e, x, radius):
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    got = tridiag_eigval_within(d, e, x, radius)
+    want = _within_counting_every_midpoint(d, e, x, radius)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[0] == want[0] and np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    return got
+
+
+def test_within_is_bit_identical_on_random_tridiagonals():
+    rng = np.random.RandomState(41)
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        d = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 30.0])
+        e = rng.standard_normal(n - 1) * rng.choice([0.0, 1e-9, 1.0])
+        x = float(rng.choice(d)) + rng.choice([0.0, 1e-15, 1e-9, 1e-4]) * rng.standard_normal()
+        _assert_within_is_bit_identical(d, e, x, float(rng.choice([1e-3, 0.3, 5.0])))
+
+
+@pytest.mark.parametrize("d, e, x, radius", [
+    # the level sits 0.4 from x: every confirming count rejects until the
+    # bracket is the whole half window
+    ([0.0, 1.0, 5.0], [0.0, 0.0], 1.4, 0.5),
+    ([0.0, 1.0, 5.0], [0.0, 0.0], 0.6, 0.5),
+    # two levels in one window, one on each side of x
+    ([1.0, 1.2, 4.0], [1e-3, 0.0], 1.1, 0.5),
+    # two levels 1e-12 apart on one side of x, inside the first bracket
+    ([1.0, 1.0 + 1e-12, 3.0], [0.0, 0.0], 1.0 + 1e-13, 1e-3),
+    # an exact tie: the lower index wins
+    ([1.0, 3.0], [0.0], 2.0, 1.5),
+    # zero diagonals, levels 0 and -/+ sqrt 2: at shift 0 the first and
+    # last pivots are exactly 0 and clamped
+    ([0.0, 0.0, 0.0], [1.0, 1.0], 0.0, 1e-3),
+    ([0.0, 0.0, 0.0], [1.0, 1.0], 1e-300, 2.0),
+])
+def test_within_is_bit_identical_on_chosen_cases(d, e, x, radius):
+    assert _assert_within_is_bit_identical(d, e, x, radius) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_within_is_bit_identical_at_stop_boundaries(data):
+    # the grid-valued matrices of the early-stop tests, shifted onto their
+    # eigenvalues, slacks and diagonals, where pivots vanish and clamp
+    d, e = data.draw(_tridiagonals())
+    x = data.draw(st.sampled_from(_stop_shifts(d, e).tolist()))
+    _assert_within_is_bit_identical(d, e, x, data.draw(st.sampled_from([1e-3, 0.25, 4.0])))
+
+
+def test_within_is_bit_identical_on_verify_blocks():
+    for omega0, N, M in [(1.0, 8, 100), (2.6, 6, 300), (0.5, 12, 100)]:
+        for point in juddian_points(N, ModelParams(omega=1.0, omega0=omega0)):
+            for parity in (1, -1):
+                diag, off = _block_arrays(point.model_params(), M, parity)
+                _assert_within_is_bit_identical(diag, off, point.E, 1e-3)
+
+
+def test_verify_point_count_budget(monkeypatch):
+    # a level next to E is bisected inside a bracket one count confirms:
+    # 84 to 86 counts per point when every midpoint of the half window counted
+    count = numerics._sturm_count
+    calls = []
+    monkeypatch.setattr(numerics, "_sturm_count", lambda *a: calls.append(1) or count(*a))
+    for point in juddian_points(4, ModelParams(omega=1.0, omega0=1.0)):
+        calls.clear()
+        verify_point(point, cutoff=100)
+        assert len(calls) <= 40
 
 
 # ---------------------------------------------------------------------------
