@@ -2,8 +2,9 @@
 
 Package paths run on Sturm bisection for selected eigenvalues of symmetric
 tridiagonal matrices: the lowest k (tridiag_eigvals_lowest, or
-_sturm_lowest_batch for many couplings on one diagonal), the one nearest a
-shift (tridiag_eigval_within) and a given index near a guess
+_sturm_lowest_batch, one lockstep walk over several diagonals that share
+many couplings, such as the two parity blocks over a coupling grid), the
+one nearest a shift (tridiag_eigval_within) and a given index near a guess
 (tridiag_eigval_near), each forming its own Gershgorin interval and stop
 data. The last two bisect through _sturm_eigval_index, which counts only
 inside a bracket that counts have confirmed (_confirm_bracket): the window
@@ -415,84 +416,110 @@ def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
         e2 = e * e
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e2))):
         raise ValueError("tridiag_eigvals_lowest needs finite d and e, with e**2 finite")
-    return _sturm_lowest_batch(d, e2[None, :], k)[0]
+    return _sturm_lowest_batch(d[None, :], e2[:, None], k)[0, 0]
 
 
-def _sturm_lowest_batch(d: np.ndarray, e2_rows: np.ndarray, k: int) -> np.ndarray:
-    """Lowest k eigenvalues for many tridiagonals sharing one diagonal.
+def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.ndarray:
+    """Lowest k eigenvalues of every tridiagonal made of one of the diagonals
+    and one of the coupling columns.
 
-    d has shape (n,); e2_rows has shape (G, n-1), one squared off-diagonal
-    per instance (the sweep case: a fixed diagonal with a coupling that
-    scales). Returns shape (G, k), ascending along the last axis. All G*k
-    bisections advance in lockstep, so the whole sweep costs one Sturm
-    recurrence per bisection step. Raises ValueError when the Gershgorin
-    interval reaches past half the float range, where the midpoints and the
-    stopping width would overflow.
+    diags has shape (P, n), one diagonal per row (the sweep case: the two
+    parity blocks); e2_cols has shape (n-1, G), one squared off-diagonal
+    per column (a coupling that scales over the grid). Returns shape
+    (P, G, k), ascending along the last axis. All P*k*G bisections advance
+    in one lockstep walk, so the whole sweep costs one Sturm recurrence per
+    bisection step. Each diagonal is bisected exactly as it would be alone:
+    its own tiny, Gershgorin interval, span and _sturm_stop data, and its own
+    width test, after which its lanes are dropped from the walk. Raises
+    ValueError when a diagonal's Gershgorin interval reaches past half the
+    float range, where the midpoints and the stopping width would overflow.
+
+    The lanes are laid out (P, k, G), so the row's e^2 (a contiguous (G,)
+    row of e2_cols) broadcasts along the innermost axis. The pivots, the
+    e^2 / q quotients, a mask and the int32 negative-pivot counts live in
+    buffers of that shape; each row writes them by ufuncs with out=,
+    rounding d_i - x - e^2 / q in the order of the full-length recurrence.
 
     The recurrence ends early by the rule of _sturm_stop, with one bound
-    for every lane: the column-wise maximum |e|. A lane with couplings
-    |e_j| below that maximum b_j keeps the induction, since q_{j-1} >= b_{j-1}
-    gives e_{j-1}^2 / q_{j-1} <= b_{j-1}, so the slack of the maximal
-    couplings and a shift no lower than every lane's (the largest midpoint)
-    certify all lanes at once. Every 4 rows from the first row the slack
-    allows, the loop ends once every lane's pivot is at least b_i.
+    for every lane: the row-wise maximum |e|, which every diagonal shares.
+    A lane with couplings |e_j| below that maximum b_j keeps the induction,
+    since q_{j-1} >= b_{j-1} gives e_{j-1}^2 / q_{j-1} <= b_{j-1}, so the
+    slack of the maximal couplings and a shift no lower than every lane's
+    (the largest midpoint) certify all lanes of a diagonal at once. Every 4
+    rows from the latest first row any diagonal's slack allows, the loop
+    ends once every lane's pivot is at least b_i.
 
-    The pivots, the e^2 / q quotients, a mask and the counts live in (G, k)
-    buffers made once per call; each row writes them by ufuncs with out=,
-    rounding d_i - x - e^2 / q in the order of the full-length recurrence.
     The pivot clamp (a pivot with |q| < tiny becomes -tiny if q < 0, else
-    tiny) runs, and allocates, only on a row where the mask |q| < tiny
-    holds in some lane. The mask is elementwise, so the test needs no
-    finiteness guarantee: a NaN pivot fails it in its own lane only, which
-    the clamp leaves as it is, whereas a min over the lanes would turn NaN
-    and skip the clamp in every lane. Outputs are bit-identical to
-    clamping every row.
+    tiny, with the diagonal's own tiny) is tested by one min of |q| against
+    the largest tiny; only on a row where that fires is the exact
+    per-diagonal mask formed and the clamp applied. No pivot is NaN, so the
+    min is exact: the callers pass finite d and e^2, and the midpoints lie
+    inside half the float range, so d_i - x is finite; a clamped q is
+    nonzero, so e^2 / q is finite or infinite, never 0 / 0; and an infinite
+    pivot gives a zero quotient on the next row. Outputs are bit-identical
+    to clamping every row, and to bisecting each diagonal alone.
     """
-    d = np.asarray(d, dtype=float)
-    e2_rows = np.atleast_2d(np.asarray(e2_rows, dtype=float))
-    n = d.size
-    G = e2_rows.shape[0]
-    tiny = _EPS * (float(np.max(np.abs(d))) + math.sqrt(float(np.max(e2_rows, initial=0.0))) + 1.0)
+    diags = np.asarray(diags, dtype=float)
+    e2_cols = np.asarray(e2_cols, dtype=float)
+    e_max = np.sqrt(np.max(e2_cols, axis=1, initial=0.0))
+    e_top = math.sqrt(float(np.max(e2_cols, initial=0.0)))
+    tiny, lo, hi, width, stops = [], [], [], [], []
+    for d in diags:
+        tiny.append(_EPS * (float(np.max(np.abs(d))) + e_top + 1.0))
+        a, b = _gershgorin(d, e_max)
+        if not math.isfinite(2.0 * max(abs(a), abs(b))):  # hi - lo and lo + hi would overflow
+            raise ValueError(f"Gershgorin interval [{a:g}, {b:g}] reaches past half the float range")
+        lo.append(a)
+        hi.append(b)
+        width.append(4.0 * _EPS * max(b - a, 1.0))
+        stops.append(_sturm_stop(d, e_max))
+    bound = stops[0].bound  # the same for every diagonal: it depends on e_max alone
 
-    e_max = np.sqrt(np.max(e2_rows, axis=0, initial=0.0))
-    lo, hi = _gershgorin(d, e_max)
-    if not math.isfinite(2.0 * max(abs(lo), abs(hi))):  # hi - lo and lo + hi would overflow
-        raise ValueError(f"Gershgorin interval [{lo:g}, {hi:g}] reaches past half the float range")
-    span = max(hi - lo, 1.0)
-    stop = _sturm_stop(d, e_max)
-    bound = stop.bound
-
-    los = np.full((G, k), lo)
-    his = np.full((G, k), hi)
-    targets = np.arange(1, k + 1)[None, :]
-    e2col = e2_rows[:, :, None]  # (G, n-1, 1) broadcasting against (G, k)
-    dl = d.tolist()
-    q = np.empty((G, k))
-    t = np.empty((G, k))
-    small = np.empty((G, k), dtype=bool)
-    count = np.empty((G, k), dtype=np.int64)
+    P, n = diags.shape
+    shape = (P, k, e2_cols.shape[1])
+    los = np.broadcast_to(np.array(lo)[:, None, None], shape).copy()
+    his = np.broadcast_to(np.array(hi)[:, None, None], shape).copy()
+    mids, q, t, out = (np.empty(shape) for _ in range(4))
+    small = np.empty(shape, dtype=bool)
+    count = np.empty(shape, dtype=np.int32)
+    # per active diagonal: its index, its rows (d_rows[i] has shape (A, 1, 1)), tiny and stop width
+    act = np.arange(P)
+    d_rows = diags.T[:, :, None, None]
+    tiny = np.array(tiny)[:, None, None]
+    width = np.array(width)
+    targets = np.arange(1, k + 1, dtype=np.int32)[:, None]
     for _ in range(90):
-        mids = 0.5 * (los + his)
-        first = stop.first_row(float(np.max(mids)), float(np.max(np.abs(mids))))
-        np.subtract(dl[0], mids, out=q)
+        tiny_top = float(np.max(tiny))
+        np.multiply(np.add(los, his, out=mids), 0.5, out=mids)
+        first = max(stops[p].first_row(float(m.max()), float(max(m.max(), -m.min()))) for p, m in zip(act, mids))
+        np.subtract(d_rows[0], mids, out=q)
         np.less(q, 0.0, out=count)
-        for i in range(1, n):
+        for i, e2, d_i in zip(range(1, n), e2_cols, d_rows[1:]):
             np.abs(q, out=t)
-            if np.less(t, tiny, out=small).any():
-                q = np.where(small, np.where(q < 0, -tiny, tiny), q)
+            if t.min() < tiny_top:
+                np.less(t, tiny, out=small)
+                np.copyto(q, np.where(q < 0.0, -tiny, tiny), where=small)
             # d_i - x - e2 / q, rounded in that order
-            np.divide(e2col[:, i - 1], q, out=t)
-            np.subtract(dl[i], mids, out=q)
+            np.divide(e2, q, out=t)
+            np.subtract(d_i, mids, out=q)
             np.subtract(q, t, out=q)
             np.add(count, np.less(q, 0.0, out=small), out=count)
             if i >= first and (i - first) % 4 == 0 and q.min() >= bound[i]:
                 break
-        below = count >= targets
-        his = np.where(below, mids, his)
-        los = np.where(below, los, mids)
-        if np.max(his - los) <= 4.0 * _EPS * span:
-            break
-    return 0.5 * (los + his)
+        np.less(count, targets, out=small)  # the target level lies above the midpoint
+        np.copyto(los, mids, where=small)
+        np.copyto(his, mids, where=np.logical_not(small, out=small))
+        done = np.max(np.subtract(his, los, out=t), axis=(1, 2)) <= width
+        if done.any():
+            np.multiply(np.add(los, his, out=mids), 0.5, out=mids)
+            out[act[done]] = mids[done]
+            if done.all():
+                return out.transpose(0, 2, 1)
+            keep = ~done
+            act, d_rows, tiny, width = act[keep], d_rows[:, keep], tiny[keep], width[keep]
+            los, his, mids, q, t, small, count = (a[keep] for a in (los, his, mids, q, t, small, count))
+    out[act] = 0.5 * (los + his)
+    return out.transpose(0, 2, 1)
 
 
 # Relative margin on the slack test of _sturm_stop, far above rounding.

@@ -177,8 +177,12 @@ def spectrum_sweep(
 ) -> SpectrumTable:
     """Lowest levels_per_block energies of each parity at every grid point.
 
-    Grid points are independent of one another; they are evaluated in one
-    lockstep Sturm bisection per parity purely as an optimization.
+    Grid points are independent of one another; purely as an optimization,
+    both parity blocks at every grid point are bisected in one lockstep
+    Sturm walk (numerics._sturm_lowest_batch), with the squared couplings
+    (2 g / omega)^2 n built once in (M, G) layout. Each block keeps its own
+    bisection, so the table is bit-identical to sweeping one parity at a
+    time.
     """
     g_values = np.asarray(g_grid, dtype=float)
     if g_values.ndim != 1 or g_values.size == 0:
@@ -194,16 +198,14 @@ def spectrum_sweep(
     if not math.isfinite(lam_max * lam_max * M):
         raise ValueError("squared couplings (2 g / omega)^2 n overflow: g / omega too large")
     lams = 2.0 * g_values / params.omega
-    e_base = np.sqrt(np.arange(1.0, M + 1.0))
-    e2_rows = (lams[:, None] * e_base[None, :]) ** 2
-    out = []
-    for parity in (1, -1):
-        diag, _ = _block_arrays(params, cutoff, parity)
-        out.append(_sturm_lowest_batch(diag, e2_rows, k))
+    e2_cols = np.multiply.outer(np.sqrt(np.arange(1.0, M + 1.0)), lams)
+    np.square(e2_cols, out=e2_cols)
+    diags = np.array([_block_arrays(params, cutoff, parity)[0] for parity in (1, -1)])
+    levels_plus, levels_minus = _sturm_lowest_batch(diags, e2_cols, k)
     return SpectrumTable(
         g_values=g_values,
-        levels_plus=out[0],
-        levels_minus=out[1],
+        levels_plus=levels_plus,
+        levels_minus=levels_minus,
         params=params,
         cutoff=M,
     )

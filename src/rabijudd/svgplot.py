@@ -145,9 +145,14 @@ def render_figure(
     series: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for g, parity, level, energy in spectrum_rows:
         series.setdefault((parity, level), []).append((g, energy))
+    # sx and sy inlined in their order of operations, one format call per sample
+    pair = "{:.2f},{:.2f}".format
+    g_span, e_span = g_hi - g_lo, e_hi - e_lo
     for (parity, level) in sorted(series, key=lambda s: (-s[0], s[1])):
         pts = sorted(series[(parity, level)])
-        coords = " ".join(f"{_fmt(sx(g))},{_fmt(sy(e))}" for g, e in pts)
+        xs = [_MARGIN_L + (g - g_lo) / g_span * x_span for g, _ in pts]
+        ys = [_MARGIN_T + (e_hi - e) / e_span * y_span for _, e in pts]
+        coords = " ".join(map(pair, xs, ys))
         cls = "level-plus" if parity == 1 else "level-minus"
         parts.append(f'  <polyline class="{cls}" points="{coords}"/>')
 

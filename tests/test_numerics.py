@@ -392,31 +392,40 @@ def _full_count(d, e2, x, tiny):
     return count
 
 
-def _full_lowest_batch(d, e2_rows, k):
-    """The lockstep bisection of _sturm_lowest_batch with full-length recurrences."""
-    e2_rows = np.atleast_2d(e2_rows)
+def _full_lowest_batch(diags, e2_cols, k):
+    """_sturm_lowest_batch with full-length recurrences, each diagonal bisected alone.
+
+    diags has shape (P, n) and e2_cols shape (n-1, G); returns (P, G, k).
+    Each diagonal has its own tiny, Gershgorin interval (on the row-wise
+    maximum coupling), span and width test, so the result is what one call
+    per diagonal gives.
+    """
+    e2_rows = np.asarray(e2_cols, dtype=float).T
     G = e2_rows.shape[0]
-    tiny = numerics._EPS * (np.max(np.abs(d)) + math.sqrt(np.max(e2_rows, initial=0.0)) + 1.0)
-    lo, hi = _gershgorin(d, np.sqrt(np.max(e2_rows, axis=0, initial=0.0)))
-    span = max(hi - lo, 1.0)
-    los = np.full((G, k), lo)
-    his = np.full((G, k), hi)
-    targets = np.arange(1, k + 1)[None, :]
-    e2col = e2_rows[:, :, None]
-    for _ in range(90):
-        mids = 0.5 * (los + his)
-        q = d[0] - mids
-        count = (q < 0.0).astype(np.int64)
-        for i in range(1, d.size):
-            q = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
-            q = d[i] - mids - e2col[:, i - 1] / q
-            count += q < 0.0
-        below = count >= targets
-        his = np.where(below, mids, his)
-        los = np.where(below, los, mids)
-        if np.max(his - los) <= 4.0 * numerics._EPS * span:
-            break
-    return 0.5 * (los + his)
+    out = []
+    for d in np.atleast_2d(diags):
+        tiny = numerics._EPS * (np.max(np.abs(d)) + math.sqrt(np.max(e2_rows, initial=0.0)) + 1.0)
+        lo, hi = _gershgorin(d, np.sqrt(np.max(e2_rows, axis=0, initial=0.0)))
+        span = max(hi - lo, 1.0)
+        los = np.full((G, k), lo)
+        his = np.full((G, k), hi)
+        targets = np.arange(1, k + 1)[None, :]
+        e2col = e2_rows[:, :, None]
+        for _ in range(90):
+            mids = 0.5 * (los + his)
+            q = d[0] - mids
+            count = (q < 0.0).astype(np.int64)
+            for i in range(1, d.size):
+                q = np.where(np.abs(q) < tiny, np.where(q < 0, -tiny, tiny), q)
+                q = d[i] - mids - e2col[:, i - 1] / q
+                count += q < 0.0
+            below = count >= targets
+            his = np.where(below, mids, his)
+            los = np.where(below, los, mids)
+            if np.max(his - los) <= 4.0 * numerics._EPS * span:
+                break
+        out.append(0.5 * (los + his))
+    return np.array(out)
 
 
 # Grid values make zero couplings, repeated diagonal entries and shifts that
@@ -462,10 +471,61 @@ def test_early_count_equals_full_count(matrix):
 @given(_tridiagonals(), st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.7]), min_size=1, max_size=4))
 def test_early_batch_equals_full_batch(matrix, scales):
     d, e = matrix
-    e2_rows = (np.array(scales)[:, None] * e[None, :]) ** 2
+    e2_cols = (e[:, None] * np.array(scales)[None, :]) ** 2
     k = min(3, d.size)
-    got = numerics._sturm_lowest_batch(d, e2_rows, k)
-    assert got.tobytes() == _full_lowest_batch(d, e2_rows, k).tobytes()
+    got = numerics._sturm_lowest_batch(d[None, :], e2_cols, k)
+    assert got.tobytes() == _full_lowest_batch(d[None, :], e2_cols, k).tobytes()
+
+
+@st.composite
+def _diagonal_pairs(draw):
+    """Two diagonals of one length, squared couplings (n-1, G) they share, and k."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    diags = []
+    for _ in range(2):
+        ramp = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+        noise = draw(st.lists(_GRID | st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        diags.append([ramp * j + v for j, v in enumerate(noise)])
+    e = np.array(draw(st.lists(_GRID | st.floats(-2.0, 2.0), min_size=n - 1, max_size=n - 1)))
+    scales = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.7]), min_size=1, max_size=4)))
+    k = draw(st.integers(min_value=1, max_value=n))
+    return np.array(diags), (e[:, None] * scales[None, :]) ** 2, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diagonal_pairs())
+# n = 1: no couplings at all
+@example((np.array([[0.5], [-2.0]]), np.zeros((0, 3)), 1))
+# zero couplings, k = n: the first diagonal's interval is [0, 0], so its one
+# midpoint makes q_0 = 0 and the clamp fires; the second bisects on
+@example((np.array([[0.0, 0.0], [-1.0, 1.0]]), np.zeros((1, 2)), 2))
+# G = 1 and k = n
+@example((np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0]]), np.array([[1.0], [1e-17]]), 3))
+def test_diagonal_pairs_are_bit_identical_to_each_alone(case):
+    diags, e2_cols, k = case
+    got = numerics._sturm_lowest_batch(diags, e2_cols, k)
+    assert got.shape == (2, e2_cols.shape[1], k)
+    assert got.tobytes() == _full_lowest_batch(diags, e2_cols, k).tobytes()
+
+
+def _bisection_steps(d, e):
+    """About how many halvings of d's Gershgorin interval its width test takes."""
+    lo, hi = _gershgorin(d, e)
+    return math.log2((hi - lo) / (4.0 * numerics._EPS * max(hi - lo, 1.0)))
+
+
+def test_each_diagonal_stops_at_its_own_width():
+    # The first diagonal's Gershgorin interval is 1.2e-3 wide, so the 1.0 floor
+    # on its span ends its bisection about 9 steps before the second's; a walk
+    # that kept bisecting it until the second finished would move its values.
+    diags = np.array([[0.0, 1e-3], [0.0, 100.0]])
+    e2_cols = (1e-4 * np.linspace(0.5, 1.0, 5))[None, :] ** 2
+    e_max = np.sqrt(e2_cols.max(axis=1))
+    assert _bisection_steps(diags[1], e_max) - _bisection_steps(diags[0], e_max) > 5
+    got = numerics._sturm_lowest_batch(diags, e2_cols, 2)
+    assert got.tobytes() == _full_lowest_batch(diags, e2_cols, 2).tobytes()
+    for p in range(2):
+        assert got[p].tobytes() == numerics._sturm_lowest_batch(diags[p:p + 1], e2_cols, 2)[0].tobytes()
 
 
 class _ReadRecorder(list):
@@ -513,9 +573,9 @@ def test_sweep_batch_is_bit_identical_to_full_length(omega_tilde, M, k, parity, 
     params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
     diag, _ = _block_arrays(params, M, parity)
     lams = 2.0 * np.linspace(0.05, 0.8, G)
-    e2_rows = (lams[:, None] * np.sqrt(np.arange(1.0, M + 1.0))[None, :]) ** 2
-    got = numerics._sturm_lowest_batch(diag, e2_rows, k)
-    assert got.tobytes() == _full_lowest_batch(diag, e2_rows, k).tobytes()
+    e2_cols = (np.sqrt(np.arange(1.0, M + 1.0))[:, None] * lams[None, :]) ** 2
+    got = numerics._sturm_lowest_batch(diag[None, :], e2_cols, k)
+    assert got.tobytes() == _full_lowest_batch(diag[None, :], e2_cols, k).tobytes()
 
 
 @pytest.mark.parametrize("band, lam, M", [
@@ -529,7 +589,7 @@ def test_oscillator_sectors_are_bit_identical_to_full_length(band, lam, M):
     for f in range(stride):
         ds, cs = d[f::stride], c[f::stride]
         got = tridiag_eigvals_lowest(ds, cs, 10)
-        assert got.tobytes() == _full_lowest_batch(ds, (cs * cs)[None, :], 10)[0].tobytes()
+        assert got.tobytes() == _full_lowest_batch(ds[None, :], (cs * cs)[:, None], 10)[0, 0].tobytes()
 
 
 def _lanes_with_small_pivots(d, e2_rows):
@@ -558,8 +618,8 @@ def _lanes_with_small_pivots(d, e2_rows):
 def test_clamped_pivots_batch_equals_full_batch(d, e2_rows, clamped):
     d, e2_rows = np.array(d), np.array(e2_rows)
     assert _lanes_with_small_pivots(d, e2_rows) == clamped
-    got = numerics._sturm_lowest_batch(d, e2_rows, d.size)
-    assert got.tobytes() == _full_lowest_batch(d, e2_rows, d.size).tobytes()
+    got = numerics._sturm_lowest_batch(d[None, :], e2_rows.T, d.size)
+    assert got.tobytes() == _full_lowest_batch(d[None, :], e2_rows.T, d.size).tobytes()
 
 
 @pytest.mark.parametrize("d, e", [

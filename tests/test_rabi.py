@@ -1,6 +1,7 @@
 """Tests for Hamiltonian assembly, parity blocks, sweeps, and crossings."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from rabijudd.rabi import (
     parity_matrix,
     spectrum_sweep,
 )
+from test_numerics import _full_lowest_batch
 
 
 def test_model_params_derived_fields():
@@ -146,6 +148,34 @@ def test_sweep_single_point_uncoupled():
                            levels_per_block=3)
     assert np.allclose(table.levels_plus[0], [-0.5, 1.5, 1.5], atol=1e-12)
     assert np.allclose(table.levels_minus[0], [0.5, 0.5, 2.5], atol=1e-12)
+
+
+# the cutoffs and level counts of the benchmark's sweep slots, on a shorter grid
+@pytest.mark.parametrize("omega_tilde", [0.5, 2.0])
+@pytest.mark.parametrize("M, k", [(60, 8), (60, 16), (100, 8), (100, 16), (300, 8), (300, 16)])
+def test_sweep_is_bit_identical_to_full_length_per_parity(M, k, omega_tilde):
+    params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
+    grid = np.linspace(0.05, 0.8, 101)
+    table = spectrum_sweep(params, grid, M, k)
+    diags = np.array([_block_arrays(params, M, parity)[0] for parity in (1, -1)])
+    lams = 2.0 * grid / params.omega
+    e2_cols = (np.sqrt(np.arange(1.0, M + 1.0))[:, None] * lams[None, :]) ** 2
+    reference = _full_lowest_batch(diags, e2_cols, k)
+    assert table.levels_plus.tobytes() == reference[0].tobytes()
+    assert table.levels_minus.tobytes() == reference[1].tobytes()
+
+
+def test_sweep_peak_memory():
+    # about 2.8 MB of it is the couplings (1.6 MB) and the (2, 8, 2001) lanes;
+    # a (rows x lanes) buffer of per-row flags would add about 3.2 MB
+    params, grid = ModelParams(omega=1.0, omega0=1.0), np.linspace(0.05, 0.8, 2001)
+    tracemalloc.start()
+    try:
+        spectrum_sweep(params, grid, 100, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5e6
 
 
 def test_sweep_validation():
