@@ -13,9 +13,11 @@ few counts, and the outputs are bit-identical to counting every midpoint.
 Inverse iteration gives eigen- and null vectors; _inverse_step is its
 list-level step, for callers that solve many shifts on one matrix and form
 its Gershgorin interval and lists once. Kept as references
-for tests and benchmark probes: sym_eig (Householder + implicit-shift QL,
-eigenvalues only), real-root isolation for polynomials held as coefficient
-tuples, and Gaussian elimination for null vectors and determinants.
+for tests and benchmark tasks: sym_eig (eigenvalues only, by implicit-shift
+QL on Python floats per connected component of the matrix, Householder first
+for one not tridiagonal in index order), real-root isolation for polynomials
+held as coefficient tuples, and Gaussian elimination for null vectors and
+determinants.
 ndarrays serve storage and elementwise/matmul arithmetic only; there are no
 calls into numpy.linalg or any external solver.
 """
@@ -257,12 +259,25 @@ class EigResult:
     values: np.ndarray
 
 
-def _is_tridiagonal(A: np.ndarray) -> bool:
-    n = A.shape[0]
-    if n < 3:
-        return True
-    mask = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) >= 2
-    return not np.any(A[mask])
+def _components(A: np.ndarray) -> list[list[int]]:
+    """Connected components of symmetric A's nonzero pattern by iterative depth-first
+    search: each an ascending index list, the lists by their smallest index."""
+    rows, cols = np.nonzero(A)
+    starts = np.searchsorted(rows, np.arange(A.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    seen = [False] * A.shape[0]
+    components = []
+    for root in range(A.shape[0]):
+        stack, members = [root], []
+        while stack:
+            i = stack.pop()
+            if not seen[i]:
+                seen[i] = True
+                members.append(i)
+                stack.extend(cols[starts[i] : starts[i + 1]])
+        if members:
+            components.append(sorted(members))
+    return components
 
 
 def _householder(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,37 +316,37 @@ def _householder(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray) -> None:
-    """Implicit-shift QL on tridiagonal (d, e), in place.
+def _ql_implicit(d: list, e: list) -> None:
+    """Implicit-shift QL on tridiagonal (d, e), in place, on Python floats.
 
-    d holds the diagonal, e[j] the subdiagonal T[j, j+1] with e[n-1] = 0;
-    on return d holds the eigenvalues, unsorted. The matrix splits where
-    |e[j]| <= eps (|d[j]| + |d[j+1]|) or |e[j]| <= sqrt(tiny) ~ 1.5e-154.
+    d and e are lists: the diagonal, and e[j] = T[j, j+1] with e[n-1] = 0;
+    on return d holds the eigenvalues, unsorted. The matrix splits at the
+    first j >= l with |e[j]| <= max(eps (|d[j]| + |d[j+1]|), sqrt(tiny)).
     Raises NonConvergenceError after 30 sweeps on a single eigenvalue.
     """
-    n = d.size
+    n = len(d)
+    eps, hypot, copysign = float(_EPS), math.hypot, math.copysign
     for l in range(n):
         sweeps = 0
         while True:
-            thr = _EPS * (np.abs(d[l : n - 1]) + np.abs(d[l + 1 : n]))
-            np.maximum(thr, _QL_SPLIT, out=thr)
-            small = np.nonzero(np.abs(e[l : n - 1]) <= thr)[0]
-            m = l + int(small[0]) if small.size else n - 1
+            m = l
+            while m < n - 1 and abs(e[m]) > _QL_SPLIT and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
             if m == l:
                 break
             sweeps += 1
             if sweeps > 30:
                 raise NonConvergenceError(l)
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
             underflow = False
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = math.hypot(f, g)
+                r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     # rotation annihilated early; drop the shift and restart
@@ -362,8 +377,13 @@ def sym_eig(A: np.ndarray) -> EigResult:
 
     Returns
     -------
-    EigResult with the values in ascending order. Deterministic: fixed sweep
-    order and a stable sort.
+    EigResult with the values in ascending order: the stable sort of the
+    joined spectra of the connected components of A's nonzero pattern. Each
+    component, in ascending index order, goes to QL, through Householder
+    first unless it is tridiagonal in that order: the squeezed oscillator's
+    even-n and odd-n chains and build_rabi's parity chains take no O(n^3)
+    reduction. QL splits at a zero coupling anyway, so a matrix tridiagonal
+    in index order, or one component, gets values bit-identical to one solve.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
@@ -373,17 +393,16 @@ def sym_eig(A: np.ndarray) -> EigResult:
     if not np.array_equal(A, A.T):
         raise ValueError("sym_eig needs an exactly symmetric matrix")
 
-    n = A.shape[0]
-    if _is_tridiagonal(A):
-        d = np.diagonal(A).astype(float).copy()
-        e = np.zeros(n)
-        if n >= 2:
-            e[: n - 1] = np.diagonal(A, 1)
-    else:
-        d, e = _householder(A)
-
-    _ql_implicit(d, e)
-    return EigResult(values=np.sort(d, kind="stable"))
+    values: list[float] = []
+    for idx in _components(A):
+        B = A if len(idx) == A.shape[0] else A[np.ix_(idx, idx)]
+        if np.count_nonzero(B) == np.count_nonzero(np.diagonal(B)) + 2 * np.count_nonzero(np.diagonal(B, 1)):
+            d, e = np.diagonal(B).tolist(), np.diagonal(B, 1).tolist() + [0.0]
+        else:
+            d, e = (a.tolist() for a in _householder(B))
+        _ql_implicit(d, e)
+        values += d
+    return EigResult(values=np.sort(np.array(values), kind="stable"))
 
 
 # ---------------------------------------------------------------------------

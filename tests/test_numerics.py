@@ -23,9 +23,9 @@ from rabijudd.numerics import (
     tridiag_eigvals_lowest,
     tridiag_inverse_iteration,
 )
-from rabijudd.bosons import displaced_osc_band, squeezed_osc_band
+from rabijudd.bosons import displaced_osc_band, squeezed_osc_band, squeezed_osc_hamiltonian
 from rabijudd.juddian import juddian_points, verify_point
-from rabijudd.rabi import ModelParams, _block_arrays
+from rabijudd.rabi import ModelParams, _block_arrays, build_rabi
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,108 @@ def test_sym_eig_properties_random(n, seed):
     norm = np.sqrt((A * A).sum()) or 1.0
     assert abs(res.values.sum() - np.trace(A)) <= 1e-9 * norm
     assert abs((res.values ** 2).sum() - (A * A).sum()) <= 1e-9 * norm
+
+
+def _tridiagonal(rng, n):
+    e = rng.standard_normal(n - 1)
+    return np.diag(rng.standard_normal(n)) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@pytest.mark.parametrize("n_even, n_odd", [(31, 30), (40, 40), (2, 1)])
+def test_interleaved_chains_equal_their_spectra_joined(n_even, n_odd):
+    # the squeezed layout: one chain on the even indices, one on the odd, each
+    # tridiagonal in index order; the whole takes no Householder reduction, so
+    # its values are bit for bit those of the chains solved apart, merged
+    rng = np.random.RandomState(n_even + n_odd)
+    even, odd = _tridiagonal(rng, n_even), _tridiagonal(rng, n_odd)
+    A = np.zeros((n_even + n_odd,) * 2)
+    A[0::2, 0::2], A[1::2, 1::2] = even, odd
+    joined = np.concatenate([sym_eig(even).values, sym_eig(odd).values])
+    assert np.array_equal(sym_eig(A).values, np.sort(joined, kind="stable"))
+    _check_eig(A, sym_eig(A))
+
+
+def test_components_of_the_oscillator_and_rabi_matrices():
+    # the squeezed oscillator falls apart by the parity of n, build_rabi into
+    # its two parity chains (rows 0, 3, 4, 7, 8, ... and 1, 2, 5, 6, ...)
+    M = 100
+    assert numerics._components(squeezed_osc_hamiltonian(0.3, M)) == [
+        list(range(0, M + 1, 2)), list(range(1, M + 1, 2))
+    ]
+    rows = np.arange(2 * (M + 1))
+    plus = rows[(rows // 2 + rows % 2) % 2 == 0].tolist()
+    minus = rows[(rows // 2 + rows % 2) % 2 == 1].tolist()
+    assert numerics._components(build_rabi(ModelParams(g=0.4), M)) == [plus, minus]
+    assert numerics._components(np.diag([1.0, 0.0, 2.0])) == [[0], [1], [2]]
+
+
+def test_only_non_tridiagonal_components_take_householder(monkeypatch):
+    calls = []
+    reduce = numerics._householder
+    monkeypatch.setattr(numerics, "_householder", lambda B: calls.append(B.shape[0]) or reduce(B))
+    sym_eig(squeezed_osc_hamiltonian(0.3, 60))
+    sym_eig(build_rabi(ModelParams(g=0.4), 60))
+    assert calls == []
+    # a permuted tridiagonal stays one component that is not tridiagonal in
+    # index order, so test_sym_eig_tridiagonal_path_consistent reaches Householder
+    rng = np.random.RandomState(5)
+    perm = rng.permutation(30)
+    sym_eig(_tridiagonal(rng, 30)[np.ix_(perm, perm)])
+    assert calls == [30]
+
+
+def test_sym_eig_squeezed_matches_lapack():
+    A = squeezed_osc_hamiltonian(0.3, 300)
+    res = sym_eig(A)
+    _check_eig(A, res)
+    # the chains land on the closed form (n + 1/2) Omega, Omega = 0.8
+    assert np.abs(res.values[:10] - (np.arange(10) + 0.5) * 0.8).max() <= 1e-14
+
+
+@pytest.mark.parametrize("g", [0.2, 0.9])
+def test_sym_eig_rabi_matches_lapack(g):
+    A = build_rabi(ModelParams(omega=1.0, omega0=1.3, g=g), 100)
+    _check_eig(A, sym_eig(A))
+
+
+def test_sym_eig_dense_component_beside_zero_rows():
+    # rows 1 and 4 are all zero (1x1 components of value 0); the rest form one
+    # dense component, which goes through Householder
+    B = _random_symmetric(4, seed=13)
+    A = np.zeros((6, 6))
+    keep = [0, 2, 3, 5]
+    A[np.ix_(keep, keep)] = B
+    assert numerics._components(A) == [keep, [1], [4]]
+    res = sym_eig(A)
+    _check_eig(A, res)
+    assert np.count_nonzero(res.values == 0.0) == 2
+
+
+@st.composite
+def _sparse_symmetric(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    density = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]))
+    rng = np.random.RandomState(seed)
+    A = _random_symmetric(n, seed) * (rng.random_sample((n, n)) < density)
+    A = np.triu(A) + np.triu(A, 1).T
+    zero = rng.random_sample(n) < 0.2  # all-zero rows and columns
+    A[zero, :] = 0.0
+    A[:, zero] = 0.0
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=_sparse_symmetric())
+def test_sym_eig_sparse_patterns(A):
+    res = sym_eig(A)
+    _check_eig(A, res)
+    norm = np.sqrt((A * A).sum()) or 1.0
+    assert abs(res.values.sum() - np.trace(A)) <= 1e-9 * norm
+    assert abs((res.values ** 2).sum() - (A * A).sum()) <= 1e-9 * norm
+    components = numerics._components(A)
+    assert sorted(i for c in components for i in c) == list(range(A.shape[0]))
+    assert all(c == sorted(c) for c in components)
 
 
 def test_sturm_route_agrees_with_ql_route():

@@ -1,0 +1,53 @@
+"""Rules the package source keeps, checked on its syntax trees."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import rabijudd
+
+_SOURCES = sorted(Path(rabijudd.__file__).parent.glob("*.py"))
+# a dotted name with a linalg part, as an import path or an importlib argument
+_LINALG_NAME = re.compile(r"^(\w+\.)*linalg(\.\w+)*$")
+
+
+def _linalg_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        uses += [(node.lineno, name) for name in names if _LINALG_NAME.match(name)]
+    return uses
+
+
+def test_the_package_sources_are_all_found():
+    assert {"numerics.py", "rabi.py", "bosons.py", "juddian.py", "cli.py"} <= {p.name for p in _SOURCES}
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_no_numpy_linalg_in_the_package(path):
+    # the package solves its own eigenproblems; numpy.linalg (or any linalg
+    # module) is left to the tests and the benchmark oracle as an outside check
+    assert _linalg_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy.linalg",
+    "from numpy import linalg as la",
+    "from numpy.linalg import eigvalsh",
+    "from scipy import linalg",
+    "import numpy as np\nnp.linalg.eigvalsh",
+    "import importlib\nimportlib.import_module('numpy.linalg')",
+])
+def test_the_rule_catches_each_form(source):
+    assert _linalg_uses(ast.parse(source))
