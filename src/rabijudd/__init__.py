@@ -13,7 +13,6 @@ from .juddian import (
     JuddianState,
     VerificationReport,
     alternate_branch,
-    baseline_energy,
     build_full_system,
     compatibility_polynomial,
     juddian_points,
@@ -39,7 +38,6 @@ from .rabi import (
     build_rabi,
     find_crossings,
     parity_blocks,
-    parity_matrix,
     spectrum_sweep,
 )
 
@@ -58,7 +56,6 @@ __all__ = [
     "SqueezeParams",
     "VerificationReport",
     "alternate_branch",
-    "baseline_energy",
     "build_full_system",
     "build_rabi",
     "compatibility_polynomial",
@@ -69,7 +66,6 @@ __all__ = [
     "ladder_matrices",
     "null_vector",
     "parity_blocks",
-    "parity_matrix",
     "poly_eval",
     "poly_real_roots",
     "reconstruct_state",

@@ -12,12 +12,12 @@ search confirms a narrow one next to its shift, so a level there costs a
 few counts, and the outputs are bit-identical to counting every midpoint.
 Inverse iteration gives eigen- and null vectors; _inverse_step is its
 list-level step, for callers that solve many shifts on one matrix and form
-its Gershgorin interval and lists once. Kept as references
-for tests and benchmark tasks: sym_eig (eigenvalues only, by implicit-shift
-QL on Python floats per connected component of the matrix, Householder first
-for one not tridiagonal in index order), real-root isolation for polynomials
-held as coefficient tuples, and Gaussian elimination for null vectors and
-determinants.
+its Gershgorin interval and lists once. Kept for tests and benchmark tasks:
+sym_eig (eigenvalues only, by implicit-shift QL on Python floats, for a
+matrix whose connected components are each tridiagonal in index order; it
+rejects any other), real-root isolation for polynomials held as coefficient
+tuples, and Gaussian elimination for null vectors. Dense matrices and
+determinants are left to the tests, which check against LAPACK.
 ndarrays serve storage and elementwise/matmul arithmetic only; there are no
 calls into numpy.linalg or any external solver.
 """
@@ -250,10 +250,10 @@ def poly_real_roots(
 
 @dataclass(frozen=True)
 class EigResult:
-    """Ascending eigenvalues of a symmetric matrix.
+    """Ascending eigenvalues of a symmetric matrix made of chains (sym_eig).
 
     A one-field record rather than a bare array because its callers,
-    perfbench's workloads among them, read sym_eig(A).values.
+    perfbench's oscillator tasks and probes among them, read sym_eig(A).values.
     """
 
     values: np.ndarray
@@ -278,42 +278,6 @@ def _components(A: np.ndarray) -> list[list[int]]:
         if members:
             components.append(sorted(members))
     return components
-
-
-def _householder(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce symmetric A to the tridiagonal (d, e) of a similar matrix.
-
-    Classic Householder similarity chain, one reflector per trailing row,
-    applied to the shrinking leading block with rank-2 updates.
-    """
-    V = A.copy()
-    n = V.shape[0]
-    d = np.zeros(n)
-    e = np.zeros(n)  # e[j] = T[j, j+1]; e[n-1] stays 0
-
-    for i in range(n - 1, 1, -1):
-        x = V[i, :i].copy()
-        scale = float(np.sum(np.abs(x)))
-        if scale == 0.0:
-            e[i - 1] = 0.0
-            continue
-        x /= scale
-        h = float(x @ x)
-        f = x[i - 1]
-        g = -math.copysign(math.sqrt(h), f)
-        e[i - 1] = scale * g
-        h -= f * g
-        x[i - 1] = f - g
-        # rank-2 update of the leading block: B <- B - u w^T - w u^T
-        B = V[:i, :i]
-        pv = (B @ x) / h
-        K = float(x @ pv) / (2.0 * h)
-        w = pv - K * x
-        B -= np.outer(x, w) + np.outer(w, x)
-    if n >= 2:
-        e[0] = V[1, 0]
-    d[:] = np.diagonal(V)
-    return d, e
 
 
 def _ql_implicit(d: list, e: list) -> None:
@@ -369,21 +333,22 @@ def _ql_implicit(d: list, e: list) -> None:
 
 
 def sym_eig(A: np.ndarray) -> EigResult:
-    """All eigenvalues of a real symmetric matrix; no eigenvectors are formed.
+    """All eigenvalues of a real symmetric matrix made of chains; no eigenvectors are formed.
 
     Parameters
     ----------
-    A : (n, n) ndarray, exactly symmetric (builders here write both triangles).
+    A : (n, n) ndarray, exactly symmetric (builders here write both triangles),
+        each connected component of its nonzero pattern tridiagonal in
+        ascending index order: the parity blocks, the oscillators (the
+        squeezed one as its even-n and odd-n chains) and build_rabi's two
+        parity chains all are.
 
     Returns
     -------
     EigResult with the values in ascending order: the stable sort of the
-    joined spectra of the connected components of A's nonzero pattern. Each
-    component, in ascending index order, goes to QL, through Householder
-    first unless it is tridiagonal in that order: the squeezed oscillator's
-    even-n and odd-n chains and build_rabi's parity chains take no O(n^3)
-    reduction. QL splits at a zero coupling anyway, so a matrix tridiagonal
-    in index order, or one component, gets values bit-identical to one solve.
+    joined QL spectra of the components. QL splits at a zero coupling
+    anyway, so a tridiagonal matrix gets values bit-identical to one solve.
+    Raises ValueError naming the first index of any other component.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
@@ -396,10 +361,9 @@ def sym_eig(A: np.ndarray) -> EigResult:
     values: list[float] = []
     for idx in _components(A):
         B = A if len(idx) == A.shape[0] else A[np.ix_(idx, idx)]
-        if np.count_nonzero(B) == np.count_nonzero(np.diagonal(B)) + 2 * np.count_nonzero(np.diagonal(B, 1)):
-            d, e = np.diagonal(B).tolist(), np.diagonal(B, 1).tolist() + [0.0]
-        else:
-            d, e = (a.tolist() for a in _householder(B))
+        if np.count_nonzero(B) != np.count_nonzero(np.diagonal(B)) + 2 * np.count_nonzero(np.diagonal(B, 1)):
+            raise ValueError(f"sym_eig needs chains: the component at index {idx[0]} is not tridiagonal in index order")
+        d, e = np.diagonal(B).tolist(), np.diagonal(B, 1).tolist() + [0.0]
         _ql_implicit(d, e)
         values += d
     return EigResult(values=np.sort(np.array(values), kind="stable"))
@@ -867,19 +831,3 @@ def null_vector(A: np.ndarray) -> np.ndarray:
             break
     return v
 
-
-def determinant(A: np.ndarray) -> float:
-    """Determinant via Gaussian elimination with partial pivoting."""
-    M = np.asarray(A, dtype=float).copy()
-    n = M.shape[0]
-    sign = 1.0
-    for c in range(n):
-        piv = c + int(np.argmax(np.abs(M[c:, c])))
-        if M[piv, c] == 0.0:
-            return 0.0
-        if piv != c:
-            M[[c, piv], :] = M[[piv, c], :]
-            sign = -sign
-        below = M[c + 1 :, c] / M[c, c]
-        M[c + 1 :, c:] -= np.outer(below, M[c, c:])
-    return sign * float(np.prod(np.diagonal(M)))

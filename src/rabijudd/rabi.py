@@ -107,16 +107,6 @@ def _apply_rabi(params: ModelParams, vector: np.ndarray) -> np.ndarray:
     return out
 
 
-def parity_matrix(cutoff: int) -> np.ndarray:
-    """Diagonal parity operator -sigma_z cos(pi b+b) on the assembly basis."""
-    M = int(cutoff)
-    diag = np.empty(2 * (M + 1))
-    signs = (-1.0) ** np.arange(M + 1)
-    diag[0::2] = -signs  # spin up: -(+1) cos(pi n)
-    diag[1::2] = signs
-    return np.diag(diag)
-
-
 def _block_arrays(params: ModelParams, cutoff: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     M = int(cutoff)
     n = np.arange(M + 1)

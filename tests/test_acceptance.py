@@ -8,7 +8,6 @@ diagonalization; see the decisions ledger outside the package).
 """
 
 import functools
-import json
 import math
 import subprocess
 import sys
@@ -17,11 +16,14 @@ import time
 import numpy as np
 
 from rabijudd.bosons import (
+    displaced_osc_band,
     displaced_osc_hamiltonian,
     displacement_matrix,
     squeeze_params,
+    squeezed_osc_band,
     squeezed_osc_hamiltonian,
 )
+from rabijudd.cli import _lowest_levels
 from rabijudd.juddian import (
     alternate_branch,
     build_full_system,
@@ -29,15 +31,16 @@ from rabijudd.juddian import (
     juddian_points,
     reconstruct_state,
 )
-from rabijudd.numerics import determinant, poly_real_roots, sym_eig
+from rabijudd.numerics import poly_real_roots, sym_eig, tridiag_eigval_within, tridiag_eigvals_lowest
 from rabijudd.rabi import (
     ModelParams,
+    _block_arrays,
     build_rabi,
     find_crossings,
     parity_blocks,
-    parity_matrix,
     spectrum_sweep,
 )
+from reference import parity_matrix
 
 # frozen reference: (N, index) -> (g, E)
 REFERENCE_POINTS = {
@@ -107,10 +110,14 @@ def test_criterion_2_closed_form_polynomials():
 def test_criterion_3_crossing_degeneracy():
     """Both parity blocks hold an eigenvalue within 1e-6 of E at M = 100."""
     for point in _all_reference_points():
-        plus, minus = parity_blocks(point.model_params(), 100)
+        params = point.model_params()
+        plus, minus = parity_blocks(params, 100)
         for block in (plus, minus):
             values = sym_eig(block.matrix).values
             assert np.abs(values - point.E).min() <= 1e-6
+            # the same level on the Sturm path verify runs
+            nearest = tridiag_eigval_within(*_block_arrays(params, 100, block.parity), point.E, 1e-6)
+            assert nearest is not None and abs(nearest[1] - point.E) <= 1e-6
     print("criterion 3 (block degeneracy at all ten points): PASS")
 
 
@@ -130,6 +137,9 @@ def test_criterion_5_displaced_oscillator():
     for lam in (0.5, 1.0, 1.5):
         vals = sym_eig(displaced_osc_hamiltonian(lam, 100)).values[:10]
         assert np.abs(vals - expected).max() <= 1e-8
+        # the band sector the oscillator subcommand bisects
+        d, c, _ = displaced_osc_band(lam, 100)
+        assert np.abs(_lowest_levels([(d, c)], 10) - expected).max() <= 1e-8
     print("criterion 5 (displaced oscillator): PASS")
 
 
@@ -140,6 +150,10 @@ def test_criterion_6_squeezed_oscillator():
         vals = sym_eig(squeezed_osc_hamiltonian(lam, 200)).values[:10]
         expected = (np.arange(10) + 0.5) * sp.Omega
         assert np.abs(vals - expected).max() <= 1e-6
+        # the even-n and odd-n sectors the oscillator subcommand bisects
+        d, c, stride = squeezed_osc_band(lam, 200)
+        sectors = [(d[f::stride], c[f::stride]) for f in range(stride)]
+        assert np.abs(_lowest_levels(sectors, 10) - expected).max() <= 1e-6
         assert abs(-sp.sigma + lam + lam * sp.sigma ** 2) <= 1e-14
     print("criterion 6 (squeezed oscillator): PASS")
 
@@ -151,14 +165,14 @@ def _full_system_roots(n, wt, lo, hi, samples=1500):
     Cached: two tests scan the same (n, wt) pairs.
     """
     xs = np.linspace(lo, hi, samples)
-    dets = np.array([determinant(build_full_system(n, wt, float(x))) for x in xs])
+    dets = np.array([np.linalg.det(build_full_system(n, wt, float(x))) for x in xs])
     roots = []
     for i in np.nonzero(np.sign(dets[:-1]) * np.sign(dets[1:]) < 0)[0]:
         a, b = float(xs[i]), float(xs[i + 1])
         fa = dets[i]
         while b - a > 1e-12:
             m = 0.5 * (a + b)
-            fm = determinant(build_full_system(n, wt, m))
+            fm = np.linalg.det(build_full_system(n, wt, m))
             if fm == 0.0:
                 a = b = m
                 break
@@ -223,15 +237,19 @@ def test_criterion_9_property_suite():
     pi = parity_matrix(100)
     assert np.abs(H @ pi - pi @ H).max() <= 1e-12
 
-    # block-spectrum completeness
+    # block-spectrum completeness, against LAPACK on the full matrix, for the
+    # blocks by QL and by the Sturm bisection the sweep runs
     for g, omega0, M in ((0.3, 1.0, 60), (0.7, 0.6, 40), (1.1, 2.4, 40)):
         p = ModelParams(omega0=omega0, g=g)
+        full = np.linalg.eigvalsh(build_rabi(p, M))
+        bound = 1e-10 * max(1.0, np.abs(full).max())
         plus, minus = parity_blocks(p, M)
-        union = np.sort(np.concatenate([
-            sym_eig(plus.matrix).values, sym_eig(minus.matrix).values,
-        ]))
-        full = sym_eig(build_rabi(p, M)).values
-        assert np.abs(union - full).max() <= 1e-10 * max(1.0, np.abs(full).max())
+        for parts in (
+            [sym_eig(block.matrix).values for block in (plus, minus)],
+            [tridiag_eigvals_lowest(*_block_arrays(p, M, parity), M + 1) for parity in (1, -1)],
+        ):
+            union = np.sort(np.concatenate(parts))
+            assert np.abs(union - full).max() <= bound
 
     # exact +-g spectrum symmetry
     grid = np.linspace(0.1, 0.7, 7)

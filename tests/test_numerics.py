@@ -1,11 +1,11 @@
-"""Tests for the polynomial and dense linear-algebra kernels."""
+"""Tests for the polynomial, eigenvalue and elimination kernels."""
 
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyfromroots
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rabijudd.numerics as numerics
@@ -13,7 +13,6 @@ from rabijudd.numerics import (
     FullRankError,
     NearDoubleRootWarning,
     RootCountError,
-    determinant,
     null_vector,
     poly_eval,
     poly_real_roots,
@@ -130,12 +129,29 @@ def test_root_bracket_validation():
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigensolver
+# symmetric eigensolver: matrices made of chains
 
 def _random_symmetric(n, seed):
     rng = np.random.RandomState(seed)
     A = rng.standard_normal((n, n))
     return (A + A.T) / 2.0
+
+
+def _random_chains(n, seed, chains=3, zero=0.0):
+    # each index joins one of the ascending chains at random, or with
+    # probability zero is an all-zero row; a chain has a normal diagonal and
+    # normal couplings between its consecutive members
+    rng = np.random.RandomState(seed)
+    label = rng.randint(chains, size=n)
+    label[rng.random_sample(n) < zero] = -1
+    A = np.zeros((n, n))
+    for c in range(chains):
+        idx = np.flatnonzero(label == c)
+        A[idx, idx] = rng.standard_normal(idx.size)
+        e = rng.standard_normal(max(idx.size - 1, 0))
+        A[idx[:-1], idx[1:]] = e
+        A[idx[1:], idx[:-1]] = e
+    return A
 
 
 def _check_eig(A, res, tol=1e-10):
@@ -144,6 +160,12 @@ def _check_eig(A, res, tol=1e-10):
     vals = res.values
     assert np.all(np.diff(vals) >= 0)
     assert np.abs(vals - np.linalg.eigvalsh(A)).max() <= tol * norm
+
+
+def _check_sums(A, res):
+    norm = np.sqrt((A * A).sum()) or 1.0
+    assert abs(res.values.sum() - np.trace(A)) <= 1e-9 * norm
+    assert abs((res.values ** 2).sum() - (A * A).sum()) <= 1e-9 * norm
 
 
 def test_sym_eig_2x2():
@@ -160,40 +182,21 @@ def test_sym_eig_diagonal_input():
 
 
 def test_sym_eig_random_50():
-    A = _random_symmetric(50, seed=7)
+    A = _random_chains(50, seed=7)
     _check_eig(A, sym_eig(A))
 
 
 def test_sym_eig_dim_250_once():
-    A = _random_symmetric(250, seed=11)
+    A = _random_chains(250, seed=11)
     res = sym_eig(A)
     _check_eig(A, res)
-    norm = np.sqrt((A * A).sum())
-    assert abs(res.values.sum() - np.trace(A)) <= 1e-9 * norm
-    assert abs((res.values ** 2).sum() - (A * A).sum()) <= 1e-9 * norm
+    _check_sums(A, res)
 
 
 def test_sym_eig_deterministic():
-    A = _random_symmetric(23, seed=3)
+    A = _random_chains(23, seed=3)
     r1, r2 = sym_eig(A), sym_eig(A)
     assert np.array_equal(r1.values, r2.values)
-
-
-def test_sym_eig_tridiagonal_path_consistent():
-    # a tridiagonal matrix and a symmetric permutation of it share a spectrum;
-    # the permuted version exercises the dense reduction path
-    n = 30
-    rng = np.random.RandomState(5)
-    T = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
-    T = T + np.triu(T, 1).T
-    perm = rng.permutation(n)
-    P = np.eye(n)[perm]
-    B = P @ T @ P.T
-    vt = sym_eig(T).values
-    vb = sym_eig(B).values
-    norm = np.sqrt((T * T).sum())
-    assert np.abs(vt - vb).max() <= 1e-10 * norm
-    _check_eig(T, sym_eig(T))
 
 
 @pytest.mark.parametrize("d, e", [
@@ -215,18 +218,23 @@ def test_sym_eig_input_validation():
         sym_eig(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ValueError):
         sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # one connected component that is not tridiagonal in index order
+    rng = np.random.RandomState(5)
+    perm = rng.permutation(30)
+    with pytest.raises(ValueError, match="component at index 0 is not tridiagonal in index order"):
+        sym_eig(_tridiagonal(rng, 30)[np.ix_(perm, perm)])
+    with pytest.raises(ValueError, match="component at index 0 is not tridiagonal in index order"):
+        sym_eig(_random_symmetric(4, seed=13))
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=1, max_value=12),
        seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_sym_eig_properties_random(n, seed):
-    A = _random_symmetric(n, seed)
+    A = _random_chains(n, seed)
     res = sym_eig(A)
     _check_eig(A, res)
-    norm = np.sqrt((A * A).sum()) or 1.0
-    assert abs(res.values.sum() - np.trace(A)) <= 1e-9 * norm
-    assert abs((res.values ** 2).sum() - (A * A).sum()) <= 1e-9 * norm
+    _check_sums(A, res)
 
 
 def _tridiagonal(rng, n):
@@ -237,8 +245,8 @@ def _tridiagonal(rng, n):
 @pytest.mark.parametrize("n_even, n_odd", [(31, 30), (40, 40), (2, 1)])
 def test_interleaved_chains_equal_their_spectra_joined(n_even, n_odd):
     # the squeezed layout: one chain on the even indices, one on the odd, each
-    # tridiagonal in index order; the whole takes no Householder reduction, so
-    # its values are bit for bit those of the chains solved apart, merged
+    # tridiagonal in index order; the values of the whole are bit for bit
+    # those of the chains solved apart, merged
     rng = np.random.RandomState(n_even + n_odd)
     even, odd = _tridiagonal(rng, n_even), _tridiagonal(rng, n_odd)
     A = np.zeros((n_even + n_odd,) * 2)
@@ -262,21 +270,6 @@ def test_components_of_the_oscillator_and_rabi_matrices():
     assert numerics._components(np.diag([1.0, 0.0, 2.0])) == [[0], [1], [2]]
 
 
-def test_only_non_tridiagonal_components_take_householder(monkeypatch):
-    calls = []
-    reduce = numerics._householder
-    monkeypatch.setattr(numerics, "_householder", lambda B: calls.append(B.shape[0]) or reduce(B))
-    sym_eig(squeezed_osc_hamiltonian(0.3, 60))
-    sym_eig(build_rabi(ModelParams(g=0.4), 60))
-    assert calls == []
-    # a permuted tridiagonal stays one component that is not tridiagonal in
-    # index order, so test_sym_eig_tridiagonal_path_consistent reaches Householder
-    rng = np.random.RandomState(5)
-    perm = rng.permutation(30)
-    sym_eig(_tridiagonal(rng, 30)[np.ix_(perm, perm)])
-    assert calls == [30]
-
-
 def test_sym_eig_squeezed_matches_lapack():
     A = squeezed_osc_hamiltonian(0.3, 300)
     res = sym_eig(A)
@@ -292,43 +285,69 @@ def test_sym_eig_rabi_matches_lapack(g):
 
 
 def test_sym_eig_dense_component_beside_zero_rows():
-    # rows 1 and 4 are all zero (1x1 components of value 0); the rest form one
-    # dense component, which goes through Householder
+    # two all-zero rows (1x1 components of value 0) beside one dense
+    # component: the error names the dense component's first index
     B = _random_symmetric(4, seed=13)
-    A = np.zeros((6, 6))
-    keep = [0, 2, 3, 5]
-    A[np.ix_(keep, keep)] = B
-    assert numerics._components(A) == [keep, [1], [4]]
-    res = sym_eig(A)
-    _check_eig(A, res)
-    assert np.count_nonzero(res.values == 0.0) == 2
+    for keep, zero, first in (([0, 2, 3, 5], [1, 4], 0), ([1, 2, 3, 5], [0, 4], 1)):
+        A = np.zeros((6, 6))
+        A[np.ix_(keep, keep)] = B
+        assert numerics._components(A) == sorted([keep] + [[i] for i in zero])
+        with pytest.raises(ValueError, match=f"component at index {first} is not tridiagonal"):
+            sym_eig(A)
+        # the same rows as a chain
+        A[np.ix_(keep, keep)] = np.diag(np.diag(B)) + np.diag(np.diag(B, 1), 1) + np.diag(np.diag(B, 1), -1)
+        res = sym_eig(A)
+        _check_eig(A, res)
+        assert np.count_nonzero(res.values == 0.0) == 2
 
 
 @st.composite
-def _sparse_symmetric(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
-    seed = draw(st.integers(min_value=0, max_value=2 ** 31 - 1))
-    density = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]))
-    rng = np.random.RandomState(seed)
-    A = _random_symmetric(n, seed) * (rng.random_sample((n, n)) < density)
-    A = np.triu(A) + np.triu(A, 1).T
-    zero = rng.random_sample(n) < 0.2  # all-zero rows and columns
-    A[zero, :] = 0.0
-    A[:, zero] = 0.0
-    return A
+def _chain_matrices(draw, min_size=1):
+    n = draw(st.integers(min_value=min_size, max_value=12))
+    chains = draw(st.integers(min_value=1, max_value=4))
+    zero = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    return _random_chains(n, draw(st.integers(min_value=0, max_value=2 ** 31 - 1)), chains, zero)
 
 
 @settings(max_examples=60, deadline=None)
-@given(A=_sparse_symmetric())
+@given(A=_chain_matrices())
 def test_sym_eig_sparse_patterns(A):
+    # random ascending chains interleaved, with all-zero rows among them
     res = sym_eig(A)
     _check_eig(A, res)
-    norm = np.sqrt((A * A).sum()) or 1.0
-    assert abs(res.values.sum() - np.trace(A)) <= 1e-9 * norm
-    assert abs((res.values ** 2).sum() - (A * A).sum()) <= 1e-9 * norm
+    _check_sums(A, res)
     components = numerics._components(A)
     assert sorted(i for c in components for i in c) == list(range(A.shape[0]))
     assert all(c == sorted(c) for c in components)
+
+
+@st.composite
+def _non_chain_matrices(draw):
+    # chains on some indices, and on k >= 3 others either a dense block or a
+    # tridiagonal walked in an order that is neither ascending nor descending;
+    # returns the matrix and the first index of that component
+    A = draw(_chain_matrices(min_size=3))
+    n = A.shape[0]
+    k = draw(st.integers(min_value=3, max_value=n))
+    rows = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+    A[rows, :] = 0.0
+    A[:, rows] = 0.0
+    seed = draw(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    if draw(st.booleans()):
+        A[np.ix_(rows, rows)] = _random_symmetric(k, seed)
+    else:
+        order = draw(st.permutations(rows))
+        assume(order != rows and order != rows[::-1])
+        A[np.ix_(order, order)] = _tridiagonal(np.random.RandomState(seed), k)
+    return A, rows[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_non_chain_matrices())
+def test_sym_eig_rejects_components_that_are_not_chains(case):
+    A, first = case
+    with pytest.raises(ValueError, match=f"component at index {first} is not tridiagonal in index order"):
+        sym_eig(A)
 
 
 def test_sturm_route_agrees_with_ql_route():
@@ -769,7 +788,7 @@ def test_inverse_iteration_recovers_eigenvector():
 
 
 # ---------------------------------------------------------------------------
-# null vectors and determinants
+# null vectors
 
 def test_null_vector_simple_cases():
     v = null_vector(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -794,9 +813,3 @@ def test_null_vector_full_rank_raises():
     with pytest.raises(FullRankError):
         null_vector(np.eye(4))
 
-
-def test_determinant_triangular_and_permutation():
-    A = np.array([[2.0, 1.0], [0.0, 3.0]])
-    assert determinant(A) == pytest.approx(6.0, rel=1e-14)
-    P = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert determinant(P) == pytest.approx(-1.0, rel=1e-14)

@@ -1,14 +1,20 @@
 """Rules the package source keeps, checked on its syntax trees."""
 
 import ast
+import functools
 import re
 from pathlib import Path
 
 import pytest
 
 import rabijudd
+import rabijudd.svgplot  # noqa: F401  (perfbench/run.py imports it for rj.svgplot)
 
 _SOURCES = sorted(Path(rabijudd.__file__).parent.glob("*.py"))
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# rj.<name> or a dotted chain such as rj.svgplot.render_figure, in code or in a
+# code string: the benchmark calls the package as the module rj
+_RJ_NAME = re.compile(r"\brj((?:\.\w+)+)")
 # a dotted name with a linalg part, as an import path or an importlib argument
 _LINALG_NAME = re.compile(r"^(\w+\.)*linalg(\.\w+)*$")
 
@@ -51,3 +57,19 @@ def test_no_numpy_linalg_in_the_package(path):
 ])
 def test_the_rule_catches_each_form(source):
     assert _linalg_uses(ast.parse(source))
+
+
+def _resolves(dotted: str) -> bool:
+    try:
+        functools.reduce(getattr, dotted.split(".")[1:], rabijudd)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    # the benchmark runs on its own copy of the sources; a package name it
+    # calls that is renamed or deleted would otherwise first fail there
+    names = {"rj" + m for path in _PERFBENCH.glob("*.py") for m in _RJ_NAME.findall(path.read_text())}
+    assert {"rj.sym_eig", "rj.null_vector", "rj.svgplot.render_figure"} <= names
+    assert sorted(name for name in names if not _resolves(name)) == []

@@ -23,9 +23,9 @@ from rabijudd.rabi import (
     build_rabi,
     find_crossings,
     parity_blocks,
-    parity_matrix,
     spectrum_sweep,
 )
+from reference import parity_matrix
 from test_numerics import _full_lowest_batch
 
 
