@@ -42,6 +42,19 @@ from reference import parity_matrix, reduced_matrix
 RESONANCE = ModelParams()  # omega = omega0 = 1, so omega_tilde = 1/2
 
 
+def test_baseline_energy_values():
+    # each point lies on its baseline E = N - lam^2, bit for bit
+    assert abs(juddian_points(1, RESONANCE)[0].E - 0.8125000000) < 1e-9
+    last = juddian_points(4, RESONANCE)[-1]
+    assert abs(last.lam - 1.5164984830) < 1e-9
+    assert abs(last.E - 1.7002323511) < 1e-9
+    for n in range(1, 6):
+        for p in juddian_points(n, RESONANCE):
+            assert p.E == n - p.lam * p.lam
+    with pytest.raises(ValueError):
+        juddian_points(0, RESONANCE)
+
+
 # ---------------------------------------------------------------------------
 # compatibility systems
 

@@ -199,6 +199,25 @@ def test_sym_eig_deterministic():
     assert np.array_equal(r1.values, r2.values)
 
 
+def test_sym_eig_tridiagonal_path_consistent():
+    # a tridiagonal matrix, its reversal (still tridiagonal in index order)
+    # and a symmetric permutation of it share a spectrum; sym_eig takes the
+    # first two and LAPACK the third
+    n = 30
+    rng = np.random.RandomState(5)
+    T = np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
+    T = T + np.triu(T, 1).T
+    perm = rng.permutation(n)
+    P = np.eye(n)[perm]
+    B = P @ T @ P.T
+    vt = sym_eig(T).values
+    vr = sym_eig(T[::-1, ::-1]).values
+    norm = np.sqrt((T * T).sum())
+    assert np.abs(vt - vr).max() <= 1e-10 * norm
+    assert np.abs(vt - np.linalg.eigvalsh(B)).max() <= 1e-10 * norm
+    _check_eig(T, sym_eig(T))
+
+
 @pytest.mark.parametrize("d, e", [
     # couplings whose product underflows, between zero diagonals; the first
     # is the case hypothesis found through test_early_count_equals_full_count
