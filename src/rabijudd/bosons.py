@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .numerics import _gershgorin, _inverse_step
 
 #: Highest retained occupation number (basis size 101) used throughout

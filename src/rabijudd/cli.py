@@ -19,8 +19,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
+from ._numpy import np
 from .bosons import displaced_osc_band, squeeze_params, squeezed_osc_band, support_rows
 from .juddian import juddian_points, verify_point
 from .numerics import RootCountError, tridiag_eigvals_lowest

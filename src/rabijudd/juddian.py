@@ -17,8 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, displaced_number_states, support_rows
 from .numerics import FullRankError, RootCountError, tridiag_eigval_within, tridiag_inverse_iteration
 from .rabi import ModelParams, _apply_rabi, _block_arrays

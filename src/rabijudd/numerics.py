@@ -19,23 +19,28 @@ rejects any other), real-root isolation for polynomials held as coefficient
 tuples, and Gaussian elimination for null vectors. Dense matrices and
 determinants are left to the tests, which check against LAPACK.
 ndarrays serve storage and elementwise/matmul arithmetic only; there are no
-calls into numpy.linalg or any external solver.
+calls into numpy.linalg or any external solver. numpy is the package's lazy
+handle (rabijudd._numpy), loaded by the first function here that reads it;
+the scalar Sturm counts and the QL sweep run on Python floats, and eps and
+the QL split come from sys.float_info, so juddian_points loads no numpy and
+its scalars stay Python floats.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
+from ._numpy import np
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 # QL splits at couplings this small whatever the diagonal: the rotation chase
 # multiplies two of them, which underflows to 0 and stalls the sweep
-_QL_SPLIT = math.sqrt(np.finfo(float).tiny)
+_QL_SPLIT = math.sqrt(sys.float_info.min)
 
 
 class NonConvergenceError(RuntimeError):
@@ -289,7 +294,7 @@ def _ql_implicit(d: list, e: list) -> None:
     Raises NonConvergenceError after 30 sweeps on a single eigenvalue.
     """
     n = len(d)
-    eps, hypot, copysign = float(_EPS), math.hypot, math.copysign
+    eps, hypot, copysign = _EPS, math.hypot, math.copysign
     for l in range(n):
         sweeps = 0
         while True:

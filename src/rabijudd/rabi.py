@@ -11,13 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, ladder_matrices
 from .numerics import _sturm_lowest_batch, tridiag_eigval_near
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 # find_crossings refines each crossing until |E+ - E-| is at most this
 _CROSSING_TOL = 1e-9
 
@@ -78,9 +75,9 @@ def build_rabi(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     eye_f = np.eye(M + 1)
     eye_s = np.eye(2)
     H = (
-        params.omega_tilde * np.kron(eye_f, _SIGMA_Z)
+        params.omega_tilde * np.kron(eye_f, np.array([[1.0, 0.0], [0.0, -1.0]]))
         + np.kron(number, eye_s)
-        + params.lam * np.kron(create + annihilate, _SIGMA_X)
+        + params.lam * np.kron(create + annihilate, np.array([[0.0, 1.0], [1.0, 0.0]]))
     )
     return H
 

@@ -65,9 +65,10 @@ def render_figure(
     spectrum_rows holds (g, parity, level, energy) records; points holds
     mappings with keys N, lambda, g, E. Baselines are drawn for the
     N in 1..max(point N) whose curve can reach the plotted energy window,
-    and need at least one point row to fix the g -> lam mapping, so they
-    are skipped when points is empty. Raises ValueError when the padded g
-    or energy window, or its span, is not finite.
+    one polyline per run of samples inside it (a window across g = 0 can
+    hold two). They need at least one point row to fix the g -> lam
+    mapping, so they are skipped when points is empty. Raises ValueError
+    when the padded g or energy window, or its span, is not finite.
     """
     if not spectrum_rows:
         raise ValueError("no spectrum rows to plot")
@@ -87,6 +88,7 @@ def render_figure(
 
     x_span = _WIDTH - _MARGIN_L - _MARGIN_R
     y_span = _HEIGHT - _MARGIN_T - _MARGIN_B
+    g_span, e_span = g_hi - g_lo, e_hi - e_lo
 
     def sx(g: float) -> float:
         return _MARGIN_L + (g - g_lo) / (g_hi - g_lo) * x_span
@@ -129,25 +131,31 @@ def render_figure(
         pairs = [(a, b) for a, b in zip(lam2, lam2[1:]) if abs(b - a) <= e_hi - e_lo]
         n_bottom = max(1, math.ceil(e_lo + min(max(p) for p in pairs)) - 1) if pairs else 1
         n_top = min(n_max, math.floor(e_hi + max(min(p) for p in pairs)) + 1) if pairs else 0
+        # each sample's x text is formatted once, and sy inlined as below
+        x_texts = [f"{_fmt(sx(g))}," for g in samples]
+        y_text = "{:.2f}".format
         for n in range(n_bottom, n_top + 1):
-            coords = []
-            for g, l2 in zip(samples, lam2):
+            # a baseline rises with g up to g = 0 and falls after it, so it can
+            # leave the window and come back: each in-window run is a polyline
+            runs, coords = [], []
+            for x, g, l2 in zip(x_texts, samples, lam2):
                 e = n - l2
                 if e_lo <= e <= e_hi:
-                    coords.append(f"{_fmt(sx(g))},{_fmt(sy(e))}")
+                    coords.append(x + y_text(_MARGIN_T + (e_hi - e) / e_span * y_span))
+                elif e < e_lo and g >= 0.0:
+                    break  # below the window where it falls: it stays below
                 elif coords:
-                    break  # baselines fall monotonically; once out, stay out
-            if len(coords) >= 2:
-                parts.append(
-                    f'  <polyline class="baseline" points="{" ".join(coords)}"/>'
-                )
+                    runs.append(coords)
+                    coords = []
+            runs.append(coords)
+            parts += [f'  <polyline class="baseline" points="{" ".join(c)}"/>'
+                      for c in runs if len(c) >= 2]
 
     series: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for g, parity, level, energy in spectrum_rows:
         series.setdefault((parity, level), []).append((g, energy))
     # sx and sy inlined in their order of operations, one format call per sample
     pair = "{:.2f},{:.2f}".format
-    g_span, e_span = g_hi - g_lo, e_hi - e_lo
     for (parity, level) in sorted(series, key=lambda s: (-s[0], s[1])):
         pts = sorted(series[(parity, level)])
         xs = [_MARGIN_L + (g - g_lo) / g_span * x_span for g, _ in pts]

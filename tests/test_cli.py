@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface via subprocess."""
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -23,6 +24,7 @@ from rabijudd.cli import _lowest_levels, main
 from rabijudd.juddian import juddian_points
 from rabijudd.numerics import sym_eig
 from rabijudd.rabi import ModelParams, spectrum_sweep
+from rabijudd.svgplot import render_figure
 
 REFERENCE_G = {
     (1, 0): 0.2165063510,
@@ -575,6 +577,19 @@ def test_plot_huge_order_renders_quickly(tmp_path):
     # is accepted): baselines N = 1..6 cross the window
     assert svgs[0] == svgs[1]
     assert svgs[0].count('<polyline class="baseline"') == 6
+
+
+def test_baseline_drawn_on_both_sides_of_g_zero():
+    # E = 3 - 4 g^2 rises to g = 0 and falls after it: above the window
+    # [-1.136, 2.536] for |g| < 0.34, so N = 3 is two runs, mirror images
+    rows = [(-0.5, 1, 0, -1.0), (0.5, 1, 0, 2.4)]
+    svg = render_figure(rows, [{"N": 3, "lambda": 1.0, "g": 0.5, "E": 2.0}])
+    runs = [points.split() for points in re.findall(r'<polyline class="baseline" points="([^"]*)"', svg)]
+    assert [len(r) for r in runs] == [241, 241, 39, 39]  # N = 1 and 2 stay in the window
+    left, right = runs[2], runs[3]
+    assert (left[0], left[-1]) == ("64.00,92.11", "187.18,20.40")
+    assert (right[0], right[-1]) == ("718.82,20.40", "842.00,92.11")
+    assert [p.split(",")[1] for p in right] == [p.split(",")[1] for p in reversed(left)]
 
 
 def test_tick_values_return_for_a_window_narrow_for_its_magnitude():

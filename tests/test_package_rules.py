@@ -17,9 +17,14 @@ _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _RJ_NAME = re.compile(r"\brj((?:\.\w+)+)")
 # a dotted name with a linalg part, as an import path or an importlib argument
 _LINALG_NAME = re.compile(r"^(\w+\.)*linalg(\.\w+)*$")
+# numpy or a numpy submodule, as an import path or an importlib argument
+_NUMPY_NAME = re.compile(r"^numpy(\.\w+)*$")
+# the one module that imports numpy, lazily, for all the others
+_NUMPY_HELPER = "_numpy.py"
 
 
-def _linalg_uses(tree: ast.AST) -> list[tuple[int, str]]:
+def _uses(tree: ast.AST, pattern: re.Pattern) -> list[tuple[int, str]]:
+    """Lines and names matching pattern: import paths, imported and attribute names, strings."""
     uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -32,19 +37,21 @@ def _linalg_uses(tree: ast.AST) -> list[tuple[int, str]]:
             names = [node.value]
         else:
             continue
-        uses += [(node.lineno, name) for name in names if _LINALG_NAME.match(name)]
+        uses += [(node.lineno, name) for name in names if pattern.match(name)]
     return uses
 
 
 def test_the_package_sources_are_all_found():
-    assert {"numerics.py", "rabi.py", "bosons.py", "juddian.py", "cli.py"} <= {p.name for p in _SOURCES}
+    assert {"numerics.py", "rabi.py", "bosons.py", "juddian.py", "cli.py", _NUMPY_HELPER} <= {
+        p.name for p in _SOURCES
+    }
 
 
 @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
 def test_no_numpy_linalg_in_the_package(path):
     # the package solves its own eigenproblems; numpy.linalg (or any linalg
     # module) is left to the tests and the benchmark oracle as an outside check
-    assert _linalg_uses(ast.parse(path.read_text(), filename=str(path))) == []
+    assert _uses(ast.parse(path.read_text(), filename=str(path)), _LINALG_NAME) == []
 
 
 @pytest.mark.parametrize("source", [
@@ -56,7 +63,28 @@ def test_no_numpy_linalg_in_the_package(path):
     "import importlib\nimportlib.import_module('numpy.linalg')",
 ])
 def test_the_rule_catches_each_form(source):
-    assert _linalg_uses(ast.parse(source))
+    assert _uses(ast.parse(source), _LINALG_NAME)
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_numpy_is_imported_by_the_helper_alone(path):
+    # the other modules take np from the helper, so `import rabijudd` loads no
+    # numpy until a numpy path runs
+    imports = _uses(ast.parse(path.read_text(), filename=str(path)), _NUMPY_NAME)
+    assert bool(imports) == (path.name == _NUMPY_HELPER), imports
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np",
+    "import numpy",
+    "import numpy.linalg",
+    "from numpy import ndarray",
+    "from numpy.linalg import eigvalsh",
+    "def f():\n    import numpy as np\n    return np",
+    "import importlib\nimportlib.import_module('numpy')",
+])
+def test_the_numpy_rule_catches_each_form(source):
+    assert _uses(ast.parse(source), _NUMPY_NAME)
 
 
 def _resolves(dotted: str) -> bool:

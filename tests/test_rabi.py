@@ -247,6 +247,17 @@ def test_crossing_refinement_tolerance():
         assert abs(c.E_star - 0.5 * (ep + em)) <= 1e-9
 
 
+def test_crossing_fields_are_python_scalars():
+    # refined and exact-hit crossings alike: float g_star and E_star, int levels,
+    # never numpy scalars, whichever path produced the value
+    t = spectrum_sweep(ModelParams(omega0=1.0), np.linspace(0.05, 0.8, 201), 60, 8)
+    crossings = find_crossings(t)
+    assert len(crossings) == 24
+    for c in crossings:
+        assert (type(c.g_star), type(c.E_star)) == (float, float), c
+        assert (type(c.level_plus), type(c.level_minus)) == (int, int), c
+
+
 def test_no_crossings_on_quiet_segment():
     grid = np.linspace(0.01, 0.03, 5)
     t = spectrum_sweep(ModelParams(), grid, cutoff=80, levels_per_block=2)
