@@ -4,15 +4,15 @@ Package paths run on Sturm bisection for selected eigenvalues of symmetric
 tridiagonal matrices: the lowest k (tridiag_eigvals_lowest, or
 _sturm_lowest_batch, one lockstep walk over several diagonals that share
 many couplings, such as the two parity blocks over a coupling grid), the
-one nearest a shift (tridiag_eigval_within) and a given index near a guess
-(tridiag_eigval_near), each forming its own Gershgorin interval and stop
-data. The last two bisect through _sturm_eigval_index, which counts only
-inside a bracket that counts have confirmed (_confirm_bracket): the window
-search confirms a narrow one next to its shift, so a level there costs a
-few counts, and the outputs are bit-identical to counting every midpoint.
-Inverse iteration gives eigen- and null vectors; _inverse_step is its
-list-level step, for callers that solve many shifts on one matrix and form
-its Gershgorin interval and lists once. Kept for tests and benchmark tasks:
+one nearest a shift (tridiag_eigval_within) and a given index
+(tridiag_eigval_near). The public entry points check their input in one
+place (_sturm_input, _gershgorin). The last two find each level by
+_sturm_level, which bisects a fixed interval but counts only inside a
+bracket around a guess that counts have confirmed: a level next to its
+guess costs a few counts, and the value is bit-identical to counting every
+midpoint. Inverse iteration (_inverse_step) gives eigen- and null vectors
+from lists and a Gershgorin interval that its callers form once.
+Kept for tests and benchmark tasks:
 sym_eig (eigenvalues only, by implicit-shift QL on Python floats, for a
 matrix whose connected components are each tridiagonal in index order; it
 rejects any other), real-root isolation for polynomials held as coefficient
@@ -379,31 +379,50 @@ def sym_eig(A: np.ndarray) -> EigResult:
 
 
 def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
-    """Interval (lo, hi) holding every eigenvalue of the symmetric tridiagonal (d, e)."""
+    """Interval (lo, hi) holding every eigenvalue of the symmetric tridiagonal (d, e).
+
+    Raises ValueError when it reaches past half the float range, where a
+    bisection's midpoints and stopping width would overflow.
+    """
     radius = np.zeros(d.size)
     if d.size > 1:
         radius[: d.size - 1] += np.abs(e)
         radius[1:] += np.abs(e)
-    return float(np.min(d - radius)), float(np.max(d + radius))
+    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+    if not math.isfinite(2.0 * max(abs(lo), abs(hi))):  # hi - lo and lo + hi would overflow
+        raise ValueError(f"Gershgorin interval [{lo:g}, {hi:g}] reaches past half the float range")
+    return lo, hi
+
+
+def _sturm_input(d, e, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d, e and e**2 as float arrays, checked for the Sturm entry point that name names.
+
+    Raises ValueError for an empty d, and when d, e or e**2 has a non-finite
+    entry; only e**2 enters a count, so spectra are exactly even in the
+    sign of e. The Gershgorin interval is checked where it is formed.
+    """
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    if d.size < 1:
+        raise ValueError("empty tridiagonal matrix")
+    with np.errstate(over="ignore"):
+        e2 = e * e
+    if not (np.isfinite(d).all() and np.isfinite(e2).all()):
+        raise ValueError(f"{name} needs finite d and e, with e**2 finite")
+    return d, e, e2
 
 
 def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     """Lowest k eigenvalues of the symmetric tridiagonal (d, e), ascending.
 
     Bisection with Sturm counts, bisecting all k target indices in lockstep.
-    Only e**2 enters, so spectra are exactly even in the sign of e. Raises
-    ValueError when d, e or e**2 has a non-finite entry, or when the
-    Gershgorin interval reaches past half the float range.
+    Raises ValueError for k outside 1..n, for input that _sturm_input
+    rejects, and when the Gershgorin interval reaches past half the float
+    range.
     """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    n = d.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for dimension {n}")
-    with np.errstate(over="ignore"):
-        e2 = e * e
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e2))):
-        raise ValueError("tridiag_eigvals_lowest needs finite d and e, with e**2 finite")
+    d, e, e2 = _sturm_input(d, e, "tridiag_eigvals_lowest")
+    if not 1 <= k <= d.size:
+        raise ValueError(f"k={k} out of range for dimension {d.size}")
     return _sturm_lowest_batch(d[None, :], e2[:, None], k)[0, 0]
 
 
@@ -455,8 +474,6 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
     for d in diags:
         tiny.append(_EPS * (float(np.max(np.abs(d))) + e_top + 1.0))
         a, b = _gershgorin(d, e_max)
-        if not math.isfinite(2.0 * max(abs(a), abs(b))):  # hi - lo and lo + hi would overflow
-            raise ValueError(f"Gershgorin interval [{a:g}, {b:g}] reaches past half the float range")
         lo.append(a)
         hi.append(b)
         width.append(4.0 * _EPS * max(b - a, 1.0))
@@ -584,32 +601,41 @@ def _sturm_count(d, e2, x: float, tiny: float, stop: _SturmStop) -> int:
     return count
 
 
-def _sturm_eigval_index(
-    d, e2, index: int, lo: float, hi: float, stop: _SturmStop, scale: float, confirmed: tuple[float, float]
-) -> float:
-    """Single eigenvalue by Sturm bisection, scalar arithmetic throughout.
+def _sturm_level(d, e2, stop: _SturmStop, index: int, lo: float, hi: float, guess: float, width: float) -> float:
+    """Eigenvalue index (0-based, ascending) by Sturm bisection of [lo, hi], which must hold it.
 
     d and e2 are sequences (diagonal and squared off-diagonal) and stop
-    their _sturm_stop data; index is the 0-based ascending eigenvalue index;
-    (lo, hi) must bracket it. Pivots below eps scale are clamped, and the
-    bisection ends at width 4 eps scale.
+    their _sturm_stop data. With scale = max(|lo|, |hi|, 1), pivots below
+    eps scale are clamped and the bisection ends at width 4 eps scale.
 
-    confirmed = (a, b), inside [lo, hi], is a bracket of the level whose
-    ends, where they lie strictly inside (lo, hi), the caller has counted
-    with the same tiny = eps scale: fewer than index + 1 levels below a, at
-    least index + 1 below b. The midpoints are those of bisecting (lo, hi),
-    but only a midpoint strictly inside (a, b) is counted; one at or below
-    a moves lo, one at or above b moves hi. The floating-point Sturm count
-    is monotone in the shift (Demmel, Dhillon & Ren 1995), so an uncounted
-    midpoint falls on the side its count would have given, and the result
-    is bit-identical to counting every midpoint. Where monotonicity failed,
-    the returned bracket [lo, hi] still holds [max(lo, a), min(hi, b)],
-    whose ends carry real counts below and at or above index + 1, so it is
-    certified by real counts either way.
+    First a bracket (a, b) of the level is confirmed around guess: on each
+    side, the end guess -/+ w, w from max(width, 16 eps scale), is checked
+    by one count and moved out 16-fold while the level lies beyond it; an
+    end that falls outside (lo, hi) is not counted, so a guess at lo or hi
+    confirms one side only, and a guess outside [lo, hi] (or NaN) none.
+    The bisection then takes the midpoints of [lo, hi] but counts only
+    those strictly inside (a, b): one at or below a moves lo, one at or
+    above b moves hi. The floating-point Sturm count is monotone in the
+    shift (Demmel, Dhillon & Ren 1995), so an uncounted midpoint falls on
+    the side its count would have given, and the value is bit-identical to
+    counting every midpoint: guess and width set the cost only. Were the
+    count not monotone, the final [lo, hi] would still hold
+    [max(lo, a), min(hi, b)], whose ends carry real counts on either side
+    of index + 1.
     """
+    scale = max(abs(lo), abs(hi), 1.0)
     tiny = _EPS * scale
     target = index + 1
-    a, b = confirmed
+    a, b = lo, hi
+    for sign in (-1.0, 1.0):
+        w = max(width, 16.0 * tiny)
+        while a < guess + sign * w < b:
+            x = guess + sign * w
+            above = _sturm_count(d, e2, x, tiny, stop) >= target  # the level lies below x
+            a, b = (a, x) if above else (x, b)
+            if above == (sign > 0.0):
+                break
+            w *= 16.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         if mid <= a:
@@ -618,54 +644,27 @@ def _sturm_eigval_index(
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 4.0 * _EPS * scale:
+        if hi - lo <= 4.0 * tiny:
             break
     return 0.5 * (lo + hi)
 
 
-def _confirm_bracket(d, e2, index: int, guess: float, step: float, lo: float, hi: float, sides, tiny, stop):
-    """Bracket of eigenvalue index around guess, inside (lo, hi), confirmed by counts.
-
-    On each side in sides (-1.0 below guess, +1.0 above), the end
-    guess + side step is checked by one count and moved out 16-fold while it
-    fails, until it leaves (lo, hi); a failed end bounds the level from the
-    other side. Returns the narrowed (lo, hi).
-    """
-    for sign in sides:
-        w = step
-        while lo < guess + sign * w < hi:
-            x = guess + sign * w
-            above = _sturm_count(d, e2, x, tiny, stop) > index  # the level lies below x
-            lo, hi = (lo, x) if above else (x, hi)
-            if above == (sign > 0.0):
-                break
-            w *= 16.0
-    return lo, hi
-
-
 def tridiag_eigval_near(d: np.ndarray, e: np.ndarray, index: int, guess: float, width: float) -> float:
-    """Eigenvalue index (0-based, ascending) of the symmetric tridiagonal (d, e),
-    bisected from a bracket around guess that Sturm counts confirm.
+    """Eigenvalue index (0-based, ascending) of the symmetric tridiagonal (d, e).
 
-    Each end of guess -/+ width (at least 16 eps scale, scale the largest
-    magnitude of the Gershgorin interval or 1) is checked by one count and
-    moved out 16-fold while it fails, up to the Gershgorin interval; a
-    failed end bounds the level from the other side, so a wrong guess costs
-    counts only. The bisection ends at width 4 eps scale.
+    The value is the Sturm bisection of the Gershgorin interval to width
+    4 eps scale (scale its largest magnitude or 1), whatever guess and width
+    are: they only set the cost. A bracket guess -/+ width that counts
+    confirm (_sturm_level) lets the bisection skip every count outside it,
+    so a good guess costs a few counts and a wrong one a few more. Raises
+    ValueError for an index outside 0..n-1 and for input that
+    _sturm_input rejects.
     """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
+    d, e, e2 = _sturm_input(d, e, "tridiag_eigval_near")
+    if not 0 <= index < d.size:
+        raise ValueError(f"index={index} out of range for dimension {d.size}")
     lo, hi = _gershgorin(d, e)
-    scale = max(abs(lo), abs(hi), 1.0)
-    tiny = _EPS * scale
-    stop = _sturm_stop(d, np.abs(e))
-    dl = d.tolist()
-    e2l = (e * e).tolist()
-    if not lo < guess < hi:
-        guess = 0.5 * (lo + hi)
-    step = max(width, 16.0 * _EPS * scale)
-    lo, hi = _confirm_bracket(dl, e2l, index, guess, step, lo, hi, (-1.0, 1.0), tiny, stop)
-    return _sturm_eigval_index(dl, e2l, index, lo, hi, stop, scale, (lo, hi))
+    return _sturm_level(d.tolist(), e2.tolist(), _sturm_stop(d, np.abs(e)), index, lo, hi, guess, width)
 
 
 def tridiag_eigval_within(
@@ -677,75 +676,54 @@ def tridiag_eigval_within(
     Sturm counts at x - radius, x and x + radius give the numbers of
     eigenvalues below each shift, so the nearest is index c - 1 (the highest
     below x) or c (the lowest at or above it). Each is bisected only when
-    the window holds it, and only on its half of the window. On a tie the
-    lower index wins. Every count ends once its sign pattern is certified
-    (_sturm_stop), so a count costs the rows up to the level's support,
-    not O(n), and no eigenvectors are formed.
-
-    Before its bisection, each level is confirmed in a narrow bracket at the
-    end of its half window nearest x, [x - w, x] or [x, x + w], by one count
-    with the bisection's own tiny; w starts at 256 eps scale, 64 times the
-    bisection's stop width, and is widened 16-fold while a count rejects it,
-    up to the half window (_confirm_bracket). The bisection then runs over
-    the whole half window with the same midpoints as without the bracket,
-    counting only inside it (_sturm_eigval_index): the value is bit-identical
-    to bisecting the half window with a count at every midpoint, and a level
-    next to x, as at an exact point in verify, costs about 8 counts instead
-    of about 40.
+    the window holds it, and only on its half of the window,
+    [x - radius, x] or [x, x + radius], with x, the end the halves share, as
+    the guess (_sturm_level): a bracket next to x is confirmed inside the
+    half window, so a level next to x, as at an exact point in verify, costs
+    a few counts, and the value is bit-identical to bisecting the half
+    window with a count at every midpoint. On a tie the lower index wins.
+    Every count ends once its sign pattern is certified (_sturm_stop), so a
+    count costs the rows up to the level's support, not O(n), and no
+    eigenvectors are formed. Raises ValueError for a non-finite x, a radius
+    that is not finite and non-negative, and input that _sturm_input
+    rejects.
     """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if d.size < 1:
-        raise ValueError("empty tridiagonal matrix")
+    d, e, e2 = _sturm_input(d, e, "tridiag_eigval_within")
+    x, radius = float(x), float(radius)
+    if not (math.isfinite(x) and 0.0 <= radius < math.inf):
+        raise ValueError(f"tridiag_eigval_within needs a finite x and a finite radius >= 0, got x={x}, radius={radius}")
     lo, hi = _gershgorin(d, e)
     tiny = _EPS * max(abs(lo), abs(hi), 1.0)
     stop = _sturm_stop(d, np.abs(e))
-    dl = d.tolist()
-    e2l = (e * e).tolist()
-    x = float(x)
-    left, right = x - float(radius), x + float(radius)
+    dl, e2l = d.tolist(), e2.tolist()
+    left, right = x - radius, x + radius
     c_left, c, c_right = (_sturm_count(dl, e2l, s, tiny, stop) for s in (left, x, right))
-
-    def bisect(index: int, lo: float, hi: float, side: float) -> float:
-        scale = max(abs(lo), abs(hi), 1.0)
-        step = 256.0 * _EPS * scale
-        confirmed = _confirm_bracket(dl, e2l, index, x, step, lo, hi, (side,), _EPS * scale, stop)
-        return _sturm_eigval_index(dl, e2l, index, lo, hi, stop, scale, confirmed)
 
     best: tuple[int, float] | None = None
     if c > c_left:
-        best = (c - 1, bisect(c - 1, left, x, -1.0))
+        best = (c - 1, _sturm_level(dl, e2l, stop, c - 1, left, x, x, 0.0))
     if c_right > c:
-        value = bisect(c, x, right, 1.0)
+        value = _sturm_level(dl, e2l, stop, c, x, right, x, 0.0)
         if best is None or abs(value - x) < abs(best[1] - x):
             best = (c, value)
     return best
 
 
-def tridiag_inverse_iteration(
-    d: np.ndarray, e: np.ndarray, shift: float, start: np.ndarray
-) -> np.ndarray:
-    """One step of inverse iteration on the symmetric tridiagonal (d, e).
-
-    Solves (T - shift) x = start through the LDL^T factorization, without
-    pivoting, with pivots smaller than eps times the Gershgorin scale pushed
-    out to that size, as in the Sturm count; returns x normalized, signed so
-    that x . start > 0. With shift at an isolated eigenvalue and a start
-    vector close to its eigenvector, x is that eigenvector to about eps
-    times ||T|| over the gap. O(n), no eigenvalues formed. A wrapper over
-    _inverse_step, which callers solving many shifts on one matrix call with
-    the Gershgorin interval and lists formed once.
-    """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
-    return _inverse_step(d.tolist(), e.tolist(), _gershgorin(d, e), shift, np.asarray(start, dtype=float))
-
-
 def _inverse_step(
     dl: list, el: list, interval: tuple[float, float], shift: float, start: np.ndarray
 ) -> np.ndarray:
-    """tridiag_inverse_iteration on the diagonal and coupling as lists, given
-    their Gershgorin interval; start is an ndarray of the same length."""
+    """One step of inverse iteration on the symmetric tridiagonal (d, e).
+
+    dl and el are d and e as lists, interval their Gershgorin interval
+    (formed once by a caller that solves many shifts on one matrix), and
+    start an ndarray of the same length. Solves (T - shift) x = start
+    through the LDL^T factorization, without pivoting, with pivots smaller
+    than eps times the Gershgorin scale pushed out to that size, as in the
+    Sturm count; returns x normalized, signed so that x . start > 0. With
+    shift at an isolated eigenvalue and a start vector close to its
+    eigenvector, x is that eigenvector to about eps times ||T|| over the
+    gap. O(n), no eigenvalues formed.
+    """
     lo, hi = interval
     tiny = _EPS * max(abs(lo - shift), abs(hi - shift), 1.0)
     neg_tiny = -tiny

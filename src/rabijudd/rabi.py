@@ -208,10 +208,12 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     table's E+_i - E-_j at rows m-1..m+2, then regula falsi with the Illinois
     weighting follows, sided by the sign of E+ - E-. At a trial each level is
     interpolated from its four nearest known values (table rows, earlier
-    trials) and bisected from a bracket of 4 times the last Newton term
-    around that, which two Sturm counts confirm or widen up to the Gershgorin
-    interval. So counts certify each value as level i (j) of its block, to
-    the width 4 eps times the Gershgorin scale. Results ascend in g_star.
+    trials), and a bracket of 4 times the last Newton term around that,
+    which Sturm counts confirm or widen up to the Gershgorin interval, saves
+    the counts outside it. The value is the Sturm bisection of the
+    Gershgorin interval to the width 4 eps times its scale, whatever the
+    prediction, so counts certify it as level i (j) of its block. Results
+    ascend in g_star.
 
     Raises RuntimeError, naming the grid cell and level pair, if a bracket
     collapses without reaching 1e-9 - the symptom of a non-isolated crossing

@@ -14,7 +14,8 @@ from rabijudd.bosons import (
     squeezed_osc_hamiltonian,
     support_rows,
 )
-from rabijudd.numerics import sym_eig, tridiag_inverse_iteration
+from rabijudd.numerics import sym_eig
+from test_numerics import _inverse_iteration
 
 
 def test_ladder_matrices_m1():
@@ -113,7 +114,7 @@ def _full_length_states(z, M, count):
     for k in range(1, count):
         raised = -z * column
         raised[1:] += root * column[:-1]
-        column = tridiag_inverse_iteration(n + z * z, -z * root, float(k), raised / math.sqrt(k))
+        column = _inverse_iteration(n + z * z, -z * root, float(k), raised / math.sqrt(k))
         states.append(column)
     return states
 

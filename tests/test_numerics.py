@@ -18,9 +18,10 @@ from rabijudd.numerics import (
     poly_real_roots,
     sym_eig,
     _gershgorin,
+    _inverse_step,
+    tridiag_eigval_near,
     tridiag_eigval_within,
     tridiag_eigvals_lowest,
-    tridiag_inverse_iteration,
 )
 from rabijudd.bosons import displaced_osc_band, squeezed_osc_band, squeezed_osc_hamiltonian
 from rabijudd.juddian import juddian_points, verify_point
@@ -408,8 +409,8 @@ def test_sturm_within_window():
 
 def test_sturm_within_takes_lower_index_on_tie(monkeypatch):
     # bisection lands just above each eigenvalue, so force an exact tie
-    monkeypatch.setattr(numerics, "_sturm_eigval_index",
-                        lambda d, e2, i, lo, hi, stop, scale, confirmed: d[i])
+    monkeypatch.setattr(numerics, "_sturm_level",
+                        lambda d, e2, stop, i, lo, hi, guess, width: d[i])
     d = np.array([1.0, 3.0])
     assert tridiag_eigval_within(d, np.zeros(1), 2.0, 1.5) == (0, 1.0)
 
@@ -505,15 +506,91 @@ def test_within_is_bit_identical_on_verify_blocks():
 
 
 def test_verify_point_count_budget(monkeypatch):
-    # a level next to E is bisected inside a bracket one count confirms:
-    # 84 to 86 counts per point when every midpoint of the half window counted
+    # a level next to E is bisected inside a bracket one count confirms, from
+    # 16 eps wide: 84 to 86 counts per point when every midpoint of the half
+    # window counted, 22 to 24 when the bracket started 256 eps wide
     count = numerics._sturm_count
     calls = []
     monkeypatch.setattr(numerics, "_sturm_count", lambda *a: calls.append(1) or count(*a))
     for point in juddian_points(4, ModelParams(omega=1.0, omega0=1.0)):
         calls.clear()
         verify_point(point, cutoff=100)
-        assert len(calls) <= 40
+        assert len(calls) <= 18
+
+
+def _near_counting_every_midpoint(d, e, index):
+    """tridiag_eigval_near without a confirmed bracket: the level is bisected
+    from the Gershgorin interval with a count at every midpoint."""
+    lo, hi = _gershgorin(d, e)
+    scale = max(abs(lo), abs(hi), 1.0)
+    stop = numerics._sturm_stop(d, np.abs(e))
+    dl, e2l = d.tolist(), (e * e).tolist()
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if numerics._sturm_count(dl, e2l, mid, numerics._EPS * scale, stop) > index:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 4.0 * numerics._EPS * scale:
+            break
+    return 0.5 * (lo + hi)
+
+
+@st.composite
+def _near_cases(draw):
+    """A tridiagonal, an index and a guess and width of every kind: at the
+    level, at another level, between levels, outside the interval, NaN, inf."""
+    d, e = draw(_tridiagonals())
+    index = draw(st.integers(min_value=0, max_value=d.size - 1))
+    eig = sym_eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).values
+    lo, hi = _gershgorin(d, e)
+    offset = draw(st.sampled_from([0.0, 3e-16, -1e-13, 1e-9, 0.3]))
+    guess = draw(
+        st.sampled_from([v + offset for v in eig.tolist()])
+        | st.floats(lo - 1.0, hi + 1.0)
+        | st.sampled_from([lo, hi, 1e6, -1e6, math.nan, math.inf, -math.inf])
+    )
+    width = draw(st.sampled_from([0.0, -1.0, 1e-300, 1e-12, 1e-3, 1.0, 1e6, math.inf, math.nan]))
+    return d, e, index, guess, width
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_cases())
+def test_near_is_the_canonical_bisection(case):
+    # guess and width set the cost only: the value is that of bisecting the
+    # whole Gershgorin interval with a count at every midpoint
+    d, e, index, guess, width = case
+    got = tridiag_eigval_near(d, e, index, guess, width)
+    assert np.float64(got).tobytes() == np.float64(_near_counting_every_midpoint(d, e, index)).tobytes()
+
+
+@pytest.mark.parametrize("index", [5, 3, -1])
+def test_near_rejects_index_out_of_range(index):
+    # the bisection returned an end of the Gershgorin interval, 3.1 for
+    # index 5 and 0.9 for -1
+    with pytest.raises(ValueError, match=f"index={index} out of range for dimension 3"):
+        tridiag_eigval_near(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.1]), index, 2.0, 1e-3)
+
+
+@pytest.mark.parametrize("call, d, match", [
+    # near returned -/+inf and within (1, inf)
+    (lambda d: tridiag_eigval_near(d, [1.0], 0, 0.0, 1e-3), [-1.7e308, 1.7e308], "reaches past half the float range"),
+    (lambda d: tridiag_eigval_within(d, [1.0], 0.0, 1.0), [-1.7e308, 1.7e308], "reaches past half the float range"),
+    # near returned nan and within raised ZeroDivisionError
+    (lambda d: tridiag_eigval_near(d, [1.0], 0, 0.0, 1e-3), [1.0, np.nan], "tridiag_eigval_near needs finite d and e"),
+    (lambda d: tridiag_eigval_within(d, [1.0], 1.0, 1.0), [1.0, np.nan], "tridiag_eigval_within needs finite d and e"),
+    (lambda d: tridiag_eigval_within(d, [np.inf], 1.0, 1.0), [1.0, 2.0], "tridiag_eigval_within needs finite d and e"),
+    # within returned (0, nan) for a NaN radius and (1, -inf) for an infinite one
+    (lambda d: tridiag_eigval_within(d, [0.5], 1.0, math.nan), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
+    (lambda d: tridiag_eigval_within(d, [0.5], 1.0, math.inf), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
+    (lambda d: tridiag_eigval_within(d, [0.5], 1.0, -0.5), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
+    (lambda d: tridiag_eigval_within(d, [0.5], math.nan, 1.0), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
+    (lambda d: tridiag_eigval_within(d, [0.5], -math.inf, 1.0), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
+], ids=["near-span", "within-span", "near-nan-d", "within-nan-d", "within-inf-e",
+        "within-nan-radius", "within-inf-radius", "within-negative-radius", "within-nan-x", "within-inf-x"])
+def test_near_and_within_check_input_like_lowest(call, d, match):
+    with pytest.raises(ValueError, match=match):
+        call(np.array(d))
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +867,11 @@ def test_lowest_keeps_large_entries_inside_half_the_float_range():
     assert np.all(np.abs(got - [-8e307, 8e307]) <= 4.0 * numerics._EPS * 8e307)
 
 
+def _inverse_iteration(d, e, shift, start):
+    """One inverse-iteration step on the symmetric tridiagonal (d, e), from arrays."""
+    return _inverse_step(d.tolist(), e.tolist(), _gershgorin(d, e), shift, start)
+
+
 def test_inverse_iteration_recovers_eigenvector():
     rng = np.random.RandomState(29)
     d = rng.standard_normal(60)
@@ -801,7 +883,7 @@ def test_inverse_iteration_recovers_eigenvector():
     for k in (0, 17, 59):
         v = vectors[:, k]
         start = v + 1e-3 * rng.standard_normal(60)
-        x = tridiag_inverse_iteration(d, e, float(values[k]), start)
+        x = _inverse_iteration(d, e, float(values[k]), start)
         assert abs(float(x @ x) - 1.0) <= 1e-14
         assert np.abs(x - v).max() <= 1e-12
 
