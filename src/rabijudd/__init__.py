@@ -22,7 +22,6 @@ from .juddian import (
 from .numerics import (
     EigResult,
     FullRankError,
-    NearDoubleRootWarning,
     NonConvergenceError,
     RootCountError,
     null_vector,
@@ -48,7 +47,6 @@ __all__ = [
     "JuddianPoint",
     "JuddianState",
     "ModelParams",
-    "NearDoubleRootWarning",
     "NonConvergenceError",
     "ParityBlock",
     "RootCountError",

@@ -111,22 +111,16 @@ def cmd_spectrum(args) -> int:
             raise CLIError(f"{flag} must be finite, got {value}")
     if not math.isfinite(args.g_max - args.g_min):
         raise CLIError("--g-max - --g-min overflows: the g range is too wide")
-    single = args.g_steps == 1
-    if single:
+    if args.g_steps == 1:
         if args.g_min != args.g_max:
             raise CLIError("--g-steps 1 requires --g-min equal to --g-max")
-    else:
-        if args.g_steps < 2:
-            raise CLIError("--g-steps must be 1 (single point) or at least 2")
-        if not args.g_min < args.g_max:
-            raise CLIError("--g-min must be strictly below --g-max")
+    elif args.g_steps < 2:
+        raise CLIError("--g-steps must be 1 (single point) or at least 2")
+    elif not args.g_min < args.g_max:
+        raise CLIError("--g-min must be strictly below --g-max")
     _check_cutoff_and_levels(args)
     params = _model_params(args)
-    grid = (
-        np.array([args.g_min])
-        if single
-        else np.linspace(args.g_min, args.g_max, args.g_steps)
-    )
+    grid = np.linspace(args.g_min, args.g_max, args.g_steps)  # [g_min] for one step
     try:
         table = spectrum_sweep(
             params,

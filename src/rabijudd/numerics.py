@@ -15,9 +15,10 @@ from lists and a Gershgorin interval that its callers form once.
 Kept for tests and benchmark tasks:
 sym_eig (eigenvalues only, by implicit-shift QL on Python floats, for a
 matrix whose connected components are each tridiagonal in index order; it
-rejects any other), real-root isolation for polynomials held as coefficient
-tuples, and Gaussian elimination for null vectors. Dense matrices and
-determinants are left to the tests, which check against LAPACK.
+rejects any other), poly_real_roots (a sign-change scan, each sign change
+bisected, for polynomials held as coefficient tuples) and Gaussian
+elimination for null vectors. Dense matrices and determinants are left to
+the tests, which check against LAPACK.
 ndarrays serve storage and elementwise/matmul arithmetic only; there are no
 calls into numpy.linalg or any external solver. numpy is the package's lazy
 handle (rabijudd._numpy), loaded by the first function here that reads it;
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -58,20 +58,16 @@ class FullRankError(RuntimeError):
 class RootCountError(RuntimeError):
     """A root search that cannot account for the expected number of roots.
 
-    poly_real_roots raises it when fewer roots than expected survive grid
-    refinement and bracket doubling; the certified compatibility-root finder
-    raises it when a Sturm pivot count fails one of its checks, with the
-    failed check appended to the message.
+    poly_real_roots raises it when its scan finds fewer roots than expected;
+    the certified compatibility-root finder raises it when a Sturm pivot
+    count fails one of its checks, with the failed check appended to the
+    message.
     """
 
     def __init__(self, found: list[float], expected: int, reason: str = ""):
         super().__init__(f"found {len(found)} roots where {expected} were expected{reason}")
         self.found = found
         self.expected = expected
-
-
-class NearDoubleRootWarning(UserWarning):
-    """A sign-preserving minimum of |p| hit the near-zero threshold."""
 
 
 # ---------------------------------------------------------------------------
@@ -86,123 +82,18 @@ def poly_eval(p: tuple[float, ...], x):
     return acc
 
 
-def _deriv(p: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(k * c for k, c in enumerate(p) if k) or (0.0,)
-
-
-def _root_scale(p: tuple[float, ...], x: float) -> float:
-    # residual scale for a candidate root: max-coefficient * max(1,|x|)^degree
-    return max(abs(c) for c in p) * max(1.0, abs(x)) ** (len(p) - 1)
-
-
-def _bisect_root(p: tuple[float, ...], a: float, b: float) -> tuple[float, float]:
+def _bisect_root(p: tuple[float, ...], a: float, b: float) -> float:
+    """A root of p in the cell (a, b), at whose ends p has opposite signs: the
+    cell is halved until no float lies between its ends, or p is 0 at its midpoint."""
     fa = poly_eval(p, a)
-    for _ in range(200):
-        if b - a <= 1e-12:
-            break
-        m = 0.5 * (a + b)
-        fm = poly_eval(p, m)
-        if fm == 0.0:
-            return m, m
-        if (fa < 0) == (fm < 0):
+    m = 0.5 * (a + b)
+    while a < m < b and (fm := poly_eval(p, m)) != 0.0:
+        if (fa < 0.0) == (fm < 0.0):
             a, fa = m, fm
         else:
             b = m
-    return a, b
-
-
-def _newton_polish(p: tuple[float, ...], x0: float, a: float, b: float) -> float:
-    dp = _deriv(p)
-    x, best, best_f = x0, x0, abs(poly_eval(p, x0))
-    for _ in range(50):
-        fx = poly_eval(p, x)
-        if abs(fx) < best_f:
-            best, best_f = x, abs(fx)
-        dfx = poly_eval(dp, x)
-        if dfx == 0.0:
-            break
-        step = fx / dfx
-        nxt = x - step
-        # keep Newton inside the bisected cell (plus slack) so a flat stretch
-        # cannot drag the iterate onto a neighboring root
-        if nxt < a - 1e-9 or nxt > b + 1e-9:
-            break
-        if abs(step) <= 4.0 * _EPS * max(1.0, abs(x)):
-            x = nxt
-            break
-        x = nxt
-    fx = abs(poly_eval(p, x))
-    return x if fx <= best_f else best
-
-
-def _scan_roots(p: tuple[float, ...], lo: float, hi: float, intervals: int) -> list[float]:
-    xs = np.linspace(lo, hi, intervals + 1)
-    vals = poly_eval(p, xs)
-    roots: list[float] = []
-
-    # exact zeros at interior grid points count as found roots directly
-    interior_zero = np.zeros(xs.size, dtype=bool)
-    for i in range(1, xs.size - 1):
-        if vals[i] == 0.0:
-            interior_zero[i] = True
-            roots.append(float(xs[i]))
-
-    neg = vals < 0
-    for i in range(xs.size - 1):
-        if interior_zero[i] or interior_zero[i + 1]:
-            continue
-        if neg[i] != neg[i + 1] and vals[i] != 0.0 and vals[i + 1] != 0.0:
-            a, b = _bisect_root(p, float(xs[i]), float(xs[i + 1]))
-            r = _newton_polish(p, 0.5 * (a + b), a, b)
-            if abs(poly_eval(p, r)) > 1e-12 * _root_scale(p, r):
-                raise RuntimeError(
-                    f"root polish stalled at x={r!r}: residual above 1e-12 scale"
-                )
-            roots.append(r)
-
-    # sign-preserving minima of |p| are polished onto the nearest stationary
-    # point; any that land within the near-zero threshold are flagged as
-    # near-double roots and reported rather than dropped
-    absvals = np.abs(vals)
-    for i in range(1, xs.size - 1):
-        if absvals[i] <= absvals[i - 1] and absvals[i] < absvals[i + 1]:
-            if neg[i - 1] == neg[i] == neg[i + 1] and not interior_zero[i]:
-                r = _polish_extremum(p, float(xs[i - 1]), float(xs[i + 1]))
-                if abs(poly_eval(p, r)) <= 1e-10 * _root_scale(p, r) and not any(
-                    abs(r - q) <= 1e-8 * max(1.0, abs(r)) for q in roots
-                ):
-                    warnings.warn(
-                        f"near-double root at x ~ {r:.12g}", NearDoubleRootWarning
-                    )
-                    roots.append(r)
-
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-10 * max(1.0, abs(r)):
-            merged.append(r)
-    return merged
-
-
-def _polish_extremum(p: tuple[float, ...], a: float, b: float) -> float:
-    # locate the stationary point of p inside (a, b) by bisection on p'
-    dp = _deriv(p)
-    fa = poly_eval(dp, a)
-    fb = poly_eval(dp, b)
-    if (fa < 0) == (fb < 0):
-        return 0.5 * (a + b)
-    for _ in range(200):
-        if b - a <= 1e-13 * max(1.0, abs(a)):
-            break
         m = 0.5 * (a + b)
-        fm = poly_eval(dp, m)
-        if fm == 0.0:
-            return m
-        if (fa < 0) == (fm < 0):
-            a, fa = m, fm
-        else:
-            b = m
-    return 0.5 * (a + b)
+    return m
 
 
 def poly_real_roots(
@@ -210,15 +101,16 @@ def poly_real_roots(
     bracket: tuple[float, float],
     expected_count: int | None = None,
 ) -> list[float]:
-    """All real roots inside the open bracket of the polynomial whose
-    coefficient tuple is p (p[k] multiplies x**k), ascending.
+    """The real roots of odd multiplicity inside the open bracket of the
+    polynomial whose coefficient tuple is p (p[k] multiplies x**k), one per
+    grid cell, ascending.
 
-    Trailing zero coefficients are dropped first. Roots are isolated by a
-    uniform sign-change scan (1000 intervals), bisected to a 1e-12-wide cell
-    and Newton-polished to a scaled residual of 1e-12. When expected_count
-    is given and the scan comes up short, the grid is refined tenfold once
-    and the upper bracket bound doubled once before RootCountError is
-    raised (carrying whatever was found).
+    Trailing zero coefficients are dropped first. A uniform scan of 1000
+    intervals takes each interior grid point where p is exactly 0 as a root
+    and bisects each cell whose ends p gives opposite signs (_bisect_root).
+    A root of even multiplicity, or a second root in one cell, is not seen.
+    When expected_count is given and fewer roots are found, RootCountError
+    is raised, carrying the roots found.
 
     Raises ValueError for a degree-0 input or when a bracket endpoint is
     itself a root (the caller must perturb the bracket).
@@ -234,19 +126,17 @@ def poly_real_roots(
     if poly_eval(p, lo) == 0.0 or poly_eval(p, hi) == 0.0:
         raise ValueError("bracket endpoint is a root; perturb the bracket")
 
-    roots = _scan_roots(p, lo, hi, 1000)
-    if expected_count is None or len(roots) >= expected_count:
-        return roots
-
-    roots = _scan_roots(p, lo, hi, 10000)
-    if len(roots) >= expected_count:
-        return roots
-
-    hi2 = hi * 2.0 if hi > 0 else hi + (hi - lo)
-    roots = _scan_roots(p, lo, hi2, 10000)
-    if len(roots) >= expected_count:
-        return roots
-    raise RootCountError(roots, expected_count)
+    grid = np.linspace(lo, hi, 1001)
+    xs, vals = grid.tolist(), poly_eval(p, grid).tolist()
+    roots: list[float] = []
+    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
+        if fa == 0.0:  # an interior grid point: p is nonzero at lo
+            roots.append(a)
+        elif fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            roots.append(_bisect_root(p, a, b))
+    if expected_count is not None and len(roots) < expected_count:
+        raise RootCountError(roots, expected_count)
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +567,13 @@ def tridiag_eigval_within(
     eigenvalues below each shift, so the nearest is index c - 1 (the highest
     below x) or c (the lowest at or above it). Each is bisected only when
     the window holds it, and only on its half of the window,
-    [x - radius, x] or [x, x + radius], with x, the end the halves share, as
-    the guess (_sturm_level): a bracket next to x is confirmed inside the
-    half window, so a level next to x, as at an exact point in verify, costs
-    a few counts, and the value is bit-identical to bisecting the half
-    window with a count at every midpoint. On a tie the lower index wins.
+    [x - radius, x] or [x, x + radius], clamped to the Gershgorin interval
+    so that a radius wider than the spectrum does not coarsen the stopping
+    width, with x, the end the halves share, as the guess (_sturm_level): a
+    bracket next to x is confirmed inside the half window, so a level next
+    to x, as at an exact point in verify, costs a few counts, and the value
+    is bit-identical to bisecting the clamped half window with a count at
+    every midpoint. On a tie the lower index wins.
     Every count ends once its sign pattern is certified (_sturm_stop), so a
     count costs the rows up to the level's support, not O(n), and no
     eigenvectors are formed. Raises ValueError for a non-finite x, a radius
@@ -701,9 +593,9 @@ def tridiag_eigval_within(
 
     best: tuple[int, float] | None = None
     if c > c_left:
-        best = (c - 1, _sturm_level(dl, e2l, stop, c - 1, left, x, x, 0.0))
+        best = (c - 1, _sturm_level(dl, e2l, stop, c - 1, max(left, lo), min(x, hi), x, 0.0))
     if c_right > c:
-        value = _sturm_level(dl, e2l, stop, c, x, right, x, 0.0)
+        value = _sturm_level(dl, e2l, stop, c, max(x, lo), min(right, hi), x, 0.0)
         if best is None or abs(value - x) < abs(best[1] - x):
             best = (c, value)
     return best

@@ -109,6 +109,33 @@ def test_polynomial_n3_resonance_couplings():
         assert abs(got - want) < 1e-9
 
 
+def _points_strata_draws(seed):
+    """(N, omega_tilde) as perfbench's points workload draws them: N = 1..20,
+    each at resonance and once in each of the ten strata of (0, 6), kept 0.05
+    from resonance and 0.02 from integers."""
+    rng = random.Random(seed)
+    for N in range(1, 21):
+        yield N, 0.5
+        for lo in (0.6 * k for k in range(10)):
+            wt = 0.5
+            while abs(wt - 0.5) <= 0.05 or abs(wt - round(wt)) <= 0.02:
+                wt = lo + 0.6 * rng.random()
+            yield N, wt
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_poly_real_roots_on_the_points_probe_call(seed):
+    # the benchmark's traced points probe makes this call and catches only
+    # RootCountError: any other error would stop a traced run
+    for N, wt in _points_strata_draws(seed):
+        try:
+            roots = poly_real_roots(compatibility_polynomial(N, wt), (1e-12, float(N)), N)
+        except RootCountError as exc:
+            assert exc.expected == N and len(exc.found) < N, (N, wt)
+        else:
+            assert len(roots) == N, (N, wt)
+
+
 def test_full_and_reduced_roots_agree_small_orders():
     for n in range(1, 5):
         for wt in (0.25, 0.5, 0.75):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import rabijudd.numerics as numerics
 from rabijudd.numerics import (
     FullRankError,
-    NearDoubleRootWarning,
     RootCountError,
     null_vector,
     poly_eval,
@@ -30,11 +29,6 @@ from rabijudd.rabi import ModelParams, _block_arrays, build_rabi
 
 # ---------------------------------------------------------------------------
 # polynomials as coefficient tuples
-
-def test_polynomial_derivative():
-    assert numerics._deriv((5.0, -1.0, 3.0)) == (-1.0, 6.0)  # 5 - x + 3x^2
-    assert numerics._deriv((7.0,)) == (0.0,)
-
 
 def test_poly_eval_known_values():
     assert poly_eval((-1.0, 0.0, 1.0), 2.0) == 3.0
@@ -89,34 +83,12 @@ def test_root_residual_scaling_invariant():
         assert abs(poly_eval(p, r)) <= 1e-10 * cmax * max(1.0, abs(r)) ** (len(p) - 1)
 
 
-def test_expected_count_triggers_grid_refinement():
-    # two roots 4e-4 apart land in one cell of the default 1000-interval scan
-    close = [0.4001, 0.4005, 0.9]
-    p = tuple(polyfromroots(close))
-    coarse = poly_real_roots(p, (0.0, 1.0))
-    assert len(coarse) < 3  # sanity: the default grid really does miss them
-    fine = poly_real_roots(p, (0.0, 1.0), expected_count=3)
-    assert len(fine) == 3
-    for r, e in zip(fine, close):
-        assert abs(r - e) < 1e-9
-
-
 def test_root_count_error_carries_findings():
     p = (1.0, 0.0, 1.0)  # x^2 + 1, no real roots
     with pytest.raises(RootCountError) as exc:
         poly_real_roots(p, (-2.0, 2.0), expected_count=2)
     assert exc.value.expected == 2
     assert exc.value.found == []
-
-
-def test_near_double_root_detected():
-    # (x-1)^2 (x+2): the squared factor never crosses zero
-    p = tuple(polyfromroots([1.0, 1.0, -2.0]))
-    with pytest.warns(NearDoubleRootWarning):
-        roots = poly_real_roots(p, (-3.0, 3.0))
-    assert len(roots) == 2
-    assert abs(roots[0] + 2.0) < 1e-10
-    assert abs(roots[1] - 1.0) < 1e-6
 
 
 def test_root_bracket_validation():
@@ -415,9 +387,24 @@ def test_sturm_within_takes_lower_index_on_tie(monkeypatch):
     assert tridiag_eigval_within(d, np.zeros(1), 2.0, 1.5) == (0, 1.0)
 
 
+def _bisect_counting_every_midpoint(dl, e2l, stop, index, lo, hi):
+    """Level index (0-based) by Sturm bisection of [lo, hi] with a count at every midpoint."""
+    scale = max(abs(lo), abs(hi), 1.0)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if numerics._sturm_count(dl, e2l, mid, numerics._EPS * scale, stop) > index:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 4.0 * numerics._EPS * scale:
+            break
+    return 0.5 * (lo + hi)
+
+
 def _within_counting_every_midpoint(d, e, x, radius):
     """tridiag_eigval_within without a confirmed bracket: each level is
-    bisected from its half window with a count at every midpoint."""
+    bisected from its half window, clamped to the Gershgorin interval, with a
+    count at every midpoint."""
     lo, hi = _gershgorin(d, e)
     tiny = numerics._EPS * max(abs(lo), abs(hi), 1.0)
     stop = numerics._sturm_stop(d, np.abs(e))
@@ -425,23 +412,11 @@ def _within_counting_every_midpoint(d, e, x, radius):
     left, right = x - radius, x + radius
     c_left, c, c_right = (numerics._sturm_count(dl, e2l, s, tiny, stop) for s in (left, x, right))
 
-    def bisect(index, lo, hi):
-        scale = max(abs(lo), abs(hi), 1.0)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if numerics._sturm_count(dl, e2l, mid, numerics._EPS * scale, stop) > index:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 4.0 * numerics._EPS * scale:
-                break
-        return 0.5 * (lo + hi)
-
     best = None
     if c > c_left:
-        best = (c - 1, bisect(c - 1, left, x))
+        best = (c - 1, _bisect_counting_every_midpoint(dl, e2l, stop, c - 1, max(left, lo), min(x, hi)))
     if c_right > c:
-        value = bisect(c, x, right)
+        value = _bisect_counting_every_midpoint(dl, e2l, stop, c, max(x, lo), min(right, hi))
         if best is None or abs(value - x) < abs(best[1] - x):
             best = (c, value)
     return best
@@ -455,6 +430,17 @@ def _assert_within_is_bit_identical(d, e, x, radius):
     if got is not None:
         assert got[0] == want[0] and np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
     return got
+
+
+def test_within_clamps_a_wide_window_to_the_spectrum():
+    # the bisection stops at 4 eps times the largest end of its half window:
+    # unclamped, radius 1e300 returned (1, -4.4e284) for the level near 2.0
+    d, e = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.1])
+    full = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    for radius in (1e300, 1e16, 10.0):
+        index, value = _assert_within_is_bit_identical(d, e, 2.5, radius)
+        assert index == int(np.argmin(np.abs(full - 2.5))) == 1
+        assert abs(value - full[1]) <= 1e-14
 
 
 def test_within_is_bit_identical_on_random_tridiagonals():
@@ -521,19 +507,8 @@ def test_verify_point_count_budget(monkeypatch):
 def _near_counting_every_midpoint(d, e, index):
     """tridiag_eigval_near without a confirmed bracket: the level is bisected
     from the Gershgorin interval with a count at every midpoint."""
-    lo, hi = _gershgorin(d, e)
-    scale = max(abs(lo), abs(hi), 1.0)
     stop = numerics._sturm_stop(d, np.abs(e))
-    dl, e2l = d.tolist(), (e * e).tolist()
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if numerics._sturm_count(dl, e2l, mid, numerics._EPS * scale, stop) > index:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 4.0 * numerics._EPS * scale:
-            break
-    return 0.5 * (lo + hi)
+    return _bisect_counting_every_midpoint(d.tolist(), (e * e).tolist(), stop, index, *_gershgorin(d, e))
 
 
 @st.composite
