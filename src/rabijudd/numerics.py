@@ -4,14 +4,15 @@ Package paths run on Sturm bisection for selected eigenvalues of symmetric
 tridiagonal matrices: the lowest k (tridiag_eigvals_lowest, or
 _sturm_lowest_batch, one lockstep walk over several diagonals that share
 many couplings, such as the two parity blocks over a coupling grid), the
-one nearest a shift (tridiag_eigval_within) and a given index
-(tridiag_eigval_near). The public entry points check their input in one
-place (_sturm_input, _gershgorin). The last two find each level by
-_sturm_level, which bisects a fixed interval but counts only inside a
-bracket around a guess that counts have confirmed: a level next to its
-guess costs a few counts, and the value is bit-identical to counting every
-midpoint. Inverse iteration (_inverse_step) gives eigen- and null vectors
-from lists and a Gershgorin interval that its callers form once.
+one nearest a shift (tridiag_eigval_within) and a given index (the
+crossing refiner in rabi, on data it prepares once per crossing). The
+public entry points check their input in one place (_sturm_input,
+_gershgorin). The last two find each level by _sturm_level, which bisects
+a fixed interval but counts only inside a bracket around a guess that
+counts have confirmed: a level next to its guess costs a few counts, and
+the value is bit-identical to counting every midpoint. Inverse iteration
+(_inverse_step) gives eigen- and null vectors from lists and a Gershgorin
+interval that its callers form once.
 Kept for tests and benchmark tasks:
 sym_eig (eigenvalues only, by implicit-shift QL on Python floats, for a
 matrix whose connected components are each tridiagonal in index order; it
@@ -346,6 +347,15 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
     rows from the latest first row any diagonal's slack allows, the loop
     ends once every lane's pivot is at least b_i.
 
+    By Cauchy interlacing, level t (1-based) lies at or below the largest
+    eigenvalue of the leading t x t block, so below that block's top
+    Gershgorin end on the bound b: one cap per diagonal and level, raised
+    by the _sturm_stop margin, 1e-12 (scale + |cap|), which covers the
+    rounding and clamping of the computed count as it does for the stop.
+    A step where every lane's midpoint is at or above its cap sets
+    hi = mid, as the count would, and walks no rows: the early steps of a
+    wide interval, such as an oscillator's at a large cutoff.
+
     The pivot clamp (a pivot with |q| < tiny becomes -tiny if q < 0, else
     tiny, with the diagonal's own tiny) is tested by one min of |q| against
     the largest tiny; only on a row where that fires is the exact
@@ -360,7 +370,8 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
     e2_cols = np.asarray(e2_cols, dtype=float)
     e_max = np.sqrt(np.max(e2_cols, axis=1, initial=0.0))
     e_top = math.sqrt(float(np.max(e2_cols, initial=0.0)))
-    tiny, lo, hi, width, stops = [], [], [], [], []
+    tiny, lo, hi, width, stops, caps = [], [], [], [], [], []
+    left, right = np.append(0.0, e_max), np.append(e_max, 0.0)
     for d in diags:
         tiny.append(_EPS * (float(np.max(np.abs(d))) + e_top + 1.0))
         a, b = _gershgorin(d, e_max)
@@ -368,6 +379,9 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
         hi.append(b)
         width.append(4.0 * _EPS * max(b - a, 1.0))
         stops.append(_sturm_stop(d, e_max))
+        # top Gershgorin end of the leading t x t block, t = 1..k: its last row has no coupling below
+        top = np.maximum(d[:k] + left[:k], np.append(-math.inf, np.maximum.accumulate((d + left + right)[: k - 1])))
+        caps.append(top + _STOP_MARGIN * (stops[-1].scale + np.abs(top)))
     bound = stops[0].bound  # the same for every diagonal: it depends on e_max alone
 
     P, n = diags.shape
@@ -382,28 +396,32 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
     d_rows = diags.T[:, :, None, None]
     tiny = np.array(tiny)[:, None, None]
     width = np.array(width)
+    caps = np.array(caps)
     targets = np.arange(1, k + 1, dtype=np.int32)[:, None]
     for _ in range(90):
-        tiny_top = float(np.max(tiny))
         np.multiply(np.add(los, his, out=mids), 0.5, out=mids)
-        first = max(stops[p].first_row(float(m.max()), float(max(m.max(), -m.min()))) for p, m in zip(act, mids))
-        np.subtract(d_rows[0], mids, out=q)
-        np.less(q, 0.0, out=count)
-        for i, e2, d_i in zip(range(1, n), e2_cols, d_rows[1:]):
-            np.abs(q, out=t)
-            if t.min() < tiny_top:
-                np.less(t, tiny, out=small)
-                np.copyto(q, np.where(q < 0.0, -tiny, tiny), where=small)
-            # d_i - x - e2 / q, rounded in that order
-            np.divide(e2, q, out=t)
-            np.subtract(d_i, mids, out=q)
-            np.subtract(q, t, out=q)
-            np.add(count, np.less(q, 0.0, out=small), out=count)
-            if i >= first and (i - first) % 4 == 0 and q.min() >= bound[i]:
-                break
-        np.less(count, targets, out=small)  # the target level lies above the midpoint
-        np.copyto(los, mids, where=small)
-        np.copyto(his, mids, where=np.logical_not(small, out=small))
+        if (np.min(mids, axis=2) >= caps).all():
+            np.copyto(his, mids)  # every lane's level lies below its midpoint: no row is walked
+        else:
+            tiny_top = float(np.max(tiny))
+            first = max(stops[p].first_row(float(m.max()), float(max(m.max(), -m.min()))) for p, m in zip(act, mids))
+            np.subtract(d_rows[0], mids, out=q)
+            np.less(q, 0.0, out=count)
+            for i, e2, d_i in zip(range(1, n), e2_cols, d_rows[1:]):
+                np.abs(q, out=t)
+                if t.min() < tiny_top:
+                    np.less(t, tiny, out=small)
+                    np.copyto(q, np.where(q < 0.0, -tiny, tiny), where=small)
+                # d_i - x - e2 / q, rounded in that order
+                np.divide(e2, q, out=t)
+                np.subtract(d_i, mids, out=q)
+                np.subtract(q, t, out=q)
+                np.add(count, np.less(q, 0.0, out=small), out=count)
+                if i >= first and (i - first) % 4 == 0 and q.min() >= bound[i]:
+                    break
+            np.less(count, targets, out=small)  # the target level lies above the midpoint
+            np.copyto(los, mids, where=small)
+            np.copyto(his, mids, where=np.logical_not(small, out=small))
         done = np.max(np.subtract(his, los, out=t), axis=(1, 2)) <= width
         if done.any():
             np.multiply(np.add(los, his, out=mids), 0.5, out=mids)
@@ -411,7 +429,7 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
             if done.all():
                 return out.transpose(0, 2, 1)
             keep = ~done
-            act, d_rows, tiny, width = act[keep], d_rows[:, keep], tiny[keep], width[keep]
+            act, d_rows, tiny, width, caps = act[keep], d_rows[:, keep], tiny[keep], width[keep], caps[keep]
             los, his, mids, q, t, small, count = (a[keep] for a in (los, his, mids, q, t, small, count))
     out[act] = 0.5 * (los + his)
     return out.transpose(0, 2, 1)
@@ -537,24 +555,6 @@ def _sturm_level(d, e2, stop: _SturmStop, index: int, lo: float, hi: float, gues
         if hi - lo <= 4.0 * tiny:
             break
     return 0.5 * (lo + hi)
-
-
-def tridiag_eigval_near(d: np.ndarray, e: np.ndarray, index: int, guess: float, width: float) -> float:
-    """Eigenvalue index (0-based, ascending) of the symmetric tridiagonal (d, e).
-
-    The value is the Sturm bisection of the Gershgorin interval to width
-    4 eps scale (scale its largest magnitude or 1), whatever guess and width
-    are: they only set the cost. A bracket guess -/+ width that counts
-    confirm (_sturm_level) lets the bisection skip every count outside it,
-    so a good guess costs a few counts and a wrong one a few more. Raises
-    ValueError for an index outside 0..n-1 and for input that
-    _sturm_input rejects.
-    """
-    d, e, e2 = _sturm_input(d, e, "tridiag_eigval_near")
-    if not 0 <= index < d.size:
-        raise ValueError(f"index={index} out of range for dimension {d.size}")
-    lo, hi = _gershgorin(d, e)
-    return _sturm_level(d.tolist(), e2.tolist(), _sturm_stop(d, np.abs(e)), index, lo, hi, guess, width)
 
 
 def tridiag_eigval_within(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, ladder_matrices
-from .numerics import _sturm_lowest_batch, tridiag_eigval_near
+from .numerics import _gershgorin, _sturm_level, _sturm_lowest_batch, _sturm_stop
 
 # find_crossings refines each crossing until |E+ - E-| is at most this
 _CROSSING_TOL = 1e-9
@@ -204,16 +204,16 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     Every (i, j) pair among the tracked levels is scanned for sign changes of
     E+_i - E-_j between adjacent grid points; each sign change is refined on
     the table's own model and cutoff until |E+ - E-| <= 1e-9.
-    The first trial g is the root in the cell of the cubic through the
-    table's E+_i - E-_j at rows m-1..m+2, then regula falsi with the Illinois
-    weighting follows, sided by the sign of E+ - E-. At a trial each level is
-    interpolated from its four nearest known values (table rows, earlier
-    trials), and a bracket of 4 times the last Newton term around that,
-    which Sturm counts confirm or widen up to the Gershgorin interval, saves
-    the counts outside it. The value is the Sturm bisection of the
-    Gershgorin interval to the width 4 eps times its scale, whatever the
-    prediction, so counts certify it as level i (j) of its block. Results
-    ascend in g_star.
+    The first trial g is the root in the cell of the quintic through the
+    table's E+_i - E-_j at rows m-2..m+3 (fewer on grids of under six rows),
+    then regula falsi with the Illinois weighting follows, sided by the sign
+    of E+ - E-. At a trial each level is interpolated from its six nearest
+    known values (table rows, earlier trials), and a bracket of |last Newton
+    term| on either side, which Sturm counts confirm or widen up to the
+    Gershgorin interval, saves the counts outside it. The value is the
+    Sturm bisection of the Gershgorin interval to the width 4 eps times its
+    scale, whatever the prediction, so counts certify it as level i (j) of
+    its block. Results ascend in g_star.
 
     Raises RuntimeError, naming the grid cell and level pair, if a bracket
     collapses without reaching 1e-9 - the symptom of a non-isolated crossing
@@ -256,33 +256,45 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
 
 
 class _CrossingRefiner:
-    """Refines the crossings of one table; holds what does not depend on g."""
+    """Refines the crossings of one table; holds what does not depend on g.
+
+    The block diagonals are kept as arrays and lists once per table. Each
+    crossing builds one _sturm_stop per block, on the couplings at the
+    larger |g| of its cell: |e| grows with |g|, so they bound every trial's,
+    and a count that stops on them equals the full-length count. A trial
+    forms only its couplings and their Gershgorin interval, and calls
+    numerics._sturm_level with the six-point prediction as the guess and
+    |last Newton term| as the bracket half-width.
+    """
 
     def __init__(self, table: SpectrumTable):
         self.table = table
         self.root_n = np.sqrt(np.arange(1.0, table.cutoff + 1.0))
         self.diags = [_block_arrays(table.params, table.cutoff, parity)[0] for parity in (1, -1)]
+        self.diag_lists = [d.tolist() for d in self.diags]
 
     def crossing(self, i: int, j: int, m: int, diff: np.ndarray) -> Crossing:
         """The crossing of levels (+i, -j) where diff = E+_i - E-_j changes sign in cell m."""
         t = self.table
         ga, gb = float(t.g_values[m]), float(t.g_values[m + 1])
         fa, fb = float(diff[m]), float(diff[m + 1])
-        first = max(min(m - 1, diff.size - 4), 0)  # rows m-1..m+2, shifted inside short grids
-        rows = slice(first, first + 4)
+        first = max(min(m - 2, diff.size - 6), 0)  # rows m-2..m+3, shifted inside short grids
+        rows = slice(first, first + 6)
         grid = t.g_values[rows].tolist()
         known = (list(zip(grid, t.levels_plus[rows, i].tolist())),
                  list(zip(grid, t.levels_minus[rows, j].tolist())))
         diffs = list(zip(grid, diff[rows].tolist()))
+        stops = [_sturm_stop(d, 2.0 * max(abs(ga), abs(gb)) / t.params.omega * self.root_n) for d in self.diags]
 
         def gap(x: float) -> float:
             off = 2.0 * x / t.params.omega * self.root_n
-            for d, index, pairs in zip(self.diags, (i, j), known):
-                guess, term = _interpolate(sorted(pairs, key=lambda p: abs(p[0] - x))[:4], x)
-                pairs.append((x, tridiag_eigval_near(d, off, index, guess, 4.0 * abs(term))))
+            e2 = (off * off).tolist()
+            for d, dl, stop, index, pairs in zip(self.diags, self.diag_lists, stops, (i, j), known):
+                guess, term = _interpolate(sorted(pairs, key=lambda p: abs(p[0] - x))[:6], x)
+                pairs.append((x, _sturm_level(dl, e2, stop, index, *_gershgorin(d, off), guess, abs(term))))
             return known[0][-1][1] - known[1][-1][1]
 
-        # the cubic's root is resolved below the tolerance: its own error decides
+        # the quintic's root is resolved below the tolerance: its own error decides
         seed = _illinois(lambda x: _interpolate(diffs, x)[0], ga, gb, fa, fb, _CROSSING_TOL / 16)
         gs = _illinois(gap, ga, gb, fa, fb, _CROSSING_TOL, seed)
         if gs is None:

@@ -18,7 +18,7 @@ from rabijudd.numerics import (
     sym_eig,
     _gershgorin,
     _inverse_step,
-    tridiag_eigval_near,
+    _sturm_level,
     tridiag_eigval_within,
     tridiag_eigvals_lowest,
 )
@@ -505,8 +505,8 @@ def test_verify_point_count_budget(monkeypatch):
 
 
 def _near_counting_every_midpoint(d, e, index):
-    """tridiag_eigval_near without a confirmed bracket: the level is bisected
-    from the Gershgorin interval with a count at every midpoint."""
+    """_sturm_level without a confirmed bracket: the level is bisected from
+    the Gershgorin interval with a count at every midpoint."""
     stop = numerics._sturm_stop(d, np.abs(e))
     return _bisect_counting_every_midpoint(d.tolist(), (e * e).tolist(), stop, index, *_gershgorin(d, e))
 
@@ -514,7 +514,8 @@ def _near_counting_every_midpoint(d, e, index):
 @st.composite
 def _near_cases(draw):
     """A tridiagonal, an index and a guess and width of every kind: at the
-    level, at another level, between levels, outside the interval, NaN, inf."""
+    level, at another level, between levels, outside the interval, NaN, inf;
+    and a factor of at least 1 on |e| for the stop data."""
     d, e = draw(_tridiagonals())
     index = draw(st.integers(min_value=0, max_value=d.size - 1))
     eig = sym_eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).values
@@ -526,33 +527,27 @@ def _near_cases(draw):
         | st.sampled_from([lo, hi, 1e6, -1e6, math.nan, math.inf, -math.inf])
     )
     width = draw(st.sampled_from([0.0, -1.0, 1e-300, 1e-12, 1e-3, 1.0, 1e6, math.inf, math.nan]))
-    return d, e, index, guess, width
+    loose = draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.5, 4.0]))
+    return d, e, index, guess, width, loose
 
 
 @settings(max_examples=300, deadline=None)
 @given(_near_cases())
 def test_near_is_the_canonical_bisection(case):
-    # guess and width set the cost only: the value is that of bisecting the
-    # whole Gershgorin interval with a count at every midpoint
-    d, e, index, guess, width = case
-    got = tridiag_eigval_near(d, e, index, guess, width)
+    # guess and width set the cost only, and so does a stop built on a bound
+    # above |e|, as the crossing refiner builds one per grid cell: the value
+    # is that of bisecting the whole Gershgorin interval with a count at
+    # every midpoint
+    d, e, index, guess, width, loose = case
+    stop = numerics._sturm_stop(d, loose * np.abs(e))
+    got = _sturm_level(d.tolist(), (e * e).tolist(), stop, index, *_gershgorin(d, e), guess, width)
     assert np.float64(got).tobytes() == np.float64(_near_counting_every_midpoint(d, e, index)).tobytes()
 
 
-@pytest.mark.parametrize("index", [5, 3, -1])
-def test_near_rejects_index_out_of_range(index):
-    # the bisection returned an end of the Gershgorin interval, 3.1 for
-    # index 5 and 0.9 for -1
-    with pytest.raises(ValueError, match=f"index={index} out of range for dimension 3"):
-        tridiag_eigval_near(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.1]), index, 2.0, 1e-3)
-
-
 @pytest.mark.parametrize("call, d, match", [
-    # near returned -/+inf and within (1, inf)
-    (lambda d: tridiag_eigval_near(d, [1.0], 0, 0.0, 1e-3), [-1.7e308, 1.7e308], "reaches past half the float range"),
+    # within returned (1, inf)
     (lambda d: tridiag_eigval_within(d, [1.0], 0.0, 1.0), [-1.7e308, 1.7e308], "reaches past half the float range"),
-    # near returned nan and within raised ZeroDivisionError
-    (lambda d: tridiag_eigval_near(d, [1.0], 0, 0.0, 1e-3), [1.0, np.nan], "tridiag_eigval_near needs finite d and e"),
+    # within raised ZeroDivisionError
     (lambda d: tridiag_eigval_within(d, [1.0], 1.0, 1.0), [1.0, np.nan], "tridiag_eigval_within needs finite d and e"),
     (lambda d: tridiag_eigval_within(d, [np.inf], 1.0, 1.0), [1.0, 2.0], "tridiag_eigval_within needs finite d and e"),
     # within returned (0, nan) for a NaN radius and (1, -inf) for an infinite one
@@ -561,7 +556,7 @@ def test_near_rejects_index_out_of_range(index):
     (lambda d: tridiag_eigval_within(d, [0.5], 1.0, -0.5), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
     (lambda d: tridiag_eigval_within(d, [0.5], math.nan, 1.0), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
     (lambda d: tridiag_eigval_within(d, [0.5], -math.inf, 1.0), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
-], ids=["near-span", "within-span", "near-nan-d", "within-nan-d", "within-inf-e",
+], ids=["within-span", "within-nan-d", "within-inf-e",
         "within-nan-radius", "within-inf-radius", "within-negative-radius", "within-nan-x", "within-inf-x"])
 def test_near_and_within_check_input_like_lowest(call, d, match):
     with pytest.raises(ValueError, match=match):
@@ -782,6 +777,18 @@ def test_oscillator_sectors_are_bit_identical_to_full_length(band, lam, M):
         ds, cs = d[f::stride], c[f::stride]
         got = tridiag_eigvals_lowest(ds, cs, 10)
         assert got.tobytes() == _full_lowest_batch(ds[None, :], (cs * cs)[:, None], 10)[0, 0].tobytes()
+
+
+def test_steps_above_the_interlacing_caps_walk_no_rows(monkeypatch):
+    # the displaced oscillator at cutoff 5000: the Gershgorin interval reaches
+    # past 5000, so the first bisection steps of the lowest 5 levels fall above
+    # the top of their leading blocks; 51 steps walk rows without the caps
+    steps = []
+    first_row = numerics._SturmStop.first_row
+    monkeypatch.setattr(numerics._SturmStop, "first_row", lambda self, x, r: steps.append(1) or first_row(self, x, r))
+    d, c, _ = displaced_osc_band(1.0, 5000)
+    tridiag_eigvals_lowest(d, c, 5)
+    assert len(steps) <= 42
 
 
 def _lanes_with_small_pivots(d, e2_rows):

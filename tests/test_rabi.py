@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import rabijudd.numerics as numerics
 from rabijudd.numerics import (
     _gershgorin,
+    _sturm_level,
+    _sturm_stop,
     sym_eig,
-    tridiag_eigval_near,
     tridiag_eigvals_lowest,
 )
 from rabijudd.rabi import (
@@ -312,20 +313,37 @@ def test_warm_bracket_returns_confirmed_level(index, guess, width):
     ref = tridiag_eigvals_lowest(diag, off, 8)
     if isinstance(guess, str):
         guess = float(ref[int(guess.split()[1])]) + 3e-13
-    value = tridiag_eigval_near(diag, off, index, guess, width)
+    value = _sturm_level(diag.tolist(), (off * off).tolist(), _sturm_stop(diag, np.abs(off)), index, lo, hi, guess, width)
     assert abs(value - ref[index]) <= 1e-12 * max(abs(lo), abs(hi))
 
 
 def test_crossing_refinement_count_budget(monkeypatch):
     # the criterion-8 table: a refinement that falls back to bisecting from the
-    # Gershgorin interval spends about 390 counts per crossing
+    # Gershgorin interval spends about 390 counts per crossing, one with
+    # four-point predictions 74.5, and the six-point one 33.3
     calls = []
     count = numerics._sturm_count
     monkeypatch.setattr(numerics, "_sturm_count", lambda *a, **kw: calls.append(1) or count(*a, **kw))
     t = spectrum_sweep(ModelParams(), np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
     crossings = find_crossings(t)
     assert len(crossings) == 24
-    assert len(calls) / len(crossings) <= 150
+    assert len(calls) / len(crossings) <= 45
+
+
+# the crossing at g = sqrt(3)/8 lies in cell 44 of the 201-row grid; each short
+# grid is a run of that grid's rows, placed so that the six-row window is cut
+# at one end or both
+@pytest.mark.parametrize("rows, cell", [(2, 0), (3, 0), (3, 1), (5, 0), (5, 2), (5, 3)])
+def test_crossing_on_short_grids_matches_long_grid(rows, cell):
+    grid = np.linspace(0.05, 0.8, 201)
+    long = find_crossings(spectrum_sweep(ModelParams(), grid, cutoff=100, levels_per_block=8))
+    ref = min(long, key=lambda c: abs(c.g_star - np.sqrt(3.0) / 8.0))
+    assert grid[44] < ref.g_star < grid[45]
+    short = find_crossings(spectrum_sweep(ModelParams(), grid[44 - cell : 44 - cell + rows], cutoff=100, levels_per_block=8))
+    got = [c for c in short if (c.level_plus, c.level_minus) == (ref.level_plus, ref.level_minus)]
+    assert len(got) == 1
+    assert abs(got[0].g_star - ref.g_star) <= 1e-9
+    assert abs(got[0].E_star - ref.E_star) <= 1e-9
 
 
 def test_sign_change_the_model_lacks_does_not_resolve():
