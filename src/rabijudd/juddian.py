@@ -32,6 +32,14 @@ _ROUNDS = 400
 _LEVEL_WINDOW = 1e-3
 
 
+def _integral(value, name: str) -> int:
+    # int() would cut 2.5 down to 2 and parse "3"; a value it changes is refused
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
 def build_full_system(N: int, omega_tilde: float, x: float, lam_sign: int = 1) -> np.ndarray:
     """The (2N+1)-dimensional linear system on (p_0..p_{N-1}, q_0..q_N).
 
@@ -155,20 +163,23 @@ def _compatibility_count(N: int, omega_tilde: float) -> tuple[Callable[[float], 
     T(x) positive definite. The pivots q_0 = d0_0 + 4x,
     q_n = d0_n + 4x - x e4_{n-1} / q_{n-1} walk all N rows, since the last
     one is wanted; one below tiny in magnitude is pushed out to +/- tiny.
+    The row pairs (d0_n, e4_{n-1}) are zipped once per order, so each pass
+    walks them without indexing.
     """
     d0, e4 = _reduced_band(N, omega_tilde)
     x_max = N * _ROOT_BOUND
     tiny = _EPS * (max(abs(v) for v in d0) + 4.0 * x_max)
     neg_tiny = -tiny
+    first, rows = d0[0], list(zip(d0[1:], e4))
 
     def count(x: float) -> tuple[int, float]:
         x4 = 4.0 * x
-        q = d0[0] + x4
+        q = first + x4
         c = 1 if q < 0.0 else 0
-        for i in range(1, N):
+        for d, e in rows:
             if neg_tiny < q < tiny:
                 q = neg_tiny if q < 0.0 else tiny
-            q = d0[i] + x4 - x * e4[i - 1] / q
+            q = d + x4 - x * e / q
             if q < 0.0:
                 c += 1
         return c, q
@@ -208,23 +219,28 @@ def _compatibility_roots(N: int, omega_tilde: float) -> list[float]:
         split = []
         for lo, hi, c_lo, c_hi, q_lo, q_hi, w, k, side in brackets:
             x = 0.5 * (lo + hi)
-            if hi - lo <= 4.0 * _EPS * hi or not lo < x < hi:
+            width = hi - lo
+            if width <= 4.0 * _EPS * hi or not lo < x < hi:
                 if c_lo - c_hi != 1:
                     raise fail(f"{c_lo - c_hi} roots left in [{lo!r}, {hi!r}]")
                 roots.append(x)
                 continue
-            if hi - lo <= 0.5 * w:
-                w, k = hi - lo, 0
-            if c_lo - c_hi == 1 and q_lo * q_hi <= 0.0 and q_lo != q_hi and k < 3:
+            if width <= 0.5 * w:
+                w, k = width, 0
+            if k < 3 and c_lo - c_hi == 1 and q_lo * q_hi <= 0.0 and q_lo != q_hi:
                 margin = 2.0 * _EPS * hi
-                x = min(max(lo - q_lo * (hi - lo) / (q_hi - q_lo), lo + margin), hi - margin)
+                x = lo - q_lo * width / (q_hi - q_lo)
+                if x < lo + margin:
+                    x = lo + margin
+                if x > hi - margin:
+                    x = hi - margin
             c, q = count(x)
             if not c_hi <= c <= c_lo:
                 raise fail(f"pivot count {c} at x = {x!r} outside [{c_hi}, {c_lo}]")
             if c_lo > c:  # x replaces hi; the end kept twice in a row has its q halved
-                split.append((lo, x, c_lo, c, q_lo * (0.5 if side < 0 else 1.0), q, w, k + 1, -1))
+                split.append((lo, x, c_lo, c, q_lo * 0.5 if side < 0 else q_lo, q, w, k + 1, -1))
             if c > c_hi:
-                split.append((x, hi, c, c_hi, q, q_hi * (0.5 if side > 0 else 1.0), w, k + 1, 1))
+                split.append((x, hi, c, c_hi, q, q_hi * 0.5 if side > 0 else q_hi, w, k + 1, 1))
         brackets = split
         if not brackets:
             return sorted(roots)
@@ -247,9 +263,10 @@ def juddian_points(N: int, params: ModelParams) -> list[JuddianPoint]:
     = 0 is rejected: that limit solves every coupling exactly and has no
     isolated points. A negative omega_tilde is rejected too: sigma_x maps
     H(-omega0) onto H(|omega0|) with the same g and E and the parities
-    swapped, so its points are those of |omega0|.
+    swapped, so its points are those of |omega0|. An N that int() would
+    change (2.5, "3") raises ValueError.
     """
-    N = int(N)
+    N = _integral(N, "N")
     if N < 1:
         raise ValueError("N must be a positive integer")
     wt = params.omega_tilde
@@ -316,10 +333,11 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     Hadamard map up = (c1 + c2)/sqrt(2), down = (c1 - c2)/sqrt(2)) and
     normalized.
 
-    Raises ValueError when cutoff < N or z^2 > cutoff/4, and FullRankError
-    off the locus, when ||T(x) p|| > 1e-10 (max|d0| + 4x + 2 max|e|).
+    Raises ValueError when the cutoff is not an integer (int() would change
+    it), cutoff < N or z^2 > cutoff/4, and FullRankError off the locus,
+    when ||T(x) p|| > 1e-10 (max|d0| + 4x + 2 max|e|).
     """
-    M = int(cutoff)
+    M = _integral(cutoff, "cutoff")
     N = point.N
     if M < N:
         raise ValueError(f"cutoff {M} too small for Ansatz order {N}")
@@ -419,9 +437,10 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
     cost is O(N R) plus a linear pass over the cutoff.
 
     Raises RuntimeError when either block has no eigenvalue within 1e-3 of
-    E - the signature of an under-sized cutoff or an invalid point.
+    E - the signature of an under-sized cutoff or an invalid point, and
+    ValueError when the cutoff is not an integer (int() would change it).
     """
-    M = int(cutoff)
+    M = _integral(cutoff, "cutoff")
     params = point.model_params()
 
     nearest = []

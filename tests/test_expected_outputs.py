@@ -26,6 +26,39 @@ _EXPECTED = [
         {"figure.svg": ("e45222eeb87a2ab0f1a050a55e08b0c468b952ea612be06b0ce171f79a9f3785", 72)},
     ),
     (
+        "juddian --max-n 4",
+        0,
+        "N,index,lambda,g,E\n"
+        "1,0,0.4330127019,0.2165063509,0.8125000000\n"
+        "2,0,0.3323281464,0.1661640732,1.8895580031\n"
+        "2,1,0.8920807156,0.4460403578,1.2041919969\n"
+        "3,0,0.2801779179,0.1400889590,2.9215003343\n"
+        "3,1,0.7329429773,0.3664714887,2.4627945920\n"
+        "3,2,1.2327658305,0.6163829153,1.4802884071\n"
+        "4,0,0.2468458798,0.1234229399,3.9390671116\n"
+        "4,1,0.6398151560,0.3199075780,3.5906365661\n"
+        "4,2,1.0486790241,0.5243395120,2.9002723045\n"
+        "4,3,1.5164984830,0.7582492415,1.7002323512\n",
+        {},
+    ),
+    (
+        "juddian --max-n 4 --format json --out points.json",
+        0, "",
+        {"points.json": ("40f0a06f8f93f27686289b528db96ab2286ae4e960a922a40d3b0365443851cf", 72)},
+    ),
+    (
+        # the baselines and point markers, which the plot above has none of
+        "plot --spectrum sweep.csv --points points.json --out figure-points.svg",
+        0, "",
+        {"figure-points.svg": ("1d0e8b14d98fe5ff098db6047db1ce4aaabc25937a657b64928c1508b33bf23f", 86)},
+    ),
+    (
+        # every point of every order up to the north-star N = 100: a header and 5,050 rows
+        "juddian --max-n 100 --out points100.csv",
+        0, "",
+        {"points100.csv": ("163e48e79aca4b8caf795fa6cd20268f11d731819704fc18de090f04c027b637", 5051)},
+    ),
+    (
         "spectrum --g-steps 2001 --levels 16 --cutoff 60 --out wide.csv",
         0, "",
         {"wide.csv": ("949476f0d8982cb8f66cf0e6bb52095e53d97ed5d0580748d54b5dc8370208d9", 64033)},

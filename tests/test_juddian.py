@@ -1,6 +1,7 @@
 """Tests for the isolated-exact-point solver and state reconstruction."""
 
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -421,6 +422,65 @@ def test_finish_past_its_round_cap_raises(monkeypatch):
     monkeypatch.setattr(juddian_module, "_ROUNDS", 20)
     with pytest.raises(RootCountError, match=re.escape("3 brackets left after 20 rounds")):
         juddian_points(3, RESONANCE)
+
+
+def test_roots_are_bit_for_bit_the_recorded_ones():
+    # float.hex of every root, hashed; the literal was recorded before the
+    # count walked prebuilt row pairs, so a rewrite of the search that moves
+    # one root by one ulp fails here
+    digest = hashlib.sha256()
+    for wt in (0.5, 1.3, 3.7):
+        for N in [*range(1, 41), 64, 100]:
+            for x in juddian_module._compatibility_roots(N, wt):
+                digest.update(x.hex().encode() + b"\n")
+    assert digest.hexdigest() == "bea3bbbf4f8d11d53fb5b53a7fc8d103776af3b8fa619679e58c8ba85659fd13"
+
+
+def test_roots_take_about_twelve_counts_each(monkeypatch):
+    # the Illinois finish, the two end counts included; 11.8 to 13.8 per root
+    # when this was written, mean 12.5
+    real = juddian_module._compatibility_count
+    calls = []
+
+    def counted(N, wt):
+        count, x_max = real(N, wt)
+
+        def counting(x):
+            calls.append(x)
+            return count(x)
+
+        return counting, x_max
+
+    monkeypatch.setattr(juddian_module, "_compatibility_count", counted)
+    per_root = []
+    for N in (20, 64, 100):
+        for wt in (0.5, 1.3, 3.7):
+            calls.clear()
+            roots = juddian_module._compatibility_roots(N, wt)
+            per_root.append(len(calls) / len(roots))
+            assert per_root[-1] <= 15.0, (N, wt, per_root[-1])
+    assert sum(per_root) / len(per_root) <= 13.0
+
+
+def test_points_reject_a_non_integral_order():
+    # int() would cut these to 2, 3 and 1; an N it leaves equal stays accepted
+    for N in (2.5, "3", 1.0000001):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            juddian_points(N, RESONANCE)
+    for N in (2.0, np.int64(2), np.float64(2.0)):
+        assert juddian_points(N, RESONANCE) == juddian_points(2, RESONANCE)
+
+
+def test_state_and_verify_reject_a_non_integral_cutoff():
+    point = juddian_points(2, RESONANCE)[0]
+    for cutoff in (20.9, "20", 20.5):
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            reconstruct_state(point, cutoff)
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            verify_point(point, cutoff)
+    want = verify_point(point, 20)
+    for cutoff in (20.0, np.int64(20)):
+        assert verify_point(point, cutoff) == want
 
 
 def test_points_reject_nonpositive_splitting():
