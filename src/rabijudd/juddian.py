@@ -20,7 +20,7 @@ from typing import Callable
 from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, displaced_number_states, support_rows
 from .numerics import FullRankError, RootCountError, _gershgorin, _inverse_step, tridiag_eigval_within
-from .rabi import ModelParams, _apply_rabi, _block_arrays
+from .rabi import ModelParams, _apply_rabi, _block_arrays, _integral
 
 _SQRT_HALF = math.sqrt(0.5)
 _EPS = sys.float_info.epsilon
@@ -30,14 +30,6 @@ _ROOT_BOUND = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
 _ROUNDS = 400
 # verify_point accepts a block level only this close to E
 _LEVEL_WINDOW = 1e-3
-
-
-def _integral(value, name: str) -> int:
-    # int() would cut 2.5 down to 2 and parse "3"; a value it changes is refused
-    whole = int(value)
-    if whole != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return whole
 
 
 def build_full_system(N: int, omega_tilde: float, x: float, lam_sign: int = 1) -> np.ndarray:

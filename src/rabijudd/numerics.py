@@ -3,16 +3,16 @@
 Package paths run on Sturm bisection for selected eigenvalues of symmetric
 tridiagonal matrices: the lowest k (tridiag_eigvals_lowest, or
 _sturm_lowest_batch, one lockstep walk over several diagonals that share
-many couplings, such as the two parity blocks over a coupling grid), the
-one nearest a shift (tridiag_eigval_within) and a given index (the
-crossing refiner in rabi, on data it prepares once per crossing). The
-public entry points check their input in one place (_sturm_input,
-_gershgorin). The last two find each level by _sturm_level, which bisects
-a fixed interval but counts only inside a bracket around a guess that
-counts have confirmed: a level next to its guess costs a few counts, and
-the value is bit-identical to counting every midpoint. Inverse iteration
-(_inverse_step) gives eigen- and null vectors from lists and a Gershgorin
-interval that its callers form once.
+many couplings, such as the two parity blocks over a coupling grid) and
+the one nearest a shift (tridiag_eigval_within). The public entry points
+check their input in one place (_sturm_input, _gershgorin). The level
+nearest a shift is found by _sturm_level, which bisects a fixed interval
+but counts only inside a bracket around a guess that counts have
+confirmed: a level next to its guess costs a few counts, and the value is
+bit-identical to counting every midpoint. The crossing detector in rabi
+calls the count itself (_sturm_count), to certify the levels at a point.
+Inverse iteration (_inverse_step) gives eigen- and null vectors from lists
+and a Gershgorin interval that its callers form once.
 Kept for tests and benchmark tasks:
 sym_eig (eigenvalues only, by implicit-shift QL on Python floats, for a
 matrix whose connected components are each tridiagonal in index order; it
@@ -509,7 +509,7 @@ def _sturm_count(d, e2, x: float, tiny: float, stop: _SturmStop) -> int:
     return count
 
 
-def _sturm_level(d, e2, stop: _SturmStop, index: int, lo: float, hi: float, guess: float, width: float) -> float:
+def _sturm_level(d, e2, stop: _SturmStop, index: int, lo: float, hi: float, guess: float) -> float:
     """Eigenvalue index (0-based, ascending) by Sturm bisection of [lo, hi], which must hold it.
 
     d and e2 are sequences (diagonal and squared off-diagonal) and stop
@@ -517,17 +517,17 @@ def _sturm_level(d, e2, stop: _SturmStop, index: int, lo: float, hi: float, gues
     eps scale are clamped and the bisection ends at width 4 eps scale.
 
     First a bracket (a, b) of the level is confirmed around guess: on each
-    side, the end guess -/+ w, w from max(width, 16 eps scale), is checked
-    by one count and moved out 16-fold while the level lies beyond it; an
-    end that falls outside (lo, hi) is not counted, so a guess at lo or hi
-    confirms one side only, and a guess outside [lo, hi] (or NaN) none.
-    The bisection then takes the midpoints of [lo, hi] but counts only
-    those strictly inside (a, b): one at or below a moves lo, one at or
-    above b moves hi. The floating-point Sturm count is monotone in the
-    shift (Demmel, Dhillon & Ren 1995), so an uncounted midpoint falls on
-    the side its count would have given, and the value is bit-identical to
-    counting every midpoint: guess and width set the cost only. Were the
-    count not monotone, the final [lo, hi] would still hold
+    side, the end guess -/+ w, w from 16 eps scale, is checked by one count
+    and moved out 16-fold while the level lies beyond it; an end that falls
+    outside (lo, hi) is not counted, so a guess at lo or hi confirms one
+    side only, and a guess outside [lo, hi] (or NaN) none. The bisection
+    then takes the midpoints of [lo, hi] but counts only those strictly
+    inside (a, b): one at or below a moves lo, one at or above b moves hi.
+    The floating-point Sturm count is monotone in the shift (Demmel,
+    Dhillon & Ren 1995), so an uncounted midpoint falls on the side its
+    count would have given, and the value is bit-identical to counting
+    every midpoint: the guess sets the cost only. Were the count not
+    monotone, the final [lo, hi] would still hold
     [max(lo, a), min(hi, b)], whose ends carry real counts on either side
     of index + 1.
     """
@@ -536,7 +536,7 @@ def _sturm_level(d, e2, stop: _SturmStop, index: int, lo: float, hi: float, gues
     target = index + 1
     a, b = lo, hi
     for sign in (-1.0, 1.0):
-        w = max(width, 16.0 * tiny)
+        w = 16.0 * tiny
         while a < guess + sign * w < b:
             x = guess + sign * w
             above = _sturm_count(d, e2, x, tiny, stop) >= target  # the level lies below x
@@ -593,9 +593,9 @@ def tridiag_eigval_within(
 
     best: tuple[int, float] | None = None
     if c > c_left:
-        best = (c - 1, _sturm_level(dl, e2l, stop, c - 1, max(left, lo), min(x, hi), x, 0.0))
+        best = (c - 1, _sturm_level(dl, e2l, stop, c - 1, max(left, lo), min(x, hi), x))
     if c_right > c:
-        value = _sturm_level(dl, e2l, stop, c, max(x, lo), min(right, hi), x, 0.0)
+        value = _sturm_level(dl, e2l, stop, c, max(x, lo), min(right, hi), x)
         if best is None or abs(value - x) < abs(best[1] - x):
             best = (c, value)
     return best

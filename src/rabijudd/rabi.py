@@ -8,15 +8,24 @@ built on this ordering are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, ladder_matrices
-from .numerics import _gershgorin, _sturm_level, _sturm_lowest_batch, _sturm_stop
+from .numerics import _EPS, _sturm_count, _sturm_lowest_batch, _sturm_stop
 
-# find_crossings refines each crossing until |E+ - E-| is at most this
+# find_crossings certifies both levels of a crossing within half this of E_star
 _CROSSING_TOL = 1e-9
+
+
+def _integral(value, name: str) -> int:
+    # int() would cut 2.5 down to 2, parse "3" and take True for 1; each is refused
+    whole = int(value)
+    if isinstance(value, bool) or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -176,8 +185,8 @@ def spectrum_sweep(
         raise ValueError("g grid must be a nonempty 1-D sequence")
     if g_values.size > 1 and not np.all(np.diff(g_values) > 0):
         raise ValueError("g grid must be strictly increasing")
-    M = int(cutoff)
-    k = int(levels_per_block)
+    M = _integral(cutoff, "cutoff")
+    k = _integral(levels_per_block, "levels_per_block")
     if not 1 <= k <= M + 1:
         raise ValueError(f"levels_per_block={k} out of range for cutoff {M}")
 
@@ -187,7 +196,7 @@ def spectrum_sweep(
     lams = 2.0 * g_values / params.omega
     e2_cols = np.multiply.outer(np.sqrt(np.arange(1.0, M + 1.0)), lams)
     np.square(e2_cols, out=e2_cols)
-    diags = np.array([_block_arrays(params, cutoff, parity)[0] for parity in (1, -1)])
+    diags = np.array([_block_arrays(params, M, parity)[0] for parity in (1, -1)])
     levels_plus, levels_minus = _sturm_lowest_batch(diags, e2_cols, k)
     return SpectrumTable(
         g_values=g_values,
@@ -199,48 +208,74 @@ def spectrum_sweep(
 
 
 def find_crossings(table: SpectrumTable) -> list[Crossing]:
-    """Opposite-parity degeneracies found on the table and refined in g.
+    """Opposite-parity degeneracies on the table, each placed at its Juddian point.
 
-    Every (i, j) pair among the tracked levels is scanned for sign changes of
-    E+_i - E-_j between adjacent grid points; each sign change is refined on
-    the table's own model and cutoff until |E+ - E-| <= 1e-9.
-    The first trial g is the root in the cell of the quintic through the
-    table's E+_i - E-_j at rows m-2..m+3 (fewer on grids of under six rows),
-    then regula falsi with the Illinois weighting follows, sided by the sign
-    of E+ - E-. At a trial each level is interpolated from its six nearest
-    known values (table rows, earlier trials), and a bracket of |last Newton
-    term| on either side, which Sturm counts confirm or widen up to the
-    Gershgorin interval, saves the counts outside it. The value is the
-    Sturm bisection of the Gershgorin interval to the width 4 eps times its
-    scale, whatever the prediction, so counts certify it as level i (j) of
-    its block. Results ascend in g_star.
+    Every (i, j) pair of tracked levels is scanned for sign changes of
+    E+_i - E-_j between adjacent grid rows; a row where the two are equal is
+    a crossing as it stands. Levels of opposite parity meet only at the
+    Juddian points, on the baselines E = N - lam^2, so a sign change in the
+    cell [g_m, g_m+1] is placed at a point rather than refined. The
+    candidates are the points (juddian_points for |omega0|, once per order)
+    of the orders N = round(E+_i + lam^2) at either end of the cell and
+    N +/- 1 whose +g or -g lies in the cell, and (0, N) when the cell holds
+    g = 0, the root x = 0 that juddian_points leaves out at an integer
+    omega_tilde. Four Sturm counts on the table's blocks at g* certify a
+    candidate (g*, E*): at E* -/+ 5e-10 they read i, i + 1 in the + block
+    and j, j + 1 in the - block. The one candidate that passes gives g_star
+    and E_star bit for bit. Results ascend in g_star.
 
-    Raises RuntimeError, naming the grid cell and level pair, if a bracket
-    collapses without reaching 1e-9 - the symptom of a non-isolated crossing
-    relative to the grid resolution.
+    Raises RuntimeError, naming the cell and the level pair, when no
+    candidate or more than one passes: the cutoff may be too small for the
+    levels, or they differ by rounding alone.
     """
+    # juddian imports this module, so the import waits for the first call
+    from .juddian import juddian_points
+
     k = table.levels_plus.shape[1]
     g = table.g_values
-    refiner = _CrossingRefiner(table)
-    crossings: list[Crossing] = []
+    p = table.params
+    abs_params = ModelParams(p.omega, abs(p.omega0))
+    root_n = np.sqrt(np.arange(1.0, table.cutoff + 1.0))
+    diags = [_block_arrays(p, table.cutoff, parity)[0] for parity in (1, -1)]
+    diag_lists = [d.tolist() for d in diags]
 
+    @functools.cache
+    def points(N: int) -> list:
+        return juddian_points(N, abs_params) if N >= 1 and p.omega0 != 0.0 else []
+
+    def certified(gs: float, E: float, i: int, j: int) -> bool:
+        off = 2.0 * gs / p.omega * root_n
+        e2 = (off * off).tolist()
+        stops = [_sturm_stop(d, np.abs(off)) for d in diags]
+        return all(
+            _sturm_count(dl, e2, E + shift, _EPS * stop.scale, stop) == want
+            for dl, stop, index in zip(diag_lists, stops, (i, j))
+            for shift, want in ((-0.5 * _CROSSING_TOL, index), (0.5 * _CROSSING_TOL, index + 1))
+        )
+
+    crossings: list[Crossing] = []
     for i in range(k):
         for j in range(k):
             diff = table.levels_plus[:, i] - table.levels_minus[:, j]
             exact = diff == 0.0
             for m in np.nonzero(exact)[0]:
-                crossings.append(
-                    Crossing(
-                        g_star=float(g[m]),
-                        E_star=float(table.levels_plus[m, i]),
-                        level_plus=i,
-                        level_minus=j,
-                    )
-                )
+                crossings.append(Crossing(float(g[m]), float(table.levels_plus[m, i]), i, j))
             neg = diff < 0.0
-            changes = (neg[:-1] != neg[1:]) & ~exact[:-1] & ~exact[1:]
-            for m in np.nonzero(changes)[0]:
-                crossings.append(refiner.crossing(i, j, int(m), diff))
+            for m in np.nonzero((neg[:-1] != neg[1:]) & ~exact[:-1] & ~exact[1:])[0]:
+                ga, gb = float(g[m]), float(g[m + 1])
+                ends = np.rint(table.levels_plus[m : m + 2, i] + (2.0 * g[m : m + 2] / p.omega) ** 2)
+                orders = sorted({int(N) + s for N in ends for s in (-1, 0, 1)})
+                candidates = [(0.0, float(N)) for N in orders if ga <= 0.0 <= gb]
+                candidates += [(s * pt.g, pt.E) for N in orders for pt in points(N) for s in (1.0, -1.0)
+                               if ga <= s * pt.g <= gb]
+                found = [c for c in candidates if certified(*c, i, j)]
+                if len(found) != 1:
+                    raise RuntimeError(
+                        f"crossing of levels (+{i}, -{j}) in cell g = [{ga:.6g}, {gb:.6g}] did not resolve: "
+                        f"{len(found)} Juddian points there hold both levels within {_CROSSING_TOL:g}, not one; "
+                        "the cutoff may be too small or the levels unresolved"
+                    )
+                crossings.append(Crossing(*found[0], i, j))
 
     crossings.sort(key=lambda c: (c.g_star, c.level_plus, c.level_minus))
     deduped: list[Crossing] = []
@@ -253,99 +288,3 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
             continue
         deduped.append(c)
     return deduped
-
-
-class _CrossingRefiner:
-    """Refines the crossings of one table; holds what does not depend on g.
-
-    The block diagonals are kept as arrays and lists once per table. Each
-    crossing builds one _sturm_stop per block, on the couplings at the
-    larger |g| of its cell: |e| grows with |g|, so they bound every trial's,
-    and a count that stops on them equals the full-length count. A trial
-    forms only its couplings and their Gershgorin interval, and calls
-    numerics._sturm_level with the six-point prediction as the guess and
-    |last Newton term| as the bracket half-width.
-    """
-
-    def __init__(self, table: SpectrumTable):
-        self.table = table
-        self.root_n = np.sqrt(np.arange(1.0, table.cutoff + 1.0))
-        self.diags = [_block_arrays(table.params, table.cutoff, parity)[0] for parity in (1, -1)]
-        self.diag_lists = [d.tolist() for d in self.diags]
-
-    def crossing(self, i: int, j: int, m: int, diff: np.ndarray) -> Crossing:
-        """The crossing of levels (+i, -j) where diff = E+_i - E-_j changes sign in cell m."""
-        t = self.table
-        ga, gb = float(t.g_values[m]), float(t.g_values[m + 1])
-        fa, fb = float(diff[m]), float(diff[m + 1])
-        first = max(min(m - 2, diff.size - 6), 0)  # rows m-2..m+3, shifted inside short grids
-        rows = slice(first, first + 6)
-        grid = t.g_values[rows].tolist()
-        known = (list(zip(grid, t.levels_plus[rows, i].tolist())),
-                 list(zip(grid, t.levels_minus[rows, j].tolist())))
-        diffs = list(zip(grid, diff[rows].tolist()))
-        stops = [_sturm_stop(d, 2.0 * max(abs(ga), abs(gb)) / t.params.omega * self.root_n) for d in self.diags]
-
-        def gap(x: float) -> float:
-            off = 2.0 * x / t.params.omega * self.root_n
-            e2 = (off * off).tolist()
-            for d, dl, stop, index, pairs in zip(self.diags, self.diag_lists, stops, (i, j), known):
-                guess, term = _interpolate(sorted(pairs, key=lambda p: abs(p[0] - x))[:6], x)
-                pairs.append((x, _sturm_level(dl, e2, stop, index, *_gershgorin(d, off), guess, abs(term))))
-            return known[0][-1][1] - known[1][-1][1]
-
-        # the quintic's root is resolved below the tolerance: its own error decides
-        seed = _illinois(lambda x: _interpolate(diffs, x)[0], ga, gb, fa, fb, _CROSSING_TOL / 16)
-        gs = _illinois(gap, ga, gb, fa, fb, _CROSSING_TOL, seed)
-        if gs is None:
-            raise RuntimeError(
-                f"crossing of levels (+{i}, -{j}) in cell g = [{ga:.6g}, {gb:.6g}] did not resolve "
-                f"to |dE| <= {_CROSSING_TOL:g}; grid too coarse or crossing not isolated"
-            )
-        return Crossing(g_star=gs, E_star=0.5 * (known[0][-1][1] + known[1][-1][1]),
-                        level_plus=i, level_minus=j)
-
-
-def _interpolate(pairs: list[tuple[float, float]], x: float) -> tuple[float, float]:
-    """Value at x of the polynomial through the (g, E) pairs, and its last Newton term."""
-    xs, c = [p[0] for p in pairs], [p[1] for p in pairs]
-    for k in range(1, len(c)):
-        for r in range(len(c) - 1, k - 1, -1):
-            c[r] = (c[r] - c[r - 1]) / (xs[r] - xs[r - k])
-    value, w = c[0], 1.0
-    for k in range(1, len(c)):
-        w *= x - xs[k - 1]
-        value += c[k] * w
-    return value, c[-1] * w
-
-
-def _illinois(f, ga: float, gb: float, fa: float, fb: float, tol: float, gs: float | None = None):
-    """Regula falsi with the Illinois weighting on a sign change of f over (ga, gb).
-
-    The sign of f at each trial picks the side; each trial, the first one gs
-    if given, is kept inside the shrinking bracket. Returns the first trial
-    with |f| <= tol, or None once the bracket collapses or 120 trials pass.
-    """
-    side = 0
-    for _ in range(120):
-        if gs is None or not ga < gs < gb:
-            gs = (ga * fb - gb * fa) / (fb - fa) if fb != fa else 0.5 * (ga + gb)
-            if not ga < gs < gb:
-                gs = 0.5 * (ga + gb)
-        fm = f(gs)
-        if abs(fm) <= tol:
-            return gs
-        if (fm < 0.0) == (fa < 0.0):
-            ga, fa = gs, fm
-            if side == -1:
-                fb *= 0.5
-            side = -1
-        else:
-            gb, fb = gs, fm
-            if side == 1:
-                fa *= 0.5
-            side = 1
-        if gb - ga <= 1e-15 * max(1.0, abs(gb)):
-            return None
-        gs = None
-    return None

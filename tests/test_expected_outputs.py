@@ -1,7 +1,7 @@
 """Expected-output gate: commands run through cli.main, checked against fixed literals.
 
-Each entry holds the exit status, the exact stdout and, for every file the
-command writes, its SHA-256 and line count. The literals were recorded once
+Each entry holds the exit status, the exact stdout and stderr and, for
+every file the command writes, its SHA-256 and line count. The literals were recorded once
 by hand and are never rewritten by a test or script: a change that alters
 an output byte updates the literal here and names the change.
 """
@@ -11,18 +11,19 @@ import hashlib
 from rabijudd.cli import main
 
 _OSC_HEADER = f"{'n':>4}  {'numeric':>18}  {'closed form':>18}  {'deviation':>11}\n"
+_VERIFY_HEADER = f"{'index':>5}  {'g':>14}  {'E':>14}  {'gap':>11}  {'eig_resid':>11}  status\n"
 
-# (argv, exit status, stdout, {file: (sha256, lines)}); the runs share one
+# (argv, exit status, stdout, stderr, {file: (sha256, lines)}); the runs share one
 # directory, in order, so plot reads the CSV that the README spectrum wrote
 _EXPECTED = [
     (
         "spectrum --g-min 0.05 --g-max 0.8 --g-steps 201 --out sweep.csv",
-        0, "",
+        0, "", "",
         {"sweep.csv": ("63a16f61bc79b3325630850824cb5081c9414cc55a357362852505c7e7db0fc0", 3217)},
     ),
     (
         "plot --spectrum sweep.csv --out figure.svg",
-        0, "",
+        0, "", "",
         {"figure.svg": ("e45222eeb87a2ab0f1a050a55e08b0c468b952ea612be06b0ce171f79a9f3785", 72)},
     ),
     (
@@ -39,28 +40,29 @@ _EXPECTED = [
         "4,1,0.6398151560,0.3199075780,3.5906365661\n"
         "4,2,1.0486790241,0.5243395120,2.9002723045\n"
         "4,3,1.5164984830,0.7582492415,1.7002323512\n",
+        "",
         {},
     ),
     (
         "juddian --max-n 4 --format json --out points.json",
-        0, "",
+        0, "", "",
         {"points.json": ("40f0a06f8f93f27686289b528db96ab2286ae4e960a922a40d3b0365443851cf", 72)},
     ),
     (
         # the baselines and point markers, which the plot above has none of
         "plot --spectrum sweep.csv --points points.json --out figure-points.svg",
-        0, "",
+        0, "", "",
         {"figure-points.svg": ("1d0e8b14d98fe5ff098db6047db1ce4aaabc25937a657b64928c1508b33bf23f", 86)},
     ),
     (
         # every point of every order up to the north-star N = 100: a header and 5,050 rows
         "juddian --max-n 100 --out points100.csv",
-        0, "",
+        0, "", "",
         {"points100.csv": ("163e48e79aca4b8caf795fa6cd20268f11d731819704fc18de090f04c027b637", 5051)},
     ),
     (
         "spectrum --g-steps 2001 --levels 16 --cutoff 60 --out wide.csv",
-        0, "",
+        0, "", "",
         {"wide.csv": ("949476f0d8982cb8f66cf0e6bb52095e53d97ed5d0580748d54b5dc8370208d9", 64033)},
     ),
     (
@@ -73,6 +75,7 @@ _EXPECTED = [
         "   3      3.500000000000      3.500000000000    2.967e-13\n"
         "   4      4.500000000000      4.500000000000    1.457e-13\n"
         "max deviation = 1.096e-12\n",
+        "",
         {},
     ),
     (
@@ -90,6 +93,96 @@ _EXPECTED = [
         "   8      6.800000000000      6.800000000000    1.226e-13\n"
         "   9      7.600000000000      7.600000000000    2.292e-13\n"
         "max deviation = 1.648e-12\n",
+        "",
+        {},
+    ),
+    # verify prints a row per point; at the default cutoff 100 the points of
+    # order 30 past g = 1.8 fail for want of a larger support R, and the
+    # failure summary goes to stderr
+    (
+        "verify --n 4",
+        0,
+        _VERIFY_HEADER
+        + "    0    0.1234229399    3.9390671116    0.000e+00    5.979e-16  ok\n"
+        "    1    0.3199075780    3.5906365661    0.000e+00    4.823e-16  ok\n"
+        "    2    0.5243395120    2.9002723045    1.776e-15    1.242e-15  ok\n"
+        "    3    0.7582492415    1.7002323512    0.000e+00    1.331e-15  ok\n"
+        "all 4 points verified at cutoff 100\n",
+        "",
+        {},
+    ),
+    (
+        "verify --n 6 --omega0 2.6 --cutoff 200",
+        0,
+        _VERIFY_HEADER
+        + "    0    0.2075415301    5.8277060531    0.000e+00    6.812e-16  ok\n"
+        "    1    0.3880098544    5.3977934117    0.000e+00    1.294e-15  ok\n"
+        "    2    0.5642139244    4.7266505899    1.776e-15    2.429e-15  ok\n"
+        "    3    0.7502600867    3.7484392092    0.000e+00    1.897e-15  ok\n"
+        "    4    0.9626101795    2.2935265694    8.882e-16    2.713e-15  ok\n"
+        "all 5 points verified at cutoff 200\n",
+        "",
+        {},
+    ),
+    (
+        "verify --n 30",
+        1,
+        _VERIFY_HEADER
+        + "    0    0.0473373520   29.9910367004    0.000e+00    1.747e-15  ok\n"
+        "    1    0.1211544670   29.9412863805    0.000e+00    2.801e-15  ok\n"
+        "    2    0.1933062229   29.8505308167    0.000e+00    2.511e-15  ok\n"
+        "    3    0.2651543817   29.7187726155    0.000e+00    2.845e-15  ok\n"
+        "    4    0.3370009127   29.5457215394    0.000e+00    4.034e-15  ok\n"
+        "    5    0.4089837447   29.3309291862    0.000e+00    3.334e-15  ok\n"
+        "    6    0.4811946337   29.0738068981    0.000e+00    3.585e-15  ok\n"
+        "    7    0.5537093788   28.7736236955    0.000e+00    3.559e-15  ok\n"
+        "    8    0.6265985860   28.4294968483    0.000e+00    3.899e-15  ok\n"
+        "    9    0.6999325671   28.0403776058    0.000e+00    4.642e-15  ok\n"
+        "   10    0.7737841551   27.6050323250    0.000e+00    5.281e-15  ok\n"
+        "   11    0.8482307476   27.1220183953    0.000e+00    5.019e-15  ok\n"
+        "   12    0.9233561320   26.5896538143    0.000e+00    4.255e-15  ok\n"
+        "   13    0.9992523813   26.0059787139    0.000e+00    4.393e-15  ok\n"
+        "   14    1.0760220239   25.3687064167    1.421e-14    4.231e-15  ok\n"
+        "   15    1.1537806775   24.6751605928    2.132e-14    5.390e-15  ok\n"
+        "   16    1.2326603772   23.9221935775    0.000e+00    6.158e-15  ok\n"
+        "   17    1.3128139037   23.1060786168    1.421e-14    4.302e-14  ok\n"
+        "   18    1.3944205628   22.2223651759    2.132e-14    1.447e-12  ok\n"
+        "   19    1.4776941037   21.2656805439    0.000e+00    3.873e-11  ok\n"
+        "   20    1.5628938720   20.2294509800    5.684e-14    8.331e-10  ok\n"
+        "   21    1.6503410212   19.1054980552    1.290e-11    1.467e-08  ok\n"
+        "   22    1.7404429593   17.8834332212    1.657e-09    2.163e-07  ok\n"
+        "   23    1.8337318875   16.5497094584    1.356e-07    2.927e-06  FAIL"
+        " (cutoff 100 is below the support R = 230 of order 30 at lambda = 3.6674637751;"
+        " use --cutoff >= 230)\n"
+        "   24    1.9309289923   15.0860529075    6.873e-06    5.999e-05  FAIL"
+        " (cutoff 100 is below the support R = 236 of order 30 at lambda = 3.8618579845;"
+        " use --cutoff >= 236)\n"
+        "   25    2.0330591810   13.4666814659            -            -  FAIL"
+        " (no eigenvalue within 1e-3 of E=13.466681 in the parity +1 block at cutoff 100;"
+        " increase the cutoff;"
+        " cutoff 100 is below the support R = 242 of order 30 at lambda = 4.0661183620;"
+        " use --cutoff >= 242)\n"
+        "   26    2.1416764110   11.6528886014            -            -  FAIL"
+        " (no eigenvalue within 1e-3 of E=11.652889 in the parity +1 block at cutoff 100;"
+        " increase the cutoff;"
+        " cutoff 100 is below the support R = 249 of order 30 at lambda = 4.2833528221;"
+        " use --cutoff >= 249)\n"
+        "   27    2.2593693162    9.5810011729            -            -  FAIL"
+        " (no eigenvalue within 1e-3 of E=9.581001 in the parity +1 block at cutoff 100;"
+        " increase the cutoff;"
+        " cutoff 100 is below the support R = 256 of order 30 at lambda = 4.5187386323;"
+        " use --cutoff >= 256)\n"
+        "   28    2.3911566618    7.1294792753            -            -  FAIL"
+        " (no eigenvalue within 1e-3 of E=7.129479 in the parity +1 block at cutoff 100;"
+        " increase the cutoff;"
+        " cutoff 100 is below the support R = 265 of order 30 at lambda = 4.7823133236;"
+        " use --cutoff >= 265)\n"
+        "   29    2.5501450400    3.9870410992            -            -  FAIL"
+        " (no eigenvalue within 1e-3 of E=3.987041 in the parity +1 block at cutoff 100;"
+        " increase the cutoff;"
+        " cutoff 100 is below the support R = 275 of order 30 at lambda = 5.1002900801;"
+        " use --cutoff >= 275)\n",
+        "verification FAILED at cutoff 100; a larger --cutoff may be needed; largest tail weight 5.535e-03\n",
         {},
     ),
 ]
@@ -97,9 +190,9 @@ _EXPECTED = [
 
 def test_commands_print_and_write_the_expected_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    for command, status, stdout, files in _EXPECTED:
+    for command, status, stdout, stderr, files in _EXPECTED:
         assert main(command.split()) == status, command
-        assert capsys.readouterr().out == stdout, command
+        assert capsys.readouterr() == (stdout, stderr), command
         for name, (digest, lines) in files.items():
             data = (tmp_path / name).read_bytes()
             assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == (digest, lines), f"{command}: {name}"

@@ -463,8 +463,8 @@ def test_roots_take_about_twelve_counts_each(monkeypatch):
 
 
 def test_points_reject_a_non_integral_order():
-    # int() would cut these to 2, 3 and 1; an N it leaves equal stays accepted
-    for N in (2.5, "3", 1.0000001):
+    # int() would cut these to 2, 3, 1 and 1; an N it leaves equal stays accepted
+    for N in (2.5, "3", 1.0000001, True):
         with pytest.raises(ValueError, match="N must be an integer"):
             juddian_points(N, RESONANCE)
     for N in (2.0, np.int64(2), np.float64(2.0)):

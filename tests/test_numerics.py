@@ -382,7 +382,7 @@ def test_sturm_within_window():
 def test_sturm_within_takes_lower_index_on_tie(monkeypatch):
     # bisection lands just above each eigenvalue, so force an exact tie
     monkeypatch.setattr(numerics, "_sturm_level",
-                        lambda d, e2, stop, i, lo, hi, guess, width: d[i])
+                        lambda d, e2, stop, i, lo, hi, guess: d[i])
     d = np.array([1.0, 3.0])
     assert tridiag_eigval_within(d, np.zeros(1), 2.0, 1.5) == (0, 1.0)
 
@@ -513,9 +513,9 @@ def _near_counting_every_midpoint(d, e, index):
 
 @st.composite
 def _near_cases(draw):
-    """A tridiagonal, an index and a guess and width of every kind: at the
-    level, at another level, between levels, outside the interval, NaN, inf;
-    and a factor of at least 1 on |e| for the stop data."""
+    """A tridiagonal, an index and a guess of every kind: at the level, at
+    another level, between levels, outside the interval, NaN, inf; and a
+    factor of at least 1 on |e| for the stop data."""
     d, e = draw(_tridiagonals())
     index = draw(st.integers(min_value=0, max_value=d.size - 1))
     eig = sym_eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).values
@@ -526,21 +526,19 @@ def _near_cases(draw):
         | st.floats(lo - 1.0, hi + 1.0)
         | st.sampled_from([lo, hi, 1e6, -1e6, math.nan, math.inf, -math.inf])
     )
-    width = draw(st.sampled_from([0.0, -1.0, 1e-300, 1e-12, 1e-3, 1.0, 1e6, math.inf, math.nan]))
     loose = draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.5, 4.0]))
-    return d, e, index, guess, width, loose
+    return d, e, index, guess, loose
 
 
 @settings(max_examples=300, deadline=None)
 @given(_near_cases())
 def test_near_is_the_canonical_bisection(case):
-    # guess and width set the cost only, and so does a stop built on a bound
-    # above |e|, as the crossing refiner builds one per grid cell: the value
-    # is that of bisecting the whole Gershgorin interval with a count at
-    # every midpoint
-    d, e, index, guess, width, loose = case
+    # the guess sets the cost only, and so does a stop built on a bound above
+    # |e|: the value is that of bisecting the whole Gershgorin interval with
+    # a count at every midpoint
+    d, e, index, guess, loose = case
     stop = numerics._sturm_stop(d, loose * np.abs(e))
-    got = _sturm_level(d.tolist(), (e * e).tolist(), stop, index, *_gershgorin(d, e), guess, width)
+    got = _sturm_level(d.tolist(), (e * e).tolist(), stop, index, *_gershgorin(d, e), guess)
     assert np.float64(got).tobytes() == np.float64(_near_counting_every_midpoint(d, e, index)).tobytes()
 
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rabijudd.numerics as numerics
+import rabijudd.rabi as rabi
+from rabijudd.juddian import juddian_points
 from rabijudd.numerics import (
     _gershgorin,
     _sturm_level,
@@ -189,6 +190,18 @@ def test_sweep_validation():
                        levels_per_block=50)
 
 
+@pytest.mark.parametrize("cutoff, levels", [(20.9, 8), ("20", 8), (True, 1), (20, 2.5), (20, True)])
+def test_sweep_refuses_a_non_integral_cutoff_or_level_count(cutoff, levels):
+    # int() made a 21-row block of cutoff 20.9 and 2 levels of 2.5
+    with pytest.raises(ValueError, match="must be an integer"):
+        spectrum_sweep(ModelParams(), [0.1, 0.2], cutoff, levels)
+    want = spectrum_sweep(ModelParams(), [0.1, 0.2], 20, 2)
+    for whole in (20.0, np.int64(20)):
+        got = spectrum_sweep(ModelParams(), [0.1, 0.2], whole, np.float64(2.0))
+        assert got.levels_plus.tobytes() == want.levels_plus.tobytes()
+        assert got.levels_minus.tobytes() == want.levels_minus.tobytes()
+
+
 def test_sweep_sign_of_g_is_exact_symmetry():
     grid = np.linspace(0.05, 0.6, 12)
     fwd = spectrum_sweep(ModelParams(), grid, cutoff=60, levels_per_block=5)
@@ -249,7 +262,7 @@ def test_crossing_refinement_tolerance():
 
 
 def test_crossing_fields_are_python_scalars():
-    # refined and exact-hit crossings alike: float g_star and E_star, int levels,
+    # placed and exact-hit crossings alike: float g_star and E_star, int levels,
     # never numpy scalars, whichever path produced the value
     t = spectrum_sweep(ModelParams(omega0=1.0), np.linspace(0.05, 0.8, 201), 60, 8)
     crossings = find_crossings(t)
@@ -299,40 +312,39 @@ def test_crossings_match_sign_changes_and_meet_within_tol(omega_tilde):
         assert abs(c.E_star - 0.5 * (ep + em)) <= 1e-9
 
 
-@pytest.mark.parametrize("index, guess, width", [
-    (3, "level 6", 1e-12),   # a higher level: the lower side fails and widens
-    (3, "level 0", 1e-12),   # a lower level: the upper side fails and widens
-    (5, "level 5", 0.0),     # the right level, zero width: the floor applies
-    (2, 1e6, 1e-3),          # outside the Gershgorin interval
-    (2, float("nan"), 1e-3),
-    (4, "level 4", float("inf")),
+@pytest.mark.parametrize("index, guess", [
+    (3, "level 6"),   # a higher level: the lower side fails and widens
+    (3, "level 0"),   # a lower level: the upper side fails and widens
+    (5, "level 5"),   # the right level
+    (2, 1e6),         # outside the Gershgorin interval
+    (2, float("nan")),
+    (4, "level 4"),
 ])
-def test_warm_bracket_returns_confirmed_level(index, guess, width):
+def test_warm_bracket_returns_confirmed_level(index, guess):
     diag, off = _block_arrays(ModelParams(omega0=1.3, g=0.37), 80, -1)
     lo, hi = _gershgorin(diag, off)
     ref = tridiag_eigvals_lowest(diag, off, 8)
     if isinstance(guess, str):
         guess = float(ref[int(guess.split()[1])]) + 3e-13
-    value = _sturm_level(diag.tolist(), (off * off).tolist(), _sturm_stop(diag, np.abs(off)), index, lo, hi, guess, width)
+    value = _sturm_level(diag.tolist(), (off * off).tolist(), _sturm_stop(diag, np.abs(off)), index, lo, hi, guess)
     assert abs(value - ref[index]) <= 1e-12 * max(abs(lo), abs(hi))
 
 
 def test_crossing_refinement_count_budget(monkeypatch):
-    # the criterion-8 table: a refinement that falls back to bisecting from the
-    # Gershgorin interval spends about 390 counts per crossing, one with
-    # four-point predictions 74.5, and the six-point one 33.3
+    # the criterion-8 table: each crossing is certified at its one candidate
+    # point by two counts per block. rabi's own name is patched, since
+    # find_crossings looks it up there
     calls = []
-    count = numerics._sturm_count
-    monkeypatch.setattr(numerics, "_sturm_count", lambda *a, **kw: calls.append(1) or count(*a, **kw))
+    count = rabi._sturm_count
+    monkeypatch.setattr(rabi, "_sturm_count", lambda *a: calls.append(1) or count(*a))
     t = spectrum_sweep(ModelParams(), np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
     crossings = find_crossings(t)
     assert len(crossings) == 24
-    assert len(calls) / len(crossings) <= 45
+    assert 0 < len(calls) <= 4 * len(crossings)
 
 
 # the crossing at g = sqrt(3)/8 lies in cell 44 of the 201-row grid; each short
-# grid is a run of that grid's rows, placed so that the six-row window is cut
-# at one end or both
+# grid is a run of that grid's rows that holds cell 44, at either end or inside
 @pytest.mark.parametrize("rows, cell", [(2, 0), (3, 0), (3, 1), (5, 0), (5, 2), (5, 3)])
 def test_crossing_on_short_grids_matches_long_grid(rows, cell):
     grid = np.linspace(0.05, 0.8, 201)
@@ -355,3 +367,56 @@ def test_sign_change_the_model_lacks_does_not_resolve():
     fake[:, 0] = t.levels_minus[:, 0] + np.array([-2e-3, -1e-3, 1e-3, 2e-3, 3e-3])
     with pytest.raises(RuntimeError, match=r"levels \(\+0, -0\) in cell g = \[0.015, 0.02\] did not resolve"):
         find_crossings(replace(t, levels_plus=fake))
+
+
+def _block(omega_tilde, lam, M, parity):
+    """The dense parity block, built here apart from rabi."""
+    n = np.arange(M + 1)
+    off = lam * np.sqrt(n[1:])
+    return np.diag(n - parity * omega_tilde * (-1.0) ** n) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("omega_tilde, count", [(0.5, 24), (1.3, 17), (3.7, 9)])
+def test_crossings_are_exact_points(omega_tilde, count):
+    # criterion 8 on every crossing of the G = 201, M = 100, k = 8 table: each
+    # is a Juddian point bit for bit, and LAPACK puts both levels on it
+    params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
+    t = spectrum_sweep(params, np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
+    crossings = find_crossings(t)
+    assert len(crossings) == count
+    exact = {(p.g, p.E) for N in range(1, 16) for p in juddian_points(N, params)}
+    for c in crossings:
+        assert (c.g_star, c.E_star) in exact, c
+        for parity, level in ((1, c.level_plus), (-1, c.level_minus)):
+            value = np.linalg.eigvalsh(_block(omega_tilde, 2.0 * c.g_star, 100, parity))[level]
+            assert abs(value - c.E_star) <= 1e-9, (c, parity, value)
+
+
+def test_degeneracies_at_zero_coupling_sit_at_g_zero():
+    # at omega_tilde = 2 the uncoupled levels 2j - 2 (+) and 2l + 2 (-) meet at
+    # integer E = N, and come back at g = 0 exactly, not at a g of rounding noise
+    t = spectrum_sweep(ModelParams(omega0=4.0), np.linspace(0.0, 0.8, 201), cutoff=100, levels_per_block=8)
+    at_zero = [c for c in find_crossings(t) if c.g_star < t.g_values[1]]
+    assert len(at_zero) == 5
+    for c in at_zero:
+        N = np.sort(np.diag(_block(2.0, 0.0, 100, 1)))[c.level_plus]
+        assert N == np.sort(np.diag(_block(2.0, 0.0, 100, -1)))[c.level_minus] == round(N)
+        assert (c.g_star, c.E_star) == (0.0, N)
+
+
+@pytest.mark.parametrize("grid, cutoff", [
+    # past g = 2 the resonant doublets differ by rounding alone, about 1e-13
+    (np.linspace(0.05, 3.0, 401), 100),
+    # a cutoff far too small: truncation crosses levels that never meet
+    (np.linspace(0.05, 1.5, 201), 12),
+], ids=["rounding", "truncation"])
+def test_sign_changes_off_every_point_fail_loudly(grid, cutoff):
+    t = spectrum_sweep(ModelParams(), grid, cutoff=cutoff, levels_per_block=8)
+    with pytest.raises(RuntimeError, match="the cutoff may be too small or the levels unresolved") as info:
+        find_crossings(t)
+    named = re.match(r"crossing of levels \(\+(\d+), -(\d+)\) in cell g = \[(\S+), (\S+)\] did not resolve", str(info.value))
+    assert named, info.value
+    i, j, ga, gb = int(named[1]), int(named[2]), named[3], named[4]
+    cells = [m for (a, b, m) in _sign_change_cells(t)
+             if (a, b) == (i, j) and (f"{t.g_values[m]:.6g}", f"{t.g_values[m + 1]:.6g}") == (ga, gb)]
+    assert len(cells) == 1
