@@ -1,7 +1,8 @@
 """Expected-output gate: commands run through cli.main, checked against fixed literals.
 
-Each entry holds the exit status, the exact stdout and stderr and, for
-every file the command writes, its SHA-256 and line count. The literals were recorded once
+Each entry holds the exit status, the exact stdout (or, for a long one,
+its SHA-256 and line count) and stderr and, for every file the command
+writes, its SHA-256 and line count. The literals were recorded once
 by hand and are never rewritten by a test or script: a change that alters
 an output byte updates the literal here and names the change.
 """
@@ -13,7 +14,7 @@ from rabijudd.cli import main
 _OSC_HEADER = f"{'n':>4}  {'numeric':>18}  {'closed form':>18}  {'deviation':>11}\n"
 _VERIFY_HEADER = f"{'index':>5}  {'g':>14}  {'E':>14}  {'gap':>11}  {'eig_resid':>11}  status\n"
 
-# (argv, exit status, stdout, stderr, {file: (sha256, lines)}); the runs share one
+# (argv, exit status, stdout or its (sha256, lines), stderr, {file: (sha256, lines)}); the runs share one
 # directory, in order, so plot reads the CSV that the README spectrum wrote
 _EXPECTED = [
     (
@@ -64,6 +65,12 @@ _EXPECTED = [
         "spectrum --g-steps 2001 --levels 16 --cutoff 60 --out wide.csv",
         0, "", "",
         {"wide.csv": ("949476f0d8982cb8f66cf0e6bb52095e53d97ed5d0580748d54b5dc8370208d9", 64033)},
+    ),
+    (
+        # the north-star grid size: a header and 2 parities x 8 levels per point
+        "spectrum --g-steps 10001 --out sweep10001.csv",
+        0, "", "",
+        {"sweep10001.csv": ("f6490c53d08062a6230cea9f858ca327e410222d0dec917c7054a4ce77d828a2", 160017)},
     ),
     (
         "oscillator --type displaced --lambda 1 --cutoff 5000 --levels 5",
@@ -185,6 +192,15 @@ _EXPECTED = [
         "verification FAILED at cutoff 100; a larger --cutoff may be needed; largest tail weight 5.535e-03\n",
         {},
     ),
+    (
+        # every point of the north-star order at a cutoff above each support R:
+        # a header, 100 rows and "all 100 points verified at cutoff 2500"
+        "verify --n 100 --cutoff 2500",
+        0,
+        ("1938f05a8d4952c9fcd0b00c1061f6466ea61066243be75b89f3795f03950ced", 102),
+        "",
+        {},
+    ),
 ]
 
 
@@ -192,7 +208,10 @@ def test_commands_print_and_write_the_expected_bytes(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     for command, status, stdout, stderr, files in _EXPECTED:
         assert main(command.split()) == status, command
-        assert capsys.readouterr() == (stdout, stderr), command
+        out, err = capsys.readouterr()
+        if isinstance(stdout, tuple):
+            out = (hashlib.sha256(out.encode()).hexdigest(), out.count("\n"))
+        assert (out, err) == (stdout, stderr), command
         for name, (digest, lines) in files.items():
             data = (tmp_path / name).read_bytes()
             assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == (digest, lines), f"{command}: {name}"
