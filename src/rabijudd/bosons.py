@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .numerics import _gershgorin, _inverse_step
+from .numerics import _gershgorin, _integral, _inverse_step
 
 #: Highest retained occupation number (basis size 101) used throughout
 #: validation; large enough that coherent-state tails at the couplings of
@@ -83,9 +83,11 @@ def displaced_number_states(z: float, cutoff: int, count: int):
     amplifies its rounding by about 2 per step (a state error near 1e-7 at
     n = 20, z^2 = 17); the correction keeps every state within a few eps.
 
-    Raises ValueError when z^2 > M/4, like displacement_matrix.
+    Raises ValueError when z^2 > M/4, like displacement_matrix, and when the
+    cutoff or count is not an integer (int() would change it).
     """
-    M = int(cutoff)
+    M = _integral(cutoff, "cutoff")
+    count = _integral(count, "count")
     z = _check_displacement(z, M)
     diag = np.arange(M + 1.0) + z * z
     off = -z * np.sqrt(np.arange(1.0, M + 1.0))
@@ -186,10 +188,10 @@ def displaced_osc_band(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray,
 
     The c-number completes the square, so the exact spectrum is n + 1/2
     independent of lam. Raises ValueError when lam^2 or lam sqrt(M)
-    overflows (or lam is not finite).
+    overflows (or lam is not finite), and for a cutoff that int() would change.
     """
     lam = float(lam)
-    M = int(cutoff)
+    M = _integral(cutoff, "cutoff")
     if not (math.isfinite(lam * lam) and math.isfinite(lam * math.sqrt(max(M, 0)))):
         raise ValueError(f"lam^2 and lam sqrt(M) must be finite, got lam = {lam}, M = {M}")
     return np.arange(M + 1.0) + 0.5 + lam * lam, lam * np.sqrt(np.arange(1.0, M + 1.0)), 1
@@ -200,11 +202,12 @@ def squeezed_osc_band(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, 
 
     coupling[j] joins n = j and j + 2, so the even-n and odd-n sectors
     (d[f::2], coupling[f::2]) for f = 0, 1 are tridiagonal and never mix.
+    Raises ValueError for a cutoff that int() would change.
     """
     lam = float(lam)
     if not abs(lam) < 0.5:
         raise ValueError(f"|lam| must be below 1/2, got {lam}")
-    M = int(cutoff)
+    M = _integral(cutoff, "cutoff")
     return np.arange(M + 1.0) + 0.5, lam * np.sqrt(np.arange(1.0, M) * np.arange(2.0, M + 1.0)), 2
 
 

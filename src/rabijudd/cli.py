@@ -133,10 +133,10 @@ def cmd_spectrum(args) -> int:
 
     unit = params.omega if args.unscaled else 1.0
     lines = [_SPECTRUM_HEADER]
-    for i, g in enumerate(table.g_values):
-        for parity, block in ((1, table.levels_plus), (-1, table.levels_minus)):
-            for level in range(block.shape[1]):
-                lines.append(f"{g:.12g},{parity},{level},{unit * block[i, level]:.12g}")
+    for g, plus, minus in zip(table.g_values.tolist(), table.levels_plus.tolist(), table.levels_minus.tolist()):
+        head = f"{g:.12g},"
+        lines += [f"{head}1,{level},{unit * E:.12g}" for level, E in enumerate(plus)]
+        lines += [f"{head}-1,{level},{unit * E:.12g}" for level, E in enumerate(minus)]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -19,8 +19,8 @@ from typing import Callable
 
 from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, displaced_number_states, support_rows
-from .numerics import FullRankError, RootCountError, _gershgorin, _inverse_step, tridiag_eigval_within
-from .rabi import ModelParams, _apply_rabi, _block_arrays, _integral
+from .numerics import FullRankError, RootCountError, _gershgorin, _integral, _inverse_step
+from .rabi import ModelParams, _apply_rabi, _block_arrays, _block_counts
 
 _SQRT_HALF = math.sqrt(0.5)
 _EPS = sys.float_info.epsilon
@@ -28,8 +28,8 @@ _EPS = sys.float_info.epsilon
 _ROOT_BOUND = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
 # the root search gives up after this many rounds of counts
 _ROUNDS = 400
-# verify_point accepts a block level only this close to E
-_LEVEL_WINDOW = 1e-3
+# verify_point widens its certificate at most this far from E
+_MAX_DELTA = 1e-3
 
 
 def build_full_system(N: int, omega_tilde: float, x: float, lam_sign: int = 1) -> np.ndarray:
@@ -387,6 +387,11 @@ def alternate_branch(point: JuddianPoint) -> JuddianPoint:
 class VerificationReport:
     """Independent diagnostics for one point at a given cutoff.
 
+    Each parity block holds exactly one level within delta of E, certified
+    by Sturm counts (verify_point): level_plus and level_minus are their
+    indices, energy_plus = energy_minus = E, and degeneracy_gap = 2 delta
+    bounds |E+ - E-|.
+
     tail_weight is the weight of the unit reconstructed state on the top
     ceil(M/10) Fock levels, both spins: a cutoff-health figure that stays
     far below the verification tolerances while the cutoff is adequate.
@@ -415,53 +420,64 @@ class VerificationReport:
 def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> VerificationReport:
     """Cross-check one point against the truncated-basis spectrum.
 
-    In each parity block at g = point.g, Sturm counts at E - 1e-3, E and
-    E + 1e-3 locate the block's eigenvalues in that window; of the highest
-    below E and the lowest at or above it, each is bisected only if the
-    window holds it, and the nearer to E is kept (the lower index on a tie).
-    The opposite-parity gap |E+ - E-| is recorded on the report; the point
-    itself is left unchanged. The reconstructed state's eigen-residual
-    ||(H - E) psi|| on the same cutoff is included, with H applied through
-    its band, and so is the state's tail weight and its support rows. No
-    matrix is formed; each bisection counts only inside a narrow bracket
-    at E that one count confirms (numerics.tridiag_eigval_within), 12 to
-    16 counts per point, and the state is built on its support, so the
-    cost is O(N R) plus a linear pass over the cutoff.
+    Two Sturm counts per parity block at g = point.g, at E -/+ delta,
+    certify how many of its levels lie in [E - delta, E + delta)
+    (rabi._block_counts); nothing is bisected. delta starts at 64 eps
+    max(|lo|, |hi|, 1) over both blocks' Gershgorin intervals and grows
+    16-fold, up to 1e-3, while a block shows no level. The report gives the
+    levels' indices (the counts at E - delta), energy_plus = energy_minus = E
+    and degeneracy_gap = 2 delta, a certified bound on |E+ - E-|; the point
+    is left unchanged. It adds the reconstructed state's eigen-residual
+    ||(H - E) psi|| on the same cutoff, with H applied through its band, its
+    tail weight and its support rows. No matrix is formed and each count
+    stops early, so the cost is O(N R) plus a linear pass over the cutoff.
 
-    Raises RuntimeError when either block has no eigenvalue within 1e-3 of
-    E - the signature of an under-sized cutoff or an invalid point, and
-    ValueError when the cutoff is not an integer (int() would change it).
+    Raises RuntimeError when a block has no level within 1e-3 of E (an
+    under-sized cutoff or an invalid point) or more than one within delta,
+    and ValueError for a cutoff that is negative or not an integer (int()
+    would change it).
     """
     M = _integral(cutoff, "cutoff")
+    if M < 0:
+        raise ValueError(f"cutoff must be non-negative, got {M}")
     params = point.model_params()
+    E = point.E
 
-    nearest = []
-    for parity in (1, -1):
-        diag, off = _block_arrays(params, M, parity)
-        found = tridiag_eigval_within(diag, off, point.E, _LEVEL_WINDOW)
-        if found is None:
+    (d_plus, off), (d_minus, _) = (_block_arrays(params, M, parity) for parity in (1, -1))
+    blocks = [(d, d.tolist()) for d in (d_plus, d_minus)]
+    delta = 64.0 * _EPS * max(abs(end) for d in (d_plus, d_minus) for end in (*_gershgorin(d, off), 1.0))
+    while True:
+        counts = _block_counts(blocks, off, E, delta)
+        held = [above - below for below, above in counts]
+        for parity, n in zip((1, -1), held):
+            if n > 1:
+                raise RuntimeError(
+                    f"{n} eigenvalues within {delta:.3g} of E={E:.6f} in the "
+                    f"parity {parity:+d} block at cutoff {M}; the level is not isolated"
+                )
+        if 0 not in held:
+            break
+        if delta >= _MAX_DELTA:
             raise RuntimeError(
-                f"no eigenvalue within 1e-3 of E={point.E:.6f} in the "
-                f"parity {parity:+d} block at cutoff {M}; increase the cutoff"
+                f"no eigenvalue within 1e-3 of E={E:.6f} in the "
+                f"parity {(1, -1)[held.index(0)]:+d} block at cutoff {M}; increase the cutoff"
             )
-        nearest.append(found)
-    (idx_p, e_p), (idx_m, e_m) = nearest
-    gap = abs(e_p - e_m)
+        delta = min(16.0 * delta, _MAX_DELTA)
 
     state = reconstruct_state(point, M)
     psi = state.fock_vector
-    resid = _apply_rabi(params, psi) - point.E * psi
+    resid = _apply_rabi(params, psi) - E * psi
     eigen_residual = math.sqrt(float(resid @ resid))
     tail = psi[2 * (M + 1 - math.ceil(M / 10)):]
 
     return VerificationReport(
         point=point,
         cutoff=M,
-        energy_plus=e_p,
-        energy_minus=e_m,
-        level_plus=idx_p,
-        level_minus=idx_m,
-        degeneracy_gap=gap,
+        energy_plus=E,
+        energy_minus=E,
+        level_plus=counts[0][0],
+        level_minus=counts[1][0],
+        degeneracy_gap=2.0 * delta,
         eigen_residual=eigen_residual,
         tail_weight=float(tail @ tail),
         support_rows=support_rows(point.lam, point.N),

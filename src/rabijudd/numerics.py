@@ -1,16 +1,15 @@
 """Self-contained numerical kernel.
 
-Package paths run on Sturm bisection for selected eigenvalues of symmetric
-tridiagonal matrices: the lowest k (tridiag_eigvals_lowest, or
+Package paths run on Sturm counts of symmetric tridiagonal matrices. The
+lowest k eigenvalues come from bisection (tridiag_eigvals_lowest, or
 _sturm_lowest_batch, one lockstep walk over several diagonals that share
-many couplings, such as the two parity blocks over a coupling grid) and
-the one nearest a shift (tridiag_eigval_within). The public entry points
-check their input in one place (_sturm_input, _gershgorin). The level
-nearest a shift is found by _sturm_level, which bisects a fixed interval
-but counts only inside a bracket around a guess that counts have
-confirmed: a level next to its guess costs a few counts, and the value is
-bit-identical to counting every midpoint. The crossing detector in rabi
-calls the count itself (_sturm_count), to certify the levels at a point.
+many couplings, such as the two parity blocks over a coupling grid), whose
+input is checked in one place (_sturm_input, _gershgorin). A count at one
+shift (_sturm_count, which ends early by _sturm_stop) certifies the levels
+next to a point without bisecting them: verify and the crossing detector
+count both parity blocks at E -/+ delta (rabi._block_counts), and the
+difference is the number of levels in between. _integral refuses a count
+argument that int() would change.
 Inverse iteration (_inverse_step) gives eigen- and null vectors from lists
 and a Gershgorin interval that its callers form once.
 Kept for tests and benchmark tasks:
@@ -69,6 +68,14 @@ class RootCountError(RuntimeError):
         super().__init__(f"found {len(found)} roots where {expected} were expected{reason}")
         self.found = found
         self.expected = expected
+
+
+def _integral(value, name: str) -> int:
+    # int() would cut 2.5 down to 2, parse "3" and take True for 1; each is refused
+    whole = int(value)
+    if isinstance(value, bool) or whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return whole
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +314,12 @@ def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     """Lowest k eigenvalues of the symmetric tridiagonal (d, e), ascending.
 
     Bisection with Sturm counts, bisecting all k target indices in lockstep.
-    Raises ValueError for k outside 1..n, for input that _sturm_input
-    rejects, and when the Gershgorin interval reaches past half the float
-    range.
+    Raises ValueError for k outside 1..n or not an integer (_integral), for
+    input that _sturm_input rejects, and when the Gershgorin interval
+    reaches past half the float range.
     """
     d, e, e2 = _sturm_input(d, e, "tridiag_eigvals_lowest")
+    k = _integral(k, "k")
     if not 1 <= k <= d.size:
         raise ValueError(f"k={k} out of range for dimension {d.size}")
     return _sturm_lowest_batch(d[None, :], e2[:, None], k)[0, 0]
@@ -507,98 +515,6 @@ def _sturm_count(d, e2, x: float, tiny: float, stop: _SturmStop) -> int:
         elif i >= first and q >= bound[i]:
             break
     return count
-
-
-def _sturm_level(d, e2, stop: _SturmStop, index: int, lo: float, hi: float, guess: float) -> float:
-    """Eigenvalue index (0-based, ascending) by Sturm bisection of [lo, hi], which must hold it.
-
-    d and e2 are sequences (diagonal and squared off-diagonal) and stop
-    their _sturm_stop data. With scale = max(|lo|, |hi|, 1), pivots below
-    eps scale are clamped and the bisection ends at width 4 eps scale.
-
-    First a bracket (a, b) of the level is confirmed around guess: on each
-    side, the end guess -/+ w, w from 16 eps scale, is checked by one count
-    and moved out 16-fold while the level lies beyond it; an end that falls
-    outside (lo, hi) is not counted, so a guess at lo or hi confirms one
-    side only, and a guess outside [lo, hi] (or NaN) none. The bisection
-    then takes the midpoints of [lo, hi] but counts only those strictly
-    inside (a, b): one at or below a moves lo, one at or above b moves hi.
-    The floating-point Sturm count is monotone in the shift (Demmel,
-    Dhillon & Ren 1995), so an uncounted midpoint falls on the side its
-    count would have given, and the value is bit-identical to counting
-    every midpoint: the guess sets the cost only. Were the count not
-    monotone, the final [lo, hi] would still hold
-    [max(lo, a), min(hi, b)], whose ends carry real counts on either side
-    of index + 1.
-    """
-    scale = max(abs(lo), abs(hi), 1.0)
-    tiny = _EPS * scale
-    target = index + 1
-    a, b = lo, hi
-    for sign in (-1.0, 1.0):
-        w = 16.0 * tiny
-        while a < guess + sign * w < b:
-            x = guess + sign * w
-            above = _sturm_count(d, e2, x, tiny, stop) >= target  # the level lies below x
-            a, b = (a, x) if above else (x, b)
-            if above == (sign > 0.0):
-                break
-            w *= 16.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if mid <= a:
-            lo = mid
-        elif mid >= b or _sturm_count(d, e2, mid, tiny, stop) >= target:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 4.0 * tiny:
-            break
-    return 0.5 * (lo + hi)
-
-
-def tridiag_eigval_within(
-    d: np.ndarray, e: np.ndarray, x: float, radius: float
-) -> tuple[int, float] | None:
-    """Index and value of the eigenvalue of the symmetric tridiagonal (d, e) nearest x,
-    or None when no eigenvalue lies within radius of x.
-
-    Sturm counts at x - radius, x and x + radius give the numbers of
-    eigenvalues below each shift, so the nearest is index c - 1 (the highest
-    below x) or c (the lowest at or above it). Each is bisected only when
-    the window holds it, and only on its half of the window,
-    [x - radius, x] or [x, x + radius], clamped to the Gershgorin interval
-    so that a radius wider than the spectrum does not coarsen the stopping
-    width, with x, the end the halves share, as the guess (_sturm_level): a
-    bracket next to x is confirmed inside the half window, so a level next
-    to x, as at an exact point in verify, costs a few counts, and the value
-    is bit-identical to bisecting the clamped half window with a count at
-    every midpoint. On a tie the lower index wins.
-    Every count ends once its sign pattern is certified (_sturm_stop), so a
-    count costs the rows up to the level's support, not O(n), and no
-    eigenvectors are formed. Raises ValueError for a non-finite x, a radius
-    that is not finite and non-negative, and input that _sturm_input
-    rejects.
-    """
-    d, e, e2 = _sturm_input(d, e, "tridiag_eigval_within")
-    x, radius = float(x), float(radius)
-    if not (math.isfinite(x) and 0.0 <= radius < math.inf):
-        raise ValueError(f"tridiag_eigval_within needs a finite x and a finite radius >= 0, got x={x}, radius={radius}")
-    lo, hi = _gershgorin(d, e)
-    tiny = _EPS * max(abs(lo), abs(hi), 1.0)
-    stop = _sturm_stop(d, np.abs(e))
-    dl, e2l = d.tolist(), e2.tolist()
-    left, right = x - radius, x + radius
-    c_left, c, c_right = (_sturm_count(dl, e2l, s, tiny, stop) for s in (left, x, right))
-
-    best: tuple[int, float] | None = None
-    if c > c_left:
-        best = (c - 1, _sturm_level(dl, e2l, stop, c - 1, max(left, lo), min(x, hi), x))
-    if c_right > c:
-        value = _sturm_level(dl, e2l, stop, c, max(x, lo), min(right, hi), x)
-        if best is None or abs(value - x) < abs(best[1] - x):
-            best = (c, value)
-    return best
 
 
 def _inverse_step(

@@ -14,18 +14,10 @@ from dataclasses import dataclass, replace
 
 from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, ladder_matrices
-from .numerics import _EPS, _sturm_count, _sturm_lowest_batch, _sturm_stop
+from .numerics import _EPS, _integral, _sturm_count, _sturm_lowest_batch, _sturm_stop
 
 # find_crossings certifies both levels of a crossing within half this of E_star
 _CROSSING_TOL = 1e-9
-
-
-def _integral(value, name: str) -> int:
-    # int() would cut 2.5 down to 2, parse "3" and take True for 1; each is refused
-    whole = int(value)
-    if isinstance(value, bool) or whole != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return whole
 
 
 @dataclass(frozen=True)
@@ -120,6 +112,26 @@ def _block_arrays(params: ModelParams, cutoff: int, parity: int) -> tuple[np.nda
     diag = n + params.omega_tilde * spins
     off = params.lam * np.sqrt(np.arange(1.0, M + 1.0))
     return diag, off
+
+
+def _block_counts(blocks, off: np.ndarray, E: float, delta: float) -> list[tuple[int, int]]:
+    """Sturm counts (below, above) of each block: its levels below E - delta and below E + delta.
+
+    blocks holds (diagonal, the same as a list) per parity block, and off
+    the coupling lam sqrt(n) they share. Each block's stop data are built
+    once per call, with tiny = eps stop.scale. A block holds above - below
+    levels in [E - delta, E + delta), the lowest of index below; a count is
+    exact for a matrix within a few eps ||T|| of the block (Kahan 1966;
+    Demmel, Dhillon & Ren 1995).
+    """
+    e2 = (off * off).tolist()
+    bound = np.abs(off)
+    counts = []
+    for d, dl in blocks:
+        stop = _sturm_stop(d, bound)
+        tiny = _EPS * stop.scale
+        counts.append((_sturm_count(dl, e2, E - delta, tiny, stop), _sturm_count(dl, e2, E + delta, tiny, stop)))
+    return counts
 
 
 def parity_blocks(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> tuple[ParityBlock, ParityBlock]:
@@ -221,8 +233,10 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     g = 0, the root x = 0 that juddian_points leaves out at an integer
     omega_tilde. Four Sturm counts on the table's blocks at g* certify a
     candidate (g*, E*): at E* -/+ 5e-10 they read i, i + 1 in the + block
-    and j, j + 1 in the - block. The one candidate that passes gives g_star
-    and E_star bit for bit. Results ascend in g_star.
+    and j, j + 1 in the - block (_block_counts). The one candidate that
+    passes gives g_star and E_star bit for bit. On a row at g = 0 every pair
+    within 1e-9 is a candidate (0, round(E+_i)) of its own, kept if it
+    passes, whatever the signs next to it. Results ascend in g_star.
 
     Raises RuntimeError, naming the cell and the level pair, when no
     candidate or more than one passes: the cutoff may be too small for the
@@ -236,22 +250,16 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     p = table.params
     abs_params = ModelParams(p.omega, abs(p.omega0))
     root_n = np.sqrt(np.arange(1.0, table.cutoff + 1.0))
-    diags = [_block_arrays(p, table.cutoff, parity)[0] for parity in (1, -1)]
-    diag_lists = [d.tolist() for d in diags]
+    blocks = [(d, d.tolist()) for d in (_block_arrays(p, table.cutoff, parity)[0] for parity in (1, -1))]
+    zero_rows = np.nonzero(g == 0.0)[0]
 
     @functools.cache
     def points(N: int) -> list:
         return juddian_points(N, abs_params) if N >= 1 and p.omega0 != 0.0 else []
 
     def certified(gs: float, E: float, i: int, j: int) -> bool:
-        off = 2.0 * gs / p.omega * root_n
-        e2 = (off * off).tolist()
-        stops = [_sturm_stop(d, np.abs(off)) for d in diags]
-        return all(
-            _sturm_count(dl, e2, E + shift, _EPS * stop.scale, stop) == want
-            for dl, stop, index in zip(diag_lists, stops, (i, j))
-            for shift, want in ((-0.5 * _CROSSING_TOL, index), (0.5 * _CROSSING_TOL, index + 1))
-        )
+        counts = _block_counts(blocks, 2.0 * gs / p.omega * root_n, E, 0.5 * _CROSSING_TOL)
+        return counts == [(i, i + 1), (j, j + 1)]
 
     crossings: list[Crossing] = []
     for i in range(k):
@@ -259,7 +267,12 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
             diff = table.levels_plus[:, i] - table.levels_minus[:, j]
             exact = diff == 0.0
             for m in np.nonzero(exact)[0]:
-                crossings.append(Crossing(float(g[m]), float(table.levels_plus[m, i]), i, j))
+                if g[m] != 0.0:  # a row at g = 0 is certified below
+                    crossings.append(Crossing(float(g[m]), float(table.levels_plus[m, i]), i, j))
+            for m in zero_rows:
+                N = float(np.rint(table.levels_plus[m, i]))
+                if abs(diff[m]) <= _CROSSING_TOL and certified(0.0, N, i, j):
+                    crossings.append(Crossing(0.0, N, i, j))
             neg = diff < 0.0
             for m in np.nonzero((neg[:-1] != neg[1:]) & ~exact[:-1] & ~exact[1:])[0]:
                 ga, gb = float(g[m]), float(g[m + 1])

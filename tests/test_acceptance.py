@@ -30,8 +30,9 @@ from rabijudd.juddian import (
     compatibility_polynomial,
     juddian_points,
     reconstruct_state,
+    verify_point,
 )
-from rabijudd.numerics import poly_real_roots, sym_eig, tridiag_eigval_within, tridiag_eigvals_lowest
+from rabijudd.numerics import poly_real_roots, sym_eig, tridiag_eigvals_lowest
 from rabijudd.rabi import (
     ModelParams,
     _block_arrays,
@@ -110,14 +111,13 @@ def test_criterion_2_closed_form_polynomials():
 def test_criterion_3_crossing_degeneracy():
     """Both parity blocks hold an eigenvalue within 1e-6 of E at M = 100."""
     for point in _all_reference_points():
-        params = point.model_params()
-        plus, minus = parity_blocks(params, 100)
-        for block in (plus, minus):
+        report = verify_point(point, cutoff=100)
+        plus, minus = parity_blocks(point.model_params(), 100)
+        for block, level in ((plus, report.level_plus), (minus, report.level_minus)):
             values = sym_eig(block.matrix).values
             assert np.abs(values - point.E).min() <= 1e-6
-            # the same level on the Sturm path verify runs
-            nearest = tridiag_eigval_within(*_block_arrays(params, 100, block.parity), point.E, 1e-6)
-            assert nearest is not None and abs(nearest[1] - point.E) <= 1e-6
+            # the level that verify's Sturm counts certify next to E
+            assert abs(values[level] - point.E) <= 1e-6
     print("criterion 3 (block degeneracy at all ten points): PASS")
 
 

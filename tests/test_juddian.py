@@ -12,6 +12,7 @@ import pytest
 
 import rabijudd.bosons as bosons_module
 import rabijudd.juddian as juddian_module
+import rabijudd.rabi as rabi_module
 from rabijudd.bosons import displacement_matrix, support_rows
 from rabijudd.juddian import (
     _compatibility_count,
@@ -30,7 +31,8 @@ from rabijudd.numerics import (
     poly_eval,
     poly_real_roots,
     sym_eig,
-    tridiag_eigval_within,
+    _EPS,
+    _gershgorin,
 )
 from rabijudd.rabi import (
     ModelParams,
@@ -202,15 +204,14 @@ def _params(wt):
 
 
 def _opposite_parity_gap(point):
-    # nearest level to E in each parity block, at a cutoff that resolves the
-    # displaced number states |n, +-lam>, n <= N
+    # nearest level to E in each parity block, by LAPACK, at a cutoff that
+    # resolves the displaced number states |n, +-lam>, n <= N
     r = point.lam + math.sqrt(point.N)
     cutoff = math.ceil(r * r + 4.0 * r + 20.0)
-    params = point.model_params()
-    levels = [
-        tridiag_eigval_within(*_block_arrays(params, cutoff, parity), point.E, 1e-3)[1]
-        for parity in (1, -1)
-    ]
+    levels = []
+    for block in parity_blocks(point.model_params(), cutoff):
+        values = np.linalg.eigvalsh(block.matrix)
+        levels.append(values[np.argmin(np.abs(values - point.E))])
     return abs(levels[0] - levels[1])
 
 
@@ -676,6 +677,49 @@ def test_verify_undersized_cutoff_raises():
     point = juddian_points(1, RESONANCE)[0]
     with pytest.raises(RuntimeError):
         verify_point(point, cutoff=3)
+    with pytest.raises(ValueError, match="^cutoff must be non-negative, got -1$"):
+        verify_point(point, cutoff=-1)
+
+
+def test_verify_certifies_each_point_with_four_counts(monkeypatch):
+    # two Sturm counts per parity block at E -/+ delta, delta = 64 eps times
+    # the larger Gershgorin end of the two blocks: each level lies within it
+    calls = []
+    count = rabi_module._sturm_count
+    monkeypatch.setattr(rabi_module, "_sturm_count", lambda *a: calls.append(1) or count(*a))
+    for point in juddian_points(4, RESONANCE):
+        calls.clear()
+        report = verify_point(point, cutoff=100)
+        assert len(calls) == 4
+        params = point.model_params()
+        scale = max(
+            max(abs(v) for v in _gershgorin(*_block_arrays(params, 100, parity))) for parity in (1, -1)
+        )
+        assert report.degeneracy_gap == 2.0 * 64.0 * _EPS * scale
+        assert report.energy_plus == report.energy_minus == point.E
+
+
+def test_verify_gap_bounds_a_shifted_energy():
+    # the levels sit 1e-9 from a shifted E, and the gap bounds their distance
+    # from E, so it must reach past 1e-9 while the verdict still holds
+    for point in juddian_points(4, RESONANCE):
+        shifted = dataclasses.replace(point, E=point.E + 1e-9)
+        report = verify_point(shifted, cutoff=100)
+        assert 1e-9 <= report.degeneracy_gap <= 1e-6
+        want = verify_point(point, cutoff=100)
+        assert (report.level_plus, report.level_minus) == (want.level_plus, want.level_minus)
+
+
+def test_verify_refuses_two_levels_in_one_block(monkeypatch):
+    # two levels inside the certificate of one block: the point is not isolated
+    monkeypatch.setattr(juddian_module, "_block_counts", lambda blocks, off, E, delta: [(3, 4), (3, 5)])
+    point = juddian_points(2, RESONANCE)[0]
+    message = (
+        rf"^2 eigenvalues within \S+ of E={point.E:.6f} in the parity -1 block at cutoff 100; "
+        "the level is not isolated$"
+    )
+    with pytest.raises(RuntimeError, match=message):
+        verify_point(point, cutoff=100)
 
 
 def test_verify_undersized_cutoff_message():

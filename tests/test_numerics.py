@@ -1,6 +1,7 @@
 """Tests for the polynomial, eigenvalue and elimination kernels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rabijudd.numerics as numerics
+import rabijudd.rabi as rabi
 from rabijudd.numerics import (
     FullRankError,
     RootCountError,
@@ -18,12 +20,10 @@ from rabijudd.numerics import (
     sym_eig,
     _gershgorin,
     _inverse_step,
-    _sturm_level,
-    tridiag_eigval_within,
     tridiag_eigvals_lowest,
 )
-from rabijudd.bosons import displaced_osc_band, squeezed_osc_band, squeezed_osc_hamiltonian
-from rabijudd.juddian import juddian_points, verify_point
+from rabijudd.bosons import displaced_number_states, displaced_osc_band, squeezed_osc_band, squeezed_osc_hamiltonian
+from rabijudd.juddian import juddian_points
 from rabijudd.rabi import ModelParams, _block_arrays, build_rabi
 
 
@@ -353,214 +353,6 @@ def test_sturm_route_agrees_with_ql_route():
     assert np.abs(full[:12] - lowest).max() <= 1e-10 * max(1.0, np.abs(full).max())
 
 
-def test_sturm_nearest_matches_ql_argmin():
-    rng = np.random.RandomState(23)
-    d = rng.standard_normal(40)
-    e = rng.standard_normal(39)
-    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    full = sym_eig(T).values
-    mids = 0.5 * (full[:-1] + full[1:])
-    shifts = [full[0] - 3.0, full[-1] + 3.0, *full[::7], *(mids[::5] + 1e-3)]
-    lo, hi = _gershgorin(d, e)
-    radius = hi - lo + 3.0  # every eigenvalue is within reach of every shift
-    for x in shifts:
-        idx, value = tridiag_eigval_within(d, e, x, radius)
-        assert idx == int(np.argmin(np.abs(full - x)))
-        assert abs(value - full[idx]) <= 1e-10 * max(1.0, np.abs(full).max())
-
-
-def test_sturm_within_window():
-    d = np.array([1.0, 3.0, 10.0])
-    e = np.zeros(2)
-    assert tridiag_eigval_within(d, e, 6.0, 2.0) is None
-    assert tridiag_eigval_within(d, e, 5.5, 3.0) == (1, pytest.approx(3.0, abs=1e-14))
-    assert tridiag_eigval_within(d, e, 2.2, 1.5) == (1, pytest.approx(3.0, abs=1e-14))
-    assert tridiag_eigval_within(d, e, 1.5, 0.6) == (0, pytest.approx(1.0, abs=1e-14))
-    assert tridiag_eigval_within(d, e, 1.5, 0.4) is None
-
-
-def test_sturm_within_takes_lower_index_on_tie(monkeypatch):
-    # bisection lands just above each eigenvalue, so force an exact tie
-    monkeypatch.setattr(numerics, "_sturm_level",
-                        lambda d, e2, stop, i, lo, hi, guess: d[i])
-    d = np.array([1.0, 3.0])
-    assert tridiag_eigval_within(d, np.zeros(1), 2.0, 1.5) == (0, 1.0)
-
-
-def _bisect_counting_every_midpoint(dl, e2l, stop, index, lo, hi):
-    """Level index (0-based) by Sturm bisection of [lo, hi] with a count at every midpoint."""
-    scale = max(abs(lo), abs(hi), 1.0)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if numerics._sturm_count(dl, e2l, mid, numerics._EPS * scale, stop) > index:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 4.0 * numerics._EPS * scale:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _within_counting_every_midpoint(d, e, x, radius):
-    """tridiag_eigval_within without a confirmed bracket: each level is
-    bisected from its half window, clamped to the Gershgorin interval, with a
-    count at every midpoint."""
-    lo, hi = _gershgorin(d, e)
-    tiny = numerics._EPS * max(abs(lo), abs(hi), 1.0)
-    stop = numerics._sturm_stop(d, np.abs(e))
-    dl, e2l = d.tolist(), (e * e).tolist()
-    left, right = x - radius, x + radius
-    c_left, c, c_right = (numerics._sturm_count(dl, e2l, s, tiny, stop) for s in (left, x, right))
-
-    best = None
-    if c > c_left:
-        best = (c - 1, _bisect_counting_every_midpoint(dl, e2l, stop, c - 1, max(left, lo), min(x, hi)))
-    if c_right > c:
-        value = _bisect_counting_every_midpoint(dl, e2l, stop, c, max(x, lo), min(right, hi))
-        if best is None or abs(value - x) < abs(best[1] - x):
-            best = (c, value)
-    return best
-
-
-def _assert_within_is_bit_identical(d, e, x, radius):
-    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
-    got = tridiag_eigval_within(d, e, x, radius)
-    want = _within_counting_every_midpoint(d, e, x, radius)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got[0] == want[0] and np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
-    return got
-
-
-def test_within_clamps_a_wide_window_to_the_spectrum():
-    # the bisection stops at 4 eps times the largest end of its half window:
-    # unclamped, radius 1e300 returned (1, -4.4e284) for the level near 2.0
-    d, e = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.1])
-    full = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-    for radius in (1e300, 1e16, 10.0):
-        index, value = _assert_within_is_bit_identical(d, e, 2.5, radius)
-        assert index == int(np.argmin(np.abs(full - 2.5))) == 1
-        assert abs(value - full[1]) <= 1e-14
-
-
-def test_within_is_bit_identical_on_random_tridiagonals():
-    rng = np.random.RandomState(41)
-    for _ in range(300):
-        n = rng.randint(1, 30)
-        d = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 30.0])
-        e = rng.standard_normal(n - 1) * rng.choice([0.0, 1e-9, 1.0])
-        x = float(rng.choice(d)) + rng.choice([0.0, 1e-15, 1e-9, 1e-4]) * rng.standard_normal()
-        _assert_within_is_bit_identical(d, e, x, float(rng.choice([1e-3, 0.3, 5.0])))
-
-
-@pytest.mark.parametrize("d, e, x, radius", [
-    # the level sits 0.4 from x: every confirming count rejects until the
-    # bracket is the whole half window
-    ([0.0, 1.0, 5.0], [0.0, 0.0], 1.4, 0.5),
-    ([0.0, 1.0, 5.0], [0.0, 0.0], 0.6, 0.5),
-    # two levels in one window, one on each side of x
-    ([1.0, 1.2, 4.0], [1e-3, 0.0], 1.1, 0.5),
-    # two levels 1e-12 apart on one side of x, inside the first bracket
-    ([1.0, 1.0 + 1e-12, 3.0], [0.0, 0.0], 1.0 + 1e-13, 1e-3),
-    # an exact tie: the lower index wins
-    ([1.0, 3.0], [0.0], 2.0, 1.5),
-    # zero diagonals, levels 0 and -/+ sqrt 2: at shift 0 the first and
-    # last pivots are exactly 0 and clamped
-    ([0.0, 0.0, 0.0], [1.0, 1.0], 0.0, 1e-3),
-    ([0.0, 0.0, 0.0], [1.0, 1.0], 1e-300, 2.0),
-])
-def test_within_is_bit_identical_on_chosen_cases(d, e, x, radius):
-    assert _assert_within_is_bit_identical(d, e, x, radius) is not None
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_within_is_bit_identical_at_stop_boundaries(data):
-    # the grid-valued matrices of the early-stop tests, shifted onto their
-    # eigenvalues, slacks and diagonals, where pivots vanish and clamp
-    d, e = data.draw(_tridiagonals())
-    x = data.draw(st.sampled_from(_stop_shifts(d, e).tolist()))
-    _assert_within_is_bit_identical(d, e, x, data.draw(st.sampled_from([1e-3, 0.25, 4.0])))
-
-
-def test_within_is_bit_identical_on_verify_blocks():
-    for omega0, N, M in [(1.0, 8, 100), (2.6, 6, 300), (0.5, 12, 100)]:
-        for point in juddian_points(N, ModelParams(omega=1.0, omega0=omega0)):
-            for parity in (1, -1):
-                diag, off = _block_arrays(point.model_params(), M, parity)
-                _assert_within_is_bit_identical(diag, off, point.E, 1e-3)
-
-
-def test_verify_point_count_budget(monkeypatch):
-    # a level next to E is bisected inside a bracket one count confirms, from
-    # 16 eps wide: 84 to 86 counts per point when every midpoint of the half
-    # window counted, 22 to 24 when the bracket started 256 eps wide
-    count = numerics._sturm_count
-    calls = []
-    monkeypatch.setattr(numerics, "_sturm_count", lambda *a: calls.append(1) or count(*a))
-    for point in juddian_points(4, ModelParams(omega=1.0, omega0=1.0)):
-        calls.clear()
-        verify_point(point, cutoff=100)
-        assert len(calls) <= 18
-
-
-def _near_counting_every_midpoint(d, e, index):
-    """_sturm_level without a confirmed bracket: the level is bisected from
-    the Gershgorin interval with a count at every midpoint."""
-    stop = numerics._sturm_stop(d, np.abs(e))
-    return _bisect_counting_every_midpoint(d.tolist(), (e * e).tolist(), stop, index, *_gershgorin(d, e))
-
-
-@st.composite
-def _near_cases(draw):
-    """A tridiagonal, an index and a guess of every kind: at the level, at
-    another level, between levels, outside the interval, NaN, inf; and a
-    factor of at least 1 on |e| for the stop data."""
-    d, e = draw(_tridiagonals())
-    index = draw(st.integers(min_value=0, max_value=d.size - 1))
-    eig = sym_eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).values
-    lo, hi = _gershgorin(d, e)
-    offset = draw(st.sampled_from([0.0, 3e-16, -1e-13, 1e-9, 0.3]))
-    guess = draw(
-        st.sampled_from([v + offset for v in eig.tolist()])
-        | st.floats(lo - 1.0, hi + 1.0)
-        | st.sampled_from([lo, hi, 1e6, -1e6, math.nan, math.inf, -math.inf])
-    )
-    loose = draw(st.sampled_from([1.0, 1.0 + 1e-9, 1.5, 4.0]))
-    return d, e, index, guess, loose
-
-
-@settings(max_examples=300, deadline=None)
-@given(_near_cases())
-def test_near_is_the_canonical_bisection(case):
-    # the guess sets the cost only, and so does a stop built on a bound above
-    # |e|: the value is that of bisecting the whole Gershgorin interval with
-    # a count at every midpoint
-    d, e, index, guess, loose = case
-    stop = numerics._sturm_stop(d, loose * np.abs(e))
-    got = _sturm_level(d.tolist(), (e * e).tolist(), stop, index, *_gershgorin(d, e), guess)
-    assert np.float64(got).tobytes() == np.float64(_near_counting_every_midpoint(d, e, index)).tobytes()
-
-
-@pytest.mark.parametrize("call, d, match", [
-    # within returned (1, inf)
-    (lambda d: tridiag_eigval_within(d, [1.0], 0.0, 1.0), [-1.7e308, 1.7e308], "reaches past half the float range"),
-    # within raised ZeroDivisionError
-    (lambda d: tridiag_eigval_within(d, [1.0], 1.0, 1.0), [1.0, np.nan], "tridiag_eigval_within needs finite d and e"),
-    (lambda d: tridiag_eigval_within(d, [np.inf], 1.0, 1.0), [1.0, 2.0], "tridiag_eigval_within needs finite d and e"),
-    # within returned (0, nan) for a NaN radius and (1, -inf) for an infinite one
-    (lambda d: tridiag_eigval_within(d, [0.5], 1.0, math.nan), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
-    (lambda d: tridiag_eigval_within(d, [0.5], 1.0, math.inf), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
-    (lambda d: tridiag_eigval_within(d, [0.5], 1.0, -0.5), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
-    (lambda d: tridiag_eigval_within(d, [0.5], math.nan, 1.0), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
-    (lambda d: tridiag_eigval_within(d, [0.5], -math.inf, 1.0), [1.0, 2.0], "needs a finite x and a finite radius >= 0"),
-], ids=["within-span", "within-nan-d", "within-inf-e",
-        "within-nan-radius", "within-inf-radius", "within-negative-radius", "within-nan-x", "within-inf-x"])
-def test_near_and_within_check_input_like_lowest(call, d, match):
-    with pytest.raises(ValueError, match=match):
-        call(np.array(d))
-
-
 # ---------------------------------------------------------------------------
 # early-ending Sturm counts, against full-length references kept here
 
@@ -725,26 +517,30 @@ class _ReadRecorder(list):
         return super().__getitem__(i)
 
 
-def test_within_counts_stop_early_and_stay_exact(monkeypatch):
+def test_block_counts_stop_early_and_stay_exact(monkeypatch):
+    # the four counts verify makes at each point of order 4, at M = 10^4
     M = 10_000
     count = numerics._sturm_count
     rows = []
 
-    def recording(d, e2, x, tiny, stop=None):
+    def recording(d, e2, x, tiny, stop):
         d = _ReadRecorder(d)
         c = count(d, e2, x, tiny, stop)
         rows.append(d.highest + 1)
         return c
 
     for point in juddian_points(4, ModelParams(omega=1.0, omega0=1.0)):
-        for parity in (1, -1):
-            diag, off = _block_arrays(point.model_params(), M, parity)
-            rows.clear()
-            monkeypatch.setattr(numerics, "_sturm_count", recording)
-            early = tridiag_eigval_within(diag, off, point.E, 1e-3)
-            assert early is not None and sum(rows) < 5 * (M + 1)
-            monkeypatch.setattr(numerics, "_sturm_count", lambda d, e2, x, tiny, stop: _full_count(d, e2, x, tiny))
-            assert tridiag_eigval_within(diag, off, point.E, 1e-3) == early
+        params = point.model_params()
+        off = _block_arrays(params, M, 1)[1]
+        blocks = [(d, d.tolist()) for d in (_block_arrays(params, M, parity)[0] for parity in (1, -1))]
+        delta = 1e-10
+        rows.clear()
+        monkeypatch.setattr(rabi, "_sturm_count", recording)
+        early = rabi._block_counts(blocks, off, point.E, delta)
+        assert len(rows) == 4 and sum(rows) < 0.1 * (M + 1)
+        monkeypatch.setattr(rabi, "_sturm_count", lambda d, e2, x, tiny, stop: _full_count(d, e2, x, tiny))
+        assert rabi._block_counts(blocks, off, point.E, delta) == early
+        assert all(above - below == 1 for below, above in early)
 
 
 # G = 201 on both parities; the long-grid G = 2001 case on one parity keeps
@@ -817,6 +613,23 @@ def test_clamped_pivots_batch_equals_full_batch(d, e2_rows, clamped):
     assert _lanes_with_small_pivots(d, e2_rows) == clamped
     got = numerics._sturm_lowest_batch(d[None, :], e2_rows.T, d.size)
     assert got.tobytes() == _full_lowest_batch(d[None, :], e2_rows.T, d.size).tobytes()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: tridiag_eigvals_lowest([1.0, 2.0, 3.0], [0.5, 0.5], v), "k"),
+    (lambda v: list(displaced_number_states(0.5, 20, v)), "count"),
+    (lambda v: list(displaced_number_states(0.5, v, 2)), "cutoff"),
+    (lambda v: displaced_osc_band(0.5, v), "cutoff"),
+    (lambda v: squeezed_osc_band(0.3, v), "cutoff"),
+], ids=["lowest-k", "states-count", "states-cutoff", "displaced-band-cutoff", "squeezed-band-cutoff"])
+def test_counts_refuse_what_int_would_change(call, name):
+    # int() would cut 2.5 to 2, parse "3" and take True for 1; an integral
+    # float or a numpy integer stays accepted
+    for value in (2.5, "3", True):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            call(value)
+    for value in (3.0, np.int64(3)):
+        call(value)
 
 
 @pytest.mark.parametrize("d, e", [
