@@ -710,6 +710,27 @@ def test_verify_gap_bounds_a_shifted_energy():
         assert (report.level_plus, report.level_minus) == (want.level_plus, want.level_minus)
 
 
+@pytest.mark.parametrize("shift", [-1e-9, 1e-7, -1e-5, 3e-4])
+def test_verify_gap_grows_with_the_distance_to_the_levels(shift):
+    # delta grows 16-fold from its base until it reaches the levels, so the
+    # gap 2 delta is at least twice their distance and at most 32 times it
+    point = juddian_points(3, RESONANCE)[1]
+    want = verify_point(point, cutoff=100)
+    report = verify_point(dataclasses.replace(point, E=point.E + shift), cutoff=100)
+    assert 2.0 * abs(shift) - 1e-10 <= report.degeneracy_gap <= 32.0 * abs(shift) + 1e-10
+    assert (report.level_plus, report.level_minus) == (want.level_plus, want.level_minus)
+    assert report.energy_plus == report.energy_minus == point.E + shift
+
+
+@pytest.mark.parametrize("shift", [2e-3, -2e-3])
+def test_verify_refuses_levels_past_the_widest_certificate(shift):
+    point = juddian_points(3, RESONANCE)[1]
+    shifted = dataclasses.replace(point, E=point.E + shift)
+    message = f"no eigenvalue within 1e-3 of E={shifted.E:.6f} in the parity +1 block at cutoff 100; increase the cutoff"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        verify_point(shifted, cutoff=100)
+
+
 def test_verify_refuses_two_levels_in_one_block(monkeypatch):
     # two levels inside the certificate of one block: the point is not isolated
     monkeypatch.setattr(juddian_module, "_block_counts", lambda blocks, off, E, delta: [(3, 4), (3, 5)])

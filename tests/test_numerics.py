@@ -543,6 +543,90 @@ def test_block_counts_stop_early_and_stay_exact(monkeypatch):
         assert all(above - below == 1 for below, above in early)
 
 
+def _full_block_counts(blocks, off, E, delta):
+    """_block_counts with full-length counts, each block's tiny from its own stop scale."""
+    e2 = (off * off).tolist()
+    tinies = [numerics._EPS * numerics._sturm_stop(d, np.abs(off)).scale for d, _ in blocks]
+    return [(_full_count(dl, e2, E - delta, tiny), _full_count(dl, e2, E + delta, tiny))
+            for (_, dl), tiny in zip(blocks, tinies)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tridiagonals(), st.data())
+def test_block_counts_equal_full_counts_at_stop_boundaries(matrix, data):
+    # either shift of the certificate lands on a stop boundary, an eigenvalue
+    # or a diagonal entry; the mirrored diagonal is a second block on the
+    # same couplings
+    d, e = matrix
+    blocks = [(d, d.tolist()), (-d, (-d).tolist())]
+    x = data.draw(st.sampled_from(_stop_shifts(d, e).tolist()))
+    delta = data.draw(st.sampled_from([0.0, 1e-12, 0.25, 3.0]))
+    E = x + data.draw(st.sampled_from([delta, -delta]))
+    assert rabi._block_counts(blocks, e, E, delta) == _full_block_counts(blocks, e, E, delta)
+
+
+def test_block_counts_match_lapack_on_random_tridiagonals():
+    # shifts more than 1e-9 ||T|| from every eigenvalue count exactly the
+    # eigenvalues below them
+    rng = np.random.RandomState(43)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(1, 30)
+        e = rng.standard_normal(n - 1) * rng.choice([0.0, 1e-9, 1.0])
+        diags = [rng.standard_normal(n) * rng.choice([1e-3, 1.0, 30.0]) for _ in range(2)]
+        E = float(rng.choice(diags[0])) + rng.choice([0.0, 1e-4, 0.3]) * rng.standard_normal()
+        delta = float(rng.choice([1e-6, 1e-3, 0.3, 5.0]))
+        counts = rabi._block_counts([(d, d.tolist()) for d in diags], e, E, delta)
+        for d, (below, above) in zip(diags, counts):
+            eig = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            margin = 1e-9 * max(1.0, np.abs(eig).max())
+            if np.abs(eig - (E - delta)).min() > margin and np.abs(eig - (E + delta)).min() > margin:
+                assert (below, above) == (np.sum(eig < E - delta), np.sum(eig < E + delta))
+                checked += 1
+    assert checked >= 500
+
+
+@pytest.mark.parametrize("d, e, E, delta, want", [
+    # the level at 1.0 sits 0.4 from E, inside the certificate
+    ([0.0, 1.0, 5.0], [0.0, 0.0], 1.4, 0.5, (1, 2)),
+    ([0.0, 1.0, 5.0], [0.0, 0.0], 0.6, 0.5, (1, 2)),
+    # and outside a narrower one: the block holds no level
+    ([0.0, 1.0, 5.0], [0.0, 0.0], 1.4, 0.3, (2, 2)),
+    # two levels in one certificate, one on each side of E
+    ([1.0, 1.2, 4.0], [1e-3, 0.0], 1.1, 0.5, (0, 2)),
+    # two levels 1e-12 apart on one side of E
+    ([1.0, 1.0 + 1e-12, 3.0], [0.0, 0.0], 1.0 + 1e-13, 1e-3, (0, 2)),
+    # levels exactly at E - delta and E + delta: the interval is half open
+    ([1.0, 3.0], [0.0], 2.0, 1.0, (0, 1)),
+    # zero diagonals, levels 0 and -/+ sqrt 2: at shift 0 the first and last
+    # pivots are exactly 0 and clamped
+    ([0.0, 0.0, 0.0], [1.0, 1.0], 0.0, 1e-3, (1, 2)),
+    ([0.0, 0.0, 0.0], [1.0, 1.0], 1e-300, 2.0, (0, 3)),
+    # a block of one row, as a cutoff of 0 gives
+    ([2.0], [], 2.0, 1e-3, (0, 1)),
+], ids=["right", "left", "narrow", "two-straddling", "two-close", "half-open", "zero-pivot", "whole", "one-row"])
+def test_block_counts_on_chosen_cases(d, e, E, delta, want):
+    d, e = np.array(d), np.array(e, dtype=float)
+    blocks = [(d, d.tolist())]
+    assert rabi._block_counts(blocks, e, E, delta) == [want] == _full_block_counts(blocks, e, E, delta)
+
+
+@pytest.mark.parametrize("omega0, N, M", [(1.0, 8, 100), (2.6, 6, 300), (0.5, 12, 100)])
+def test_block_counts_certify_one_level_per_block_at_each_point(omega0, N, M):
+    # each parity block holds exactly one level within 1e-10 of a Juddian
+    # point, the one LAPACK puts there
+    for point in juddian_points(N, ModelParams(omega=1.0, omega0=omega0)):
+        params = point.model_params()
+        off = _block_arrays(params, M, 1)[1]
+        diags = [_block_arrays(params, M, parity)[0] for parity in (1, -1)]
+        counts = rabi._block_counts([(d, d.tolist()) for d in diags], off, point.E, 1e-10)
+        for d, (below, above) in zip(diags, counts):
+            eig = np.linalg.eigvalsh(np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
+            assert above == below + 1
+            assert abs(eig[below] - point.E) <= 1e-10
+            assert np.sum(eig < point.E - 1e-10) == below
+
+
 # G = 201 on both parities; the long-grid G = 2001 case on one parity keeps
 # the full-length reference affordable
 @pytest.mark.parametrize("omega_tilde, M, k, parity, G", [

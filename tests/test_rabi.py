@@ -385,6 +385,19 @@ def test_degeneracies_at_zero_coupling_sit_at_g_zero():
         assert (c.g_star, c.E_star) == (0.0, N)
 
 
+@pytest.mark.parametrize("grid", [np.linspace(0.0, 0.8, 201), np.linspace(-0.4, 0.4, 201)], ids=["from-zero", "across-zero"])
+@pytest.mark.parametrize("omega_tilde", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_crossings_at_g_zero_are_the_equal_uncoupled_levels(omega_tilde, grid):
+    # at g = 0 the blocks are diagonal: an integer omega_tilde makes levels of
+    # opposite parity equal integers, a half-integer one makes none equal
+    t = spectrum_sweep(ModelParams(omega0=2.0 * omega_tilde), grid, cutoff=100, levels_per_block=8)
+    plus, minus = (np.sort(np.diag(_block(omega_tilde, 0.0, 100, parity)))[:8] for parity in (1, -1))
+    want = [(i, j, plus[i]) for i in range(8) for j in range(8) if plus[i] == minus[j]]
+    got = [(c.level_plus, c.level_minus, c.E_star) for c in find_crossings(t) if c.g_star == 0.0]
+    assert sorted(got) == want
+    assert bool(want) == (omega_tilde == round(omega_tilde))
+
+
 @pytest.mark.parametrize("grid, cutoff", [
     # past g = 2 the resonant doublets differ by rounding alone, about 1e-13
     (np.linspace(0.05, 3.0, 401), 100),
