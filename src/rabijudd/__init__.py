@@ -5,6 +5,7 @@ from .bosons import (
     displaced_osc_hamiltonian,
     displacement_matrix,
     ladder_matrices,
+    oscillator_levels,
     squeeze_params,
     squeezed_osc_hamiltonian,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "juddian_points",
     "ladder_matrices",
     "null_vector",
+    "oscillator_levels",
     "parity_blocks",
     "poly_eval",
     "poly_real_roots",

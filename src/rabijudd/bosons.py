@@ -2,12 +2,12 @@
 
 Ladder operators on the lowest M+1 number states, the displaced number
 states D(z)|n> built from the closed-form coherent state by their ladder
-recurrence on the rows that hold them (support_rows), squeeze parameters on the physical branch, and the
-displaced / squeezed oscillator Hamiltonians whose exact spectra anchor the
-validation suite, each written once as its band (diagonal, coupling,
-stride), from which the dense reference matrices are formed. The dense
-displacement matrix (scaling-and-squaring of the truncated generator) is
-kept as a reference for the tests only.
+recurrence on the rows that hold them (support_rows), squeeze parameters on
+the physical branch, and the displaced / squeezed oscillators, each written
+once as its band (diagonal, coupling, stride): oscillator_levels bisects the
+band's chains for the spectra that anchor the validation suite. The dense
+matrices built from the bands and the dense displacement matrix (scaling and
+squaring of the truncated generator) are references for tests and probes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .numerics import _gershgorin, _integral, _inverse_step
+from .numerics import _gershgorin, _integral, _inverse_step, tridiag_eigvals_lowest
 
 #: Highest retained occupation number (basis size 101) used throughout
 #: validation; large enough that coherent-state tails at the couplings of
@@ -28,9 +28,9 @@ def ladder_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Create, annihilate, and number matrices on the (M+1)-state basis.
 
     <n+1|b+|n> = sqrt(n+1), annihilate is the exact transpose, and the
-    number operator is diagonal {0..M}.
+    number operator is diagonal {0..M}; M must be an integer >= 0.
     """
-    M = int(cutoff)
+    M = _integral(cutoff, "cutoff")
     if M < 0:
         raise ValueError("cutoff must be non-negative")
     root = np.sqrt(np.arange(1.0, M + 1.0))
@@ -134,7 +134,7 @@ def displacement_matrix(z: float, cutoff: int) -> np.ndarray:
     O(M^3 log) and no longer on any package path: it is the dense reference
     the tests compare the recurrence-built displaced number states against.
     """
-    M = int(cutoff)
+    M = _integral(cutoff, "cutoff")
     z = _check_displacement(z, M)
     create, annihilate, _ = ladder_matrices(M)
     G = z * (create - annihilate)
@@ -209,6 +209,26 @@ def squeezed_osc_band(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, 
         raise ValueError(f"|lam| must be below 1/2, got {lam}")
     M = _integral(cutoff, "cutoff")
     return np.arange(M + 1.0) + 0.5, lam * np.sqrt(np.arange(1.0, M) * np.arange(2.0, M + 1.0)), 2
+
+
+def oscillator_levels(kind: str, lam: float, cutoff: int, levels: int) -> np.ndarray:
+    """Lowest levels of the "displaced" or "squeezed" oscillator band, ascending.
+
+    A band of stride s holds s tridiagonal chains (d[f::s], coupling[f::s])
+    that never mix; each is bisected (tridiag_eigvals_lowest), no dense matrix
+    formed, and the levels merged. Raises ValueError for another kind, levels
+    outside 1..M+1 or not integral, and input the band or bisection refuses.
+    """
+    bands = {"displaced": displaced_osc_band, "squeezed": squeezed_osc_band}
+    if kind not in bands:
+        raise ValueError(f"kind must be 'displaced' or 'squeezed', got {kind!r}")
+    d, c, stride = bands[kind](lam, cutoff)
+    levels = _integral(levels, "levels")
+    if not 1 <= levels <= d.size:
+        raise ValueError(f"levels={levels} out of range for cutoff {d.size - 1}")
+    chains = ((d[f::stride], c[f::stride]) for f in range(stride))
+    parts = [tridiag_eigvals_lowest(df, cf, min(levels, df.size)) for df, cf in chains if df.size]
+    return np.sort(np.concatenate(parts))[:levels]
 
 
 def _band_matrix(d: np.ndarray, c: np.ndarray, stride: int) -> np.ndarray:

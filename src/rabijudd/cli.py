@@ -5,7 +5,7 @@ Subcommands:
   juddian     isolated exact points up to a maximal baseline index
   spectrum    low-lying parity-resolved levels over a coupling grid
   verify      cross-check exact points against a truncated diagonalization
-  oscillator  displaced / squeezed oscillator levels vs closed forms
+  oscillator  displaced / squeezed levels (bosons.oscillator_levels) vs closed forms
   plot        render a spectrum CSV (plus optional points) to SVG
 
 All tabular output is plain text with fixed formatting, so repeated runs on
@@ -20,9 +20,9 @@ import math
 import sys
 
 from ._numpy import np
-from .bosons import displaced_osc_band, squeeze_params, squeezed_osc_band, support_rows
+from .bosons import oscillator_levels, squeeze_params, support_rows
 from .juddian import juddian_points, verify_point
-from .numerics import RootCountError, tridiag_eigvals_lowest
+from .numerics import RootCountError
 from .rabi import ModelParams, spectrum_sweep
 from .svgplot import render_figure
 
@@ -205,28 +205,14 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # oscillator
 
-def _lowest_levels(sectors, levels: int) -> np.ndarray:
-    """Lowest eigenvalues over tridiagonal sectors given as (diagonal, coupling).
-
-    The lowest levels of every sector are found by Sturm bisection and merged.
-    """
-    parts = [tridiag_eigvals_lowest(d, c, min(levels, d.size)) for d, c in sectors if d.size]
-    return np.sort(np.concatenate(parts))[:levels]
-
-
 def cmd_oscillator(args) -> int:
     _check_cutoff_and_levels(args)
     try:
-        if args.osc_type == "displaced":
-            d, c, stride = displaced_osc_band(args.lam, cutoff=args.cutoff)
-            exact = np.arange(args.levels) + 0.5
-        else:
-            # b+^2 + b^2 changes n by two: even and odd n never mix
-            d, c, stride = squeezed_osc_band(args.lam, cutoff=args.cutoff)
-            exact = (np.arange(args.levels) + 0.5) * squeeze_params(args.lam).Omega
-        numeric = _lowest_levels([(d[f::stride], c[f::stride]) for f in range(stride)], args.levels)
+        numeric = oscillator_levels(args.osc_type, args.lam, args.cutoff, args.levels)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
+    omega = squeeze_params(args.lam).Omega if args.osc_type == "squeezed" else 1.0
+    exact = (np.arange(args.levels) + 0.5) * omega
     # the displaced levels belong to D(-lambda)|n>, which needs the cutoff
     # bound lambda^2 <= M/4 of bosons.displaced_number_states
     lam2 = args.lam * args.lam

@@ -45,9 +45,9 @@ def build_full_system(N: int, omega_tilde: float, x: float, lam_sign: int = 1) -
 
     lam_sign = -1 builds the mirrored branch a = b + lam (lam -> -lam), whose
     determinant is identical since the sign flip is a similarity by
-    diag((-1)^n).
+    diag((-1)^n). Raises ValueError for an N that int() would change.
     """
-    N = int(N)
+    N = _integral(N, "N")
     if N < 1:
         raise ValueError("N must be a positive integer")
     x = float(x)
@@ -91,9 +91,9 @@ def compatibility_polynomial(N: int, omega_tilde: float) -> tuple[float, ...]:
     det T(x): its diagonal d0_n + 4x and squared off-diagonal x e4_{n-1} are
     linear in x, so the three-term recurrence D_n = (d0_n + 4x) D_{n-1}
     - x e4_{n-1} D_{n-2} over the leading minors assembles the coefficients
-    directly. Leading coefficient is 4^N > 0.
+    directly. Leading coefficient 4^N > 0; N must be an integer >= 1.
     """
-    N = int(N)
+    N = _integral(N, "N")
     if N < 1:
         raise ValueError("N must be a positive integer")
     d0, e4 = _reduced_band(N, omega_tilde)

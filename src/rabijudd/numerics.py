@@ -1,10 +1,11 @@
 """Self-contained numerical kernel.
 
 Package paths run on Sturm counts of symmetric tridiagonal matrices. The
-lowest k eigenvalues come from bisection (tridiag_eigvals_lowest, or
-_sturm_lowest_batch, one lockstep walk over several diagonals that share
-many couplings, such as the two parity blocks over a coupling grid), whose
-input is checked in one place (_sturm_input, _gershgorin). A count at one
+lowest k eigenvalues come from bisection (tridiag_eigvals_lowest, which
+checks its input, or _sturm_lowest_batch, one lockstep walk over several
+diagonals that share many couplings, such as the two parity blocks over a
+coupling grid; both refuse a Gershgorin interval past half the float
+range). A count at one
 shift (_sturm_count, which ends early by _sturm_stop) certifies the levels
 next to a point without bisecting them: verify and the crossing detector
 count both parity blocks at E -/+ delta (rabi._block_counts), and the
@@ -292,12 +293,14 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
-def _sturm_input(d, e, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """d, e and e**2 as float arrays, checked for the Sturm entry point that name names.
+def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
+    """Lowest k eigenvalues of the symmetric tridiagonal (d, e), ascending.
 
-    Raises ValueError for an empty d, and when d, e or e**2 has a non-finite
-    entry; only e**2 enters a count, so spectra are exactly even in the
-    sign of e. The Gershgorin interval is checked where it is formed.
+    Bisection with Sturm counts, bisecting all k target indices in lockstep.
+    Raises ValueError for an empty d, when d, e or e**2 has a non-finite
+    entry (only e**2 enters a count, so spectra are exactly even in the sign
+    of e), for k outside 1..n or not an integer (_integral), and when the
+    Gershgorin interval reaches past half the float range.
     """
     d = np.asarray(d, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -306,19 +309,7 @@ def _sturm_input(d, e, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         e2 = e * e
     if not (np.isfinite(d).all() and np.isfinite(e2).all()):
-        raise ValueError(f"{name} needs finite d and e, with e**2 finite")
-    return d, e, e2
-
-
-def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
-    """Lowest k eigenvalues of the symmetric tridiagonal (d, e), ascending.
-
-    Bisection with Sturm counts, bisecting all k target indices in lockstep.
-    Raises ValueError for k outside 1..n or not an integer (_integral), for
-    input that _sturm_input rejects, and when the Gershgorin interval
-    reaches past half the float range.
-    """
-    d, e, e2 = _sturm_input(d, e, "tridiag_eigvals_lowest")
+        raise ValueError("tridiag_eigvals_lowest needs finite d and e, with e**2 finite")
     k = _integral(k, "k")
     if not 1 <= k <= d.size:
         raise ValueError(f"k={k} out of range for dimension {d.size}")

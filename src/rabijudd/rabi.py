@@ -69,9 +69,9 @@ def build_rabi(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     """Scaled Rabi Hamiltonian as a dense symmetric 2(M+1) matrix.
 
     omega_tilde sigma_z + b+b + lam (b+ + b) sigma_x, in units of omega; the
-    dense reference for the band and Sturm code.
+    dense reference for the band and Sturm code; the cutoff must be an integer.
     """
-    M = int(cutoff)
+    M = _integral(cutoff, "cutoff")
     create, annihilate, number = ladder_matrices(M)
     eye_f = np.eye(M + 1)
     eye_s = np.eye(2)
@@ -139,15 +139,16 @@ def parity_blocks(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> tuple[Pa
 
     Within the sector of parity pi, Fock level n carries spin
     s = -pi (-1)^n; the coupling changes n by one and flips the spin, so it
-    stays inside the sector even after truncation.
+    stays inside the sector even after truncation; cutoff must be an integer.
     """
+    M = _integral(cutoff, "cutoff")
     blocks = []
     for parity in (1, -1):
-        diag, off = _block_arrays(params, cutoff, parity)
+        diag, off = _block_arrays(params, M, parity)
         matrix = np.diag(diag)
         if diag.size > 1:
             matrix += np.diag(off, 1) + np.diag(off, -1)
-        basis_map = [(int(n), int(-parity * (-1) ** n)) for n in range(int(cutoff) + 1)]
+        basis_map = [(n, -parity * (-1) ** n) for n in range(M + 1)]
         blocks.append(ParityBlock(parity=parity, basis_map=basis_map, matrix=matrix))
     return blocks[0], blocks[1]
 

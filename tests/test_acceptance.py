@@ -16,14 +16,12 @@ import time
 import numpy as np
 
 from rabijudd.bosons import (
-    displaced_osc_band,
     displaced_osc_hamiltonian,
     displacement_matrix,
+    oscillator_levels,
     squeeze_params,
-    squeezed_osc_band,
     squeezed_osc_hamiltonian,
 )
-from rabijudd.cli import _lowest_levels
 from rabijudd.juddian import (
     alternate_branch,
     build_full_system,
@@ -137,9 +135,8 @@ def test_criterion_5_displaced_oscillator():
     for lam in (0.5, 1.0, 1.5):
         vals = sym_eig(displaced_osc_hamiltonian(lam, 100)).values[:10]
         assert np.abs(vals - expected).max() <= 1e-8
-        # the band sector the oscillator subcommand bisects
-        d, c, _ = displaced_osc_band(lam, 100)
-        assert np.abs(_lowest_levels([(d, c)], 10) - expected).max() <= 1e-8
+        # the band levels the oscillator subcommand prints
+        assert np.abs(oscillator_levels("displaced", lam, 100, 10) - expected).max() <= 1e-8
     print("criterion 5 (displaced oscillator): PASS")
 
 
@@ -150,10 +147,8 @@ def test_criterion_6_squeezed_oscillator():
         vals = sym_eig(squeezed_osc_hamiltonian(lam, 200)).values[:10]
         expected = (np.arange(10) + 0.5) * sp.Omega
         assert np.abs(vals - expected).max() <= 1e-6
-        # the even-n and odd-n sectors the oscillator subcommand bisects
-        d, c, stride = squeezed_osc_band(lam, 200)
-        sectors = [(d[f::stride], c[f::stride]) for f in range(stride)]
-        assert np.abs(_lowest_levels(sectors, 10) - expected).max() <= 1e-6
+        # the band levels the oscillator subcommand prints
+        assert np.abs(oscillator_levels("squeezed", lam, 200, 10) - expected).max() <= 1e-6
         assert abs(-sp.sigma + lam + lam * sp.sigma ** 2) <= 1e-14
     print("criterion 6 (squeezed oscillator): PASS")
 

@@ -10,6 +10,7 @@ from rabijudd.bosons import (
     displaced_osc_hamiltonian,
     displacement_matrix,
     ladder_matrices,
+    oscillator_levels,
     squeeze_params,
     squeezed_osc_hamiltonian,
     support_rows,
@@ -214,3 +215,22 @@ def test_squeezed_gaps_uniform():
 def test_squeezed_domain():
     with pytest.raises(ValueError):
         squeezed_osc_hamiltonian(0.5, 50)
+
+
+@pytest.mark.parametrize("M", [0, 1, 7, 60])
+@pytest.mark.parametrize("kind, lam", [("displaced", 1.0), ("squeezed", 0.3), ("squeezed", -0.45)])
+def test_oscillator_sector_levels_match_full_diagonalization(kind, lam, M):
+    levels = min(10, M + 1)
+    dense = {"displaced": displaced_osc_hamiltonian, "squeezed": squeezed_osc_hamiltonian}[kind]
+    reference = np.linalg.eigvalsh(dense(lam, M))[:levels]
+    assert np.abs(oscillator_levels(kind, lam, M, levels) - reference).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind, levels, message", [
+    ("other", 1, "kind must be 'displaced' or 'squeezed', got 'other'"),
+    ("squeezed", 0, "levels=0 out of range for cutoff 5"),
+    ("displaced", 7, "levels=7 out of range for cutoff 5"),
+], ids=["unknown-kind", "no-levels", "more-levels-than-states"])
+def test_oscillator_levels_refuses_unknown_kind_and_levels_out_of_range(kind, levels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oscillator_levels(kind, 0.3, 5, levels)

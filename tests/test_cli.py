@@ -12,17 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rabijudd.bosons import (
-    displaced_osc_band,
-    displaced_osc_hamiltonian,
-    squeezed_osc_band,
-    squeezed_osc_hamiltonian,
-    support_rows,
-)
+from rabijudd.bosons import support_rows
 import rabijudd.juddian as juddian_module
-from rabijudd.cli import _lowest_levels, main
+from rabijudd.cli import main
 from rabijudd.juddian import juddian_points
-from rabijudd.numerics import sym_eig
 from rabijudd.rabi import ModelParams, spectrum_sweep
 from rabijudd.svgplot import render_figure
 
@@ -387,21 +380,6 @@ def test_oscillator_squeezed_report():
     proc = run_cli("oscillator", "--type", "squeezed", "--lambda", "0.3",
                    "--cutoff", "200")
     assert float(proc.stdout.strip().split("\n")[-1].split("=")[1]) <= 1e-6
-
-
-@pytest.mark.parametrize("M", [0, 1, 7, 60])
-@pytest.mark.parametrize(
-    "build, band, lam",
-    [(displaced_osc_hamiltonian, displaced_osc_band, 1.0),
-     (squeezed_osc_hamiltonian, squeezed_osc_band, 0.3),
-     (squeezed_osc_hamiltonian, squeezed_osc_band, -0.45)],
-)
-def test_oscillator_sector_levels_match_full_diagonalization(build, band, lam, M):
-    levels = min(10, M + 1)
-    reference = sym_eig(build(lam, M)).values[:levels]
-    d, c, stride = band(lam, M)
-    sectors = [(d[f::stride], c[f::stride]) for f in range(stride)]
-    assert np.abs(_lowest_levels(sectors, levels) - reference).max() <= 1e-10
 
 
 def test_oscillator_forms_no_dense_matrix(capsys):

@@ -4,12 +4,17 @@ Each entry holds the exit status, the exact stdout (or, for a long one,
 its SHA-256 and line count) and stderr and, for every file the command
 writes, its SHA-256 and line count. The literals were recorded once
 by hand and are never rewritten by a test or script: a change that alters
-an output byte updates the literal here and names the change.
+an output byte updates the literal here and names the change. Two sweep
+tables, which the CSV prints to 12 digits only, are gated by the SHA-256 of
+their bits.
 """
 
 import hashlib
 
+import numpy as np
+
 from rabijudd.cli import main
+from rabijudd.rabi import ModelParams, spectrum_sweep
 
 _OSC_HEADER = f"{'n':>4}  {'numeric':>18}  {'closed form':>18}  {'deviation':>11}\n"
 _VERIFY_HEADER = f"{'index':>5}  {'g':>14}  {'E':>14}  {'gap':>11}  {'eig_resid':>11}  status\n"
@@ -215,3 +220,20 @@ def test_commands_print_and_write_the_expected_bytes(tmp_path, monkeypatch, caps
         for name, (digest, lines) in files.items():
             data = (tmp_path / name).read_bytes()
             assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) == (digest, lines), f"{command}: {name}"
+
+
+# the spectrum CSV prints 12 significant digits, so a level moved by one ulp
+# prints the same bytes; the tables behind the README sweep and the wide one
+# are gated bit for bit: (g grid, cutoff, levels per block) -> SHA-256 of
+# levels_plus then levels_minus, C order
+_SWEEP_TABLES = [
+    ((0.05, 0.8, 201), 100, 8, "3a7da73eae3e770146be0df128439fd45a5971af6f1a83f5e18b5bf00a9e004b"),
+    ((0.05, 0.8, 2001), 60, 16, "3c4ffbe3aad698df7551a2d8a594d8ca3451a451d4fe86993105b2a0e088909f"),
+]
+
+
+def test_sweep_tables_keep_every_bit():
+    for grid, cutoff, levels, digest in _SWEEP_TABLES:
+        table = spectrum_sweep(ModelParams(), np.linspace(*grid), cutoff=cutoff, levels_per_block=levels)
+        data = table.levels_plus.tobytes() + table.levels_minus.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, grid

@@ -22,9 +22,17 @@ from rabijudd.numerics import (
     _inverse_step,
     tridiag_eigvals_lowest,
 )
-from rabijudd.bosons import displaced_number_states, displaced_osc_band, squeezed_osc_band, squeezed_osc_hamiltonian
-from rabijudd.juddian import juddian_points
-from rabijudd.rabi import ModelParams, _block_arrays, build_rabi
+from rabijudd.bosons import (
+    displaced_number_states,
+    displaced_osc_band,
+    displacement_matrix,
+    ladder_matrices,
+    oscillator_levels,
+    squeezed_osc_band,
+    squeezed_osc_hamiltonian,
+)
+from rabijudd.juddian import build_full_system, compatibility_polynomial, juddian_points
+from rabijudd.rabi import ModelParams, _block_arrays, build_rabi, parity_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +651,16 @@ def test_sweep_batch_is_bit_identical_to_full_length(omega_tilde, M, k, parity, 
     assert got.tobytes() == _full_lowest_batch(diag[None, :], e2_cols, k).tobytes()
 
 
-@pytest.mark.parametrize("band, lam, M", [
-    (displaced_osc_band, 1.0, 200),
-    (squeezed_osc_band, 0.3, 300),
-    (squeezed_osc_band, -0.45, 300),
+@pytest.mark.parametrize("kind, lam, M", [
+    ("displaced", 1.0, 200),
+    ("squeezed", 0.3, 300),
+    ("squeezed", -0.45, 300),
 ])
-def test_oscillator_sectors_are_bit_identical_to_full_length(band, lam, M):
-    # G = 1: one tridiagonal per call, the oscillator subcommand's path
-    d, c, stride = band(lam, M)
-    for f in range(stride):
-        ds, cs = d[f::stride], c[f::stride]
-        got = tridiag_eigvals_lowest(ds, cs, 10)
-        assert got.tobytes() == _full_lowest_batch(ds[None, :], (cs * cs)[:, None], 10)[0, 0].tobytes()
+def test_oscillator_sectors_are_bit_identical_to_full_length(kind, lam, M, monkeypatch):
+    # G = 1: one tridiagonal per chain, the oscillator subcommand's path
+    got = oscillator_levels(kind, lam, M, 10)
+    monkeypatch.setattr(numerics, "_sturm_lowest_batch", _full_lowest_batch)
+    assert got.tobytes() == oscillator_levels(kind, lam, M, 10).tobytes()
 
 
 def test_steps_above_the_interlacing_caps_walk_no_rows(monkeypatch):
@@ -705,7 +711,17 @@ def test_clamped_pivots_batch_equals_full_batch(d, e2_rows, clamped):
     (lambda v: list(displaced_number_states(0.5, v, 2)), "cutoff"),
     (lambda v: displaced_osc_band(0.5, v), "cutoff"),
     (lambda v: squeezed_osc_band(0.3, v), "cutoff"),
-], ids=["lowest-k", "states-count", "states-cutoff", "displaced-band-cutoff", "squeezed-band-cutoff"])
+    (ladder_matrices, "cutoff"),
+    (lambda v: displacement_matrix(0.5, v), "cutoff"),
+    (lambda v: build_rabi(ModelParams(g=0.2), v), "cutoff"),
+    (lambda v: parity_blocks(ModelParams(g=0.2), v), "cutoff"),
+    (lambda v: build_full_system(v, 0.5, 0.1), "N"),
+    (lambda v: compatibility_polynomial(v, 0.5), "N"),
+    (lambda v: oscillator_levels("squeezed", 0.3, v, 2), "cutoff"),
+    (lambda v: oscillator_levels("squeezed", 0.3, 20, v), "levels"),
+], ids=["lowest-k", "states-count", "states-cutoff", "displaced-band-cutoff", "squeezed-band-cutoff",
+        "ladder-cutoff", "displacement-cutoff", "rabi-cutoff", "parity-blocks-cutoff", "full-system-N",
+        "compatibility-N", "oscillator-cutoff", "oscillator-levels"])
 def test_counts_refuse_what_int_would_change(call, name):
     # int() would cut 2.5 to 2, parse "3" and take True for 1; an integral
     # float or a numpy integer stays accepted
