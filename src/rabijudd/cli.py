@@ -207,20 +207,20 @@ def cmd_verify(args) -> int:
 
 def cmd_oscillator(args) -> int:
     _check_cutoff_and_levels(args)
+    # the displaced levels belong to D(-lambda)|n>, which needs lambda^2 <= M/4; checked
+    # before the bisection, which a huge lambda overflows (an inf lambda^2 is the band's)
+    lam2 = args.lam * args.lam
+    if args.osc_type == "displaced" and math.isfinite(lam2) and lam2 > args.cutoff / 4.0:
+        raise CLIError(
+            f"--lambda {args.lam:g} is too large for cutoff {args.cutoff}: the displaced "
+            f"levels need lambda^2 <= M/4, a cutoff >= 4 lambda^2 = {4.0 * lam2:.12g}"
+        )
     try:
         numeric = oscillator_levels(args.osc_type, args.lam, args.cutoff, args.levels)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     omega = squeeze_params(args.lam).Omega if args.osc_type == "squeezed" else 1.0
     exact = (np.arange(args.levels) + 0.5) * omega
-    # the displaced levels belong to D(-lambda)|n>, which needs the cutoff
-    # bound lambda^2 <= M/4 of bosons.displaced_number_states
-    lam2 = args.lam * args.lam
-    if args.osc_type == "displaced" and lam2 > args.cutoff / 4.0:
-        raise CLIError(
-            f"--lambda {args.lam:g} is too large for cutoff {args.cutoff}: the displaced "
-            f"levels need lambda^2 <= M/4, a cutoff >= 4 lambda^2 = {4.0 * lam2:.12g}"
-        )
     dev = np.abs(numeric - exact)
     print(f"{'n':>4}  {'numeric':>18}  {'closed form':>18}  {'deviation':>11}")
     for n in range(args.levels):

@@ -312,18 +312,15 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     2 sign lam sqrt(n)), from two inverse-iteration steps at shift 0 started
     from ones; q follows from p by the eliminations. (p, q) is normalized
     with its first component above 1e-12 positive, null_vector's sign. The
-    displaced number states D(z)|n>, z = sign * lam, n <= N, start from the
-    closed-form coherent state D(z)|0> and follow the ladder recurrence
-    D|n+1> = (b+ - z) D|n> / sqrt(n+1) on the truncated basis, each step
-    corrected by one inverse iteration (bosons.displaced_number_states).
-    The states are built on their support, the rows below
-    R = (lam + sqrt(N) + 6)^2 (bosons.support_rows), and are zero above
-    it, so the Python-level work is O(N R), not O(N M); the sums over p and
-    q, one O(M) array operation per state, are accumulated as they go, and
-    no matrix is formed. The two spinor components are then rotated from
-    the coupling-diagonal representation to the assembly basis (the
-    Hadamard map up = (c1 + c2)/sqrt(2), down = (c1 - c2)/sqrt(2)) and
-    normalized.
+    displaced number states D(z)|n>, z = sign * lam, n <= N, are the columns
+    of bosons.displaced_number_states, built from the Laguerre closed form of
+    their matrix elements on their support, the K = min(M + 1, R) rows below
+    R = (lam + sqrt(N) + 6)^2 (bosons.support_rows); the two sums are the
+    products S[:, :N] @ p and S @ q, O(N K), and the state is zero above
+    them, so nothing here grows with M but the zero padding. The two spinor
+    components are then rotated from the coupling-diagonal representation to
+    the assembly basis (the Hadamard map up = (c1 + c2)/sqrt(2), down =
+    (c1 - c2)/sqrt(2)) and normalized.
 
     Raises ValueError when the cutoff is not an integer (int() would change
     it), cutoff < N or z^2 > cutoff/4, and FullRankError off the locus,
@@ -359,22 +356,18 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     v /= math.copysign(norm, v[np.argmax(np.abs(v) > 1e-12 * norm)])
     p, q = v[:N], v[N:]
 
-    coupled = np.zeros(M + 1)
-    diagonal = np.zeros(M + 1)
     states = displaced_number_states(sign * lam, M, N + 1)
-    for n, column in enumerate(states):
-        if n < N:
-            coupled += p[n] * column
-        diagonal += q[n] * column
+    coupled, diagonal = states[:, :N] @ p, states @ q
     if sign == 1:
         comp1, comp2 = coupled, diagonal
     else:
         comp1, comp2 = diagonal, coupled
 
-    fock = np.empty(2 * (M + 1))
-    fock[0::2] = _SQRT_HALF * (comp1 + comp2)
-    fock[1::2] = _SQRT_HALF * (comp1 - comp2)
-    fock /= math.sqrt(float(fock @ fock))
+    fock = np.zeros(2 * (M + 1))
+    support = fock[:2 * states.shape[0]]  # a view: the rest stays zero
+    support[0::2] = _SQRT_HALF * (comp1 + comp2)
+    support[1::2] = _SQRT_HALF * (comp1 - comp2)
+    support /= math.sqrt(float(support @ support))
     return JuddianState(p=p, q=q, displacement_sign=sign, fock_vector=fock)
 
 
@@ -428,9 +421,10 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
     levels' indices (the counts at E - delta), energy_plus = energy_minus = E
     and degeneracy_gap = 2 delta, a certified bound on |E+ - E-|; the point
     is left unchanged. It adds the reconstructed state's eigen-residual
-    ||(H - E) psi|| on the same cutoff, with H applied through its band, its
-    tail weight and its support rows. No matrix is formed and each count
-    stops early, so the cost is O(N R) plus a linear pass over the cutoff.
+    ||(H - E) psi|| on the same cutoff, with H applied through its band on
+    the min(M + 1, R + 1) rows where it can be nonzero, its tail weight and
+    its support rows R. No matrix is formed and each count stops early, so
+    the cost is O(N R) plus the block diagonals' linear pass over the cutoff.
 
     Raises RuntimeError when a block has no level within 1e-3 of E (an
     under-sized cutoff or an invalid point) or more than one within delta,
@@ -464,11 +458,13 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
             )
         delta = min(16.0 * delta, _MAX_DELTA)
 
-    state = reconstruct_state(point, M)
-    psi = state.fock_vector
+    fock = reconstruct_state(point, M).fock_vector
+    support = support_rows(point.lam, point.N)
+    # the state is zero from row R on, so (H - E) psi is zero from row R + 1 on
+    psi = fock[:2 * min(M + 1, support + 1)]
     resid = _apply_rabi(params, psi) - E * psi
     eigen_residual = math.sqrt(float(resid @ resid))
-    tail = psi[2 * (M + 1 - math.ceil(M / 10)):]
+    tail = fock[2 * (M + 1 - math.ceil(M / 10)):]
 
     return VerificationReport(
         point=point,
@@ -480,5 +476,5 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
         degeneracy_gap=2.0 * delta,
         eigen_residual=eigen_residual,
         tail_weight=float(tail @ tail),
-        support_rows=support_rows(point.lam, point.N),
+        support_rows=support,
     )

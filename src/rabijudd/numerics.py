@@ -11,8 +11,8 @@ next to a point without bisecting them: verify and the crossing detector
 count both parity blocks at E -/+ delta (rabi._block_counts), and the
 difference is the number of levels in between. _integral refuses a count
 argument that int() would change.
-Inverse iteration (_inverse_step) gives eigen- and null vectors from lists
-and a Gershgorin interval that its callers form once.
+Inverse iteration (_inverse_step) gives the null vector of T(x) for
+juddian.reconstruct_state, from lists and a Gershgorin interval formed once.
 Kept for tests and benchmark tasks:
 sym_eig (eigenvalues only, by implicit-shift QL on Python floats, for a
 matrix whose connected components are each tridiagonal in index order; it
@@ -514,7 +514,7 @@ def _inverse_step(
     """One step of inverse iteration on the symmetric tridiagonal (d, e).
 
     dl and el are d and e as lists, interval their Gershgorin interval
-    (formed once by a caller that solves many shifts on one matrix), and
+    (formed once by the caller for all its steps on one matrix), and
     start an ndarray of the same length. Solves (T - shift) x = start
     through the LDL^T factorization, without pivoting, with pivots smaller
     than eps times the Gershgorin scale pushed out to that size, as in the

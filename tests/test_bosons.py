@@ -1,10 +1,13 @@
 """Tests for truncated boson operators and the shifted-oscillator models."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import rabijudd.bosons as bosons_module
 from rabijudd.bosons import (
     displaced_number_states,
     displaced_osc_hamiltonian,
@@ -16,7 +19,6 @@ from rabijudd.bosons import (
     support_rows,
 )
 from rabijudd.numerics import sym_eig
-from test_numerics import _inverse_iteration
 
 
 def test_ladder_matrices_m1():
@@ -97,40 +99,88 @@ def test_displacement_cutoff_guard():
 # ---------------------------------------------------------------------------
 # displaced number states on their support
 
-def _full_length_states(z, M, count):
-    """D(z)|n>, n < count, built on all M + 1 rows: the coherent state from
-    its peak by running products, then ladder steps each corrected by
-    inverse iteration, the same arithmetic as the support-built states."""
-    n = np.arange(M + 1.0)
-    root = np.sqrt(n[1:])
-    column = np.zeros(M + 1)
-    a = abs(z)
-    n0 = int(a * a)
-    column[n0] = 1.0 if z == 0.0 else math.exp(n0 * math.log(a) - 0.5 * a * a - 0.5 * math.lgamma(n0 + 1.0))
-    if z != 0.0:
-        column[n0 + 1:] = column[n0] * np.cumprod(a / root[n0:])
-        column[:n0] = column[n0] * np.cumprod(root[:n0][::-1] / a)[::-1]
-        column[1::2] *= np.sign(z)
-    states = [column]
-    for k in range(1, count):
-        raised = -z * column
-        raised[1:] += root * column[:-1]
-        column = _inverse_iteration(n + z * z, -z * root, float(k), raised / math.sqrt(k))
-        states.append(column)
-    return states
-
-
 @pytest.mark.parametrize("M, N", [(100, 0), (100, 10), (300, 1), (300, 100), (2500, 4), (2500, 100)])
 @pytest.mark.parametrize("share", [0.0, 0.3, 1.0 - 1e-12])
-def test_support_states_match_full_length_build(M, N, share):
-    # z^2 from 0 up to M/4, the bound displaced_number_states accepts
+def test_support_states_match_full_length_build(M, N, share, monkeypatch):
+    # z^2 from 0 up to M/4, the bound displaced_number_states accepts; each
+    # diagonal of the recurrence runs on its own, so the rows below K are
+    # those of the same build on all M + 1 rows, bit for bit
     for z in {math.sqrt(share * M / 4.0), -math.sqrt(share * M / 4.0)}:
         rows = min(M + 1, support_rows(z, N))
-        got = list(displaced_number_states(z, M, N + 1))
-        assert len(got) == N + 1
-        for column, reference in zip(got, _full_length_states(z, M, N + 1)):
-            assert column.shape == (M + 1,) and not column[rows:].any()
-            assert np.abs(column - reference).max() <= 1e-15
+        got = displaced_number_states(z, M, N + 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(bosons_module, "support_rows", lambda z, n: M + 1)
+            full = displaced_number_states(z, M, N + 1)
+        assert got.shape == (rows, N + 1) and full.shape == (M + 1, N + 1)
+        assert got.tobytes() == full[:rows].tobytes()
+        assert np.abs(full[rows:]).max(initial=0.0) <= 1e-20
+
+
+def _decimal_states(z, rows, cols):
+    """<m|D(z)|n> for m < rows and n in cols from the explicit sum
+    sqrt(m! n!) exp(-z^2/2) sum_k (-1)^(n-k) z^(m+n-2k) / (k! (m-k)! (n-k)!).
+    With z = u / w the sum times w^(m+n) m! n! is an integer, formed exactly
+    from k = min(m, n) down; only the prefactors are rounded, to 40 digits."""
+    u, w = Fraction(z).as_integer_ratio()
+    out = np.zeros((rows, len(cols)))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        gauss = (Decimal(-u * u) / Decimal(2 * w * w)).exp()
+        for j, n in enumerate(cols):
+            for m in range(rows):
+                k = min(m, n)
+                term = (-1) ** (n - k) * u ** (m + n - 2 * k) * w ** (2 * k) * math.comb(m, k) * math.comb(n, k)
+                term *= math.factorial(k)
+                total = term
+                for k in range(k, 0, -1):
+                    term = -term * u * u * k // (w * w * (m - k + 1) * (n - k + 1))
+                    total += term
+                root = Decimal(math.factorial(m) * math.factorial(n)).sqrt()
+                out[m, j] = float(gauss * Decimal(total) / Decimal(w ** (m + n)) / root)
+    return out
+
+
+@pytest.mark.parametrize("z, M, count, cols, bound", [
+    (0.0, 100, 65, None, 0.0),
+    (-1.5, 100, 21, None, 1.5e-15),
+    (5.0, 100, 11, None, 1e-15),                      # z^2 = M/4, M + 1 < R
+    (-6.0, 144, 33, (0, 1, 2, 16, 31, 32), 2e-15),    # z^2 = M/4, M + 1 < R
+    (3.25, 2500, 101, (0, 1, 50, 99, 100), 4e-15),
+    (-12.5, 625, 65, (0, 1, 32, 63, 64), 2e-15),      # z^2 = M/4
+])
+def test_states_match_decimal_reference(z, M, count, cols, bound):
+    # the reference shares no code and no recurrence with the builder; the
+    # bounds are about twice the measured errors
+    got = displaced_number_states(z, M, count)
+    cols = list(range(count)) if cols is None else list(cols)
+    assert np.abs(got[:, cols] - _decimal_states(z, got.shape[0], cols)).max() <= bound
+
+
+@pytest.mark.parametrize("M, count", [(100, 1), (256, 24), (300, 24)])
+def test_states_match_dense_displacement(M, count):
+    # count stops where the truncated exponential's columns still hold
+    # D(z)|n> at z^2 = M/4: only the first at M = 100
+    identity = np.eye(M + 1)[:support_rows(0.0, count - 1), :count]
+    assert np.array_equal(displaced_number_states(0.0, M, count), identity)
+    for z in (math.sqrt((1.0 - 1e-12) * M / 4.0), -math.sqrt((1.0 - 1e-12) * M / 4.0)):
+        got = displaced_number_states(z, M, count)
+        dense = displacement_matrix(z, M)[:, :count]
+        assert np.abs(got - dense[:got.shape[0]]).max() <= 2e-14
+        assert np.abs(dense[got.shape[0]:]).max(initial=0.0) <= 1e-19
+
+
+@pytest.mark.parametrize("M, N", [(600, 30), (1000, 64), (2500, 100)])
+@pytest.mark.parametrize("share", [0.3, 1.0 - 1e-12])
+def test_support_states_are_orthonormal(M, N, share):
+    # every state fits below R <= M + 1 here, so S^T S = I on the K rows
+    for z in (math.sqrt(share * M / 4.0), -math.sqrt(share * M / 4.0)):
+        got = displaced_number_states(z, M, N + 1)
+        assert got.shape[0] == support_rows(z, N) <= M + 1
+        gram = got.T @ got
+        assert np.abs(gram - np.diag(np.diag(gram))).max() <= 2e-14
+        # each column inherits the scale of the coherent column, whose one
+        # exponential of a sum near z^2 log z^2 rounds by up to 1e-13 here
+        assert np.abs(np.diag(gram) - 1.0).max() <= 4e-13
 
 
 def test_support_rows_bound():

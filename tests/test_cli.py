@@ -205,7 +205,6 @@ def test_spectrum_unscaled_carries_the_omega_factor():
 @pytest.mark.parametrize("args", [
     ("spectrum", "--omega", "0.5", "--omega0", "1.7e308", "--g-steps", "2",
      "--levels", "2", "--cutoff", "3"),
-    ("oscillator", "--type", "displaced", "--lambda", "1e154", "--cutoff", "0", "--levels", "1"),
 ])
 def test_gershgorin_interval_past_half_the_float_range_is_an_error(args):
     # the bisection overflowed: -8.5e+307 for every level, or inf, with exit 0
@@ -296,8 +295,10 @@ def test_verify_failure_reports_tail_weight(capsys):
 
 
 def test_verify_failures_name_the_support_bound(capsys):
-    # order 30 at the default cutoff 100: points 23-24 fail the tolerance,
-    # 25-29 the 1e-3 window; each failure names the support R > 100
+    # order 30 at the default cutoff 100: points 20-24 fail the tolerance,
+    # 25-29 the 1e-3 window; each failure names the support R > 100. The
+    # states are D(z)|n> itself on the M + 1 rows, not eigenvectors of the
+    # truncated operator, so a cutoff short of R shows in the residual
     assert main(["verify", "--n", "30"]) == 1
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     points = juddian_points(30, ModelParams())
@@ -306,10 +307,17 @@ def test_verify_failures_name_the_support_bound(capsys):
         R = support_rows(point.lam, 30)
         note = (f"cutoff 100 is below the support R = {R} of order 30 "
                 f"at lambda = {point.lam:.10f}; use --cutoff >= {R})")
-        if point.root_index < 23:
+        if point.root_index < 20:
             assert row.endswith("  ok") and "support" not in row
         else:
             assert R > 100 and " FAIL (" in row and row.endswith(note)
+    # the cutoff each of the newly failing points names is enough for it
+    for index, R in zip((20, 21, 22), (214, 219, 224)):
+        assert support_rows(points[index].lam, 30) == R
+        main(["verify", "--n", "30", "--cutoff", str(R)])
+        row = capsys.readouterr().out.split("\n")[1 + index]
+        assert row.split()[0] == str(index) and row.endswith("  ok")
+        assert float(row.split()[4]) <= 1e-12
 
 
 def _readme_sample(command):
@@ -398,8 +406,14 @@ def test_oscillator_forms_no_dense_matrix(capsys):
 @pytest.mark.parametrize("lam, cutoff, message", [
     # lam^2 = inf on the diagonal: the band is refused
     ("1e200", "5", "lam^2 and lam sqrt(M) must be finite"),
-    # lam^2 and lam sqrt(M) are finite, but lam^2 M, a squared coupling, is not
-    ("1e153", "10000", "tridiag_eigvals_lowest needs finite d and e"),
+    # lam^2 is finite and above M/4: named before the bisection, which would
+    # overflow on lam^2 M, a squared coupling
+    ("1e153", "10000", "--lambda 1e+153 is too large for cutoff 10000: the displaced levels need "
+                       "lambda^2 <= M/4, a cutoff >= 4 lambda^2 = 4e+306"),
+    # lam^2 is finite and 4 lam^2 is not: no cutoff is enough, and the band's
+    # Gershgorin interval, past half the float range, is never formed
+    ("1e154", "1", "--lambda 1e+154 is too large for cutoff 1: the displaced levels need "
+                   "lambda^2 <= M/4, a cutoff >= 4 lambda^2 = inf"),
 ])
 def test_oscillator_rejects_overflowing_lambda(lam, cutoff, message):
     proc = run_cli("oscillator", "--type", "displaced", "--lambda", lam,

@@ -109,16 +109,16 @@ _EXPECTED = [
         {},
     ),
     # verify prints a row per point; at the default cutoff 100 the points of
-    # order 30 past g = 1.8 fail for want of a larger support R, and the
+    # order 30 past g = 1.5 fail for want of a larger support R, and the
     # failure summary goes to stderr
     (
         "verify --n 4",
         0,
         _VERIFY_HEADER
-        + "    0    0.1234229399    3.9390671116    2.968e-12    5.979e-16  ok\n"
-        "    1    0.3199075780    3.5906365661    3.191e-12    4.823e-16  ok\n"
-        "    2    0.5243395120    2.9002723045    3.423e-12    1.242e-15  ok\n"
-        "    3    0.7582492415    1.7002323512    3.688e-12    1.331e-15  ok\n"
+        + "    0    0.1234229399    3.9390671116    2.968e-12    5.631e-16  ok\n"
+        "    1    0.3199075780    3.5906365661    3.191e-12    1.088e-15  ok\n"
+        "    2    0.5243395120    2.9002723045    3.423e-12    1.502e-15  ok\n"
+        "    3    0.7582492415    1.7002323512    3.688e-12    2.108e-15  ok\n"
         "all 4 points verified at cutoff 100\n",
         "",
         {},
@@ -127,11 +127,11 @@ _EXPECTED = [
         "verify --n 6 --omega0 2.6 --cutoff 200",
         0,
         _VERIFY_HEADER
-        + "    0    0.2075415301    5.8277060531    6.026e-12    6.812e-16  ok\n"
-        "    1    0.3880098544    5.3977934117    6.316e-12    1.294e-15  ok\n"
-        "    2    0.5642139244    4.7266505899    6.599e-12    2.429e-15  ok\n"
-        "    3    0.7502600867    3.7484392092    6.898e-12    1.897e-15  ok\n"
-        "    4    0.9626101795    2.2935265694    7.239e-12    2.713e-15  ok\n"
+        + "    0    0.2075415301    5.8277060531    6.026e-12    8.745e-16  ok\n"
+        "    1    0.3880098544    5.3977934117    6.316e-12    1.525e-15  ok\n"
+        "    2    0.5642139244    4.7266505899    6.599e-12    3.078e-15  ok\n"
+        "    3    0.7502600867    3.7484392092    6.898e-12    4.557e-15  ok\n"
+        "    4    0.9626101795    2.2935265694    7.239e-12    9.425e-15  ok\n"
         "all 5 points verified at cutoff 200\n",
         "",
         {},
@@ -140,33 +140,39 @@ _EXPECTED = [
         "verify --n 30",
         1,
         _VERIFY_HEADER
-        + "    0    0.0473373520   29.9910367004    2.883e-12    1.747e-15  ok\n"
-        "    1    0.1211544670   29.9412863805    2.965e-12    2.801e-15  ok\n"
-        "    2    0.1933062229   29.8505308167    3.047e-12    2.511e-15  ok\n"
-        "    3    0.2651543817   29.7187726155    3.129e-12    2.845e-15  ok\n"
-        "    4    0.3370009127   29.5457215394    3.210e-12    4.034e-15  ok\n"
-        "    5    0.4089837447   29.3309291862    3.292e-12    3.334e-15  ok\n"
-        "    6    0.4811946337   29.0738068981    3.374e-12    3.585e-15  ok\n"
-        "    7    0.5537093788   28.7736236955    3.456e-12    3.559e-15  ok\n"
-        "    8    0.6265985860   28.4294968483    3.539e-12    3.899e-15  ok\n"
-        "    9    0.6999325671   28.0403776058    3.622e-12    4.642e-15  ok\n"
-        "   10    0.7737841551   27.6050323250    3.705e-12    5.281e-15  ok\n"
-        "   11    0.8482307476   27.1220183953    3.790e-12    5.019e-15  ok\n"
-        "   12    0.9233561320   26.5896538143    3.875e-12    4.255e-15  ok\n"
-        "   13    0.9992523813   26.0059787139    3.961e-12    4.393e-15  ok\n"
-        "   14    1.0760220239   25.3687064167    4.048e-12    4.231e-15  ok\n"
-        "   15    1.1537806775   24.6751605928    4.136e-12    5.390e-15  ok\n"
-        "   16    1.2326603772   23.9221935775    4.226e-12    6.158e-15  ok\n"
-        "   17    1.3128139037   23.1060786168    4.317e-12    4.302e-14  ok\n"
-        "   18    1.3944205628   22.2223651759    4.409e-12    1.447e-12  ok\n"
-        "   19    1.4776941037   21.2656805439    4.504e-12    3.873e-11  ok\n"
-        "   20    1.5628938720   20.2294509800    4.600e-12    8.331e-10  ok\n"
-        "   21    1.6503410212   19.1054980552    1.203e-09    1.467e-08  ok\n"
-        "   22    1.7404429593   17.8834332212    1.967e-08    2.163e-07  ok\n"
-        "   23    1.8337318875   16.5497094584    5.146e-06    2.927e-06  FAIL"
+        + "    0    0.0473373520   29.9910367004    2.883e-12    8.050e-15  ok\n"
+        "    1    0.1211544670   29.9412863805    2.965e-12    9.421e-15  ok\n"
+        "    2    0.1933062229   29.8505308167    3.047e-12    2.404e-14  ok\n"
+        "    3    0.2651543817   29.7187726155    3.129e-12    2.324e-14  ok\n"
+        "    4    0.3370009127   29.5457215394    3.210e-12    1.308e-14  ok\n"
+        "    5    0.4089837447   29.3309291862    3.292e-12    2.990e-14  ok\n"
+        "    6    0.4811946337   29.0738068981    3.374e-12    2.985e-14  ok\n"
+        "    7    0.5537093788   28.7736236955    3.456e-12    4.473e-14  ok\n"
+        "    8    0.6265985860   28.4294968483    3.539e-12    5.451e-14  ok\n"
+        "    9    0.6999325671   28.0403776058    3.622e-12    3.337e-14  ok\n"
+        "   10    0.7737841551   27.6050323250    3.705e-12    5.157e-14  ok\n"
+        "   11    0.8482307476   27.1220183953    3.790e-12    5.353e-14  ok\n"
+        "   12    0.9233561320   26.5896538143    3.875e-12    3.490e-14  ok\n"
+        "   13    0.9992523813   26.0059787139    3.961e-12    6.453e-14  ok\n"
+        "   14    1.0760220239   25.3687064167    4.048e-12    4.873e-14  ok\n"
+        "   15    1.1537806775   24.6751605928    4.136e-12    8.759e-14  ok\n"
+        "   16    1.2326603772   23.9221935775    4.226e-12    3.694e-12  ok\n"
+        "   17    1.3128139037   23.1060786168    4.317e-12    1.550e-10  ok\n"
+        "   18    1.3944205628   22.2223651759    4.409e-12    4.970e-09  ok\n"
+        "   19    1.4776941037   21.2656805439    4.504e-12    1.242e-07  ok\n"
+        "   20    1.5628938720   20.2294509800    4.600e-12    2.456e-06  FAIL"
+        " (cutoff 100 is below the support R = 214 of order 30 at lambda = 3.1257877439;"
+        " use --cutoff >= 214)\n"
+        "   21    1.6503410212   19.1054980552    1.203e-09    3.885e-05  FAIL"
+        " (cutoff 100 is below the support R = 219 of order 30 at lambda = 3.3006820424;"
+        " use --cutoff >= 219)\n"
+        "   22    1.7404429593   17.8834332212    1.967e-08    4.945e-04  FAIL"
+        " (cutoff 100 is below the support R = 224 of order 30 at lambda = 3.4808859187;"
+        " use --cutoff >= 224)\n"
+        "   23    1.8337318875   16.5497094584    5.146e-06    5.071e-03  FAIL"
         " (cutoff 100 is below the support R = 230 of order 30 at lambda = 3.6674637751;"
         " use --cutoff >= 230)\n"
-        "   24    1.9309289923   15.0860529075    1.347e-03    5.999e-05  FAIL"
+        "   24    1.9309289923   15.0860529075    1.347e-03    4.162e-02  FAIL"
         " (cutoff 100 is below the support R = 236 of order 30 at lambda = 3.8618579845;"
         " use --cutoff >= 236)\n"
         "   25    2.0330591810   13.4666814659            -            -  FAIL"
@@ -194,7 +200,7 @@ _EXPECTED = [
         " increase the cutoff;"
         " cutoff 100 is below the support R = 275 of order 30 at lambda = 5.1002900801;"
         " use --cutoff >= 275)\n",
-        "verification FAILED at cutoff 100; a larger --cutoff may be needed; largest tail weight 5.535e-03\n",
+        "verification FAILED at cutoff 100; a larger --cutoff may be needed; largest tail weight 5.567e-03\n",
         {},
     ),
     (
@@ -202,7 +208,7 @@ _EXPECTED = [
         # a header, 100 rows and "all 100 points verified at cutoff 2500"
         "verify --n 100 --cutoff 2500",
         0,
-        ("868ba6917b9ef7bf9cc82a7fe9a33e362116046266a9af820f34741d339bdc4b", 102),
+        ("f58155a3fce05356a80ed5c03d91a62a12918ffb4fb7854a0d507d23c80162dd", 102),
         "",
         {},
     ),

@@ -12,6 +12,7 @@ import pytest
 
 import rabijudd.bosons as bosons_module
 import rabijudd.juddian as juddian_module
+import rabijudd.numerics as numerics_module
 import rabijudd.rabi as rabi_module
 from rabijudd.bosons import displacement_matrix, support_rows
 from rabijudd.juddian import (
@@ -697,6 +698,22 @@ def test_verify_certifies_each_point_with_four_counts(monkeypatch):
         )
         assert report.degeneracy_gap == 2.0 * 64.0 * _EPS * scale
         assert report.energy_plus == report.energy_minus == point.E
+
+
+def test_verify_solves_twice_per_point(monkeypatch):
+    # the two inverse-iteration steps give T(x)'s null vector p; the N + 1
+    # displaced number states take none, however large N is
+    assert not hasattr(bosons_module, "_inverse_step")
+    calls = []
+    step = juddian_module._inverse_step
+    counted = lambda *a: calls.append(1) or step(*a)  # noqa: E731
+    monkeypatch.setattr(juddian_module, "_inverse_step", counted)
+    monkeypatch.setattr(numerics_module, "_inverse_step", counted)
+    for N, cutoff in ((1, 100), (4, 100), (30, 300)):
+        for point in juddian_points(N, RESONANCE):
+            calls.clear()
+            verify_point(point, cutoff)
+            assert len(calls) == 2, (N, point.root_index)
 
 
 def test_verify_gap_bounds_a_shifted_energy():
