@@ -117,8 +117,11 @@ def displaced_number_states(z: float, cutoff: int, count: int) -> np.ndarray:
         if k:
             step -= fall[k, :span] * states[k - 1, k - 1:width - 2]
         states[k + 1, k + 1:] = step / scale[k, :span]
-    below, above = np.tril_indices(count, -1)
-    states[below, above] = states[above, below] * (1 - 2 * ((below - above) & 1))
+    lead = states[:, :count]  # S[m, n] = (-1)^(n-m) S[n, m] for m < n
+    mirror = lead.T.copy()
+    mirror[1::2, 0::2] *= -1.0
+    mirror[0::2, 1::2] *= -1.0
+    np.copyto(lead, mirror, where=np.tri(count, k=-1, dtype=bool))
     return states[:, :rows].T
 
 

@@ -1,5 +1,6 @@
 """Rabi Hamiltonian on the truncated basis: assembly, parity decomposition,
-spectrum sweeps, and opposite-parity level-crossing detection.
+spectrum sweeps, and the opposite-parity crossings a sweep holds, each a
+Juddian point certified by Sturm counts on the blocks.
 
 Basis ordering is (n, spin) lexicographic with the spin-up (sigma_z = +1)
 state first, so index(n, up) = 2n and index(n, down) = 2n + 1; output files
@@ -8,12 +9,11 @@ built on this ordering are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 from ._numpy import np
-from .bosons import DEFAULT_CUTOFF, ladder_matrices
+from .bosons import DEFAULT_CUTOFF, ladder_matrices, support_rows
 from .numerics import _EPS, _integral, _sturm_count, _sturm_lowest_batch, _sturm_stop
 
 # find_crossings certifies both levels of a crossing within half this of E_star
@@ -107,9 +107,10 @@ def _apply_rabi(params: ModelParams, vector: np.ndarray) -> np.ndarray:
 
 def _block_arrays(params: ModelParams, cutoff: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     M = int(cutoff)
-    n = np.arange(M + 1)
-    spins = -parity * (-1.0) ** n
-    diag = n + params.omega_tilde * spins
+    # level n carries spin -parity (-1)^n: diagonal n - parity omega_tilde at even n, n + at odd
+    diag = np.arange(M + 1.0)
+    diag[0::2] -= parity * params.omega_tilde
+    diag[1::2] += parity * params.omega_tilde
     off = params.lam * np.sqrt(np.arange(1.0, M + 1.0))
     return diag, off
 
@@ -221,84 +222,53 @@ def spectrum_sweep(
 
 
 def find_crossings(table: SpectrumTable) -> list[Crossing]:
-    """Opposite-parity degeneracies on the table, each placed at its Juddian point.
+    """Opposite-parity degeneracies on the table, each an exact (Juddian) point.
 
-    Every (i, j) pair of tracked levels is scanned for sign changes of
-    E+_i - E-_j between adjacent grid rows; a row where the two are equal is
-    a crossing as it stands. Levels of opposite parity meet only at the
-    Juddian points, on the baselines E = N - lam^2, so a sign change in the
-    cell [g_m, g_m+1] is placed at a point rather than refined. The
-    candidates are the points (juddian_points for |omega0|, once per order)
-    of the orders N = round(E+_i + lam^2) at either end of the cell and
-    N +/- 1 whose +g or -g lies in the cell, and (0, N) when the cell holds
-    g = 0, the root x = 0 that juddian_points leaves out at an integer
-    omega_tilde. Four Sturm counts on the table's blocks at g* certify a
-    candidate (g*, E*): at E* -/+ 5e-10 they read i, i + 1 in the + block
-    and j, j + 1 in the - block (_block_counts). The one candidate that
-    passes gives g_star and E_star bit for bit. On a row at g = 0 every pair
-    within 1e-9 is a candidate (0, round(E+_i)) of its own, kept if it
-    passes, whatever the signs next to it. Results ascend in g_star.
+    Such levels meet only on the baselines E = N - lam^2 (Kus 1985; Braak
+    2011), so the points are enumerated, not searched for: the orders
+    N = 1 .. floor(E_cap + lam_max^2) + 1, with E_cap the top level plus
+    4 sqrt(M) h / omega (the Hellmann-Feynman rise of a level over the
+    largest step h); their points (juddian_points for |omega0|) at +g and -g
+    in the grid with E <= E_cap; and (0, N) when the grid holds g = 0. Four
+    Sturm counts at E* -/+ 5e-10 (_block_counts) give the levels below a
+    candidate, i (+) and j (-); it is a crossing when each block holds one
+    level there and i, j < k. g_star and E_star are the point's bit for
+    bit; results ascend in g_star.
 
-    Raises RuntimeError, naming the cell and the level pair, when no
-    candidate or more than one passes: the cutoff may be too small for the
-    levels, or they differ by rounding alone.
+    Raises ValueError at omega0 = 0, where the blocks are isospectral at
+    every g, and when a point with i, j < k is not a level of both blocks;
+    the message names the point, its order, the cutoff and the rows it needs.
     """
     # juddian imports this module, so the import waits for the first call
     from .juddian import juddian_points
 
-    k = table.levels_plus.shape[1]
-    g = table.g_values
-    p = table.params
+    p, g, M = table.params, table.g_values, table.cutoff
+    if p.omega0 == 0.0:
+        raise ValueError("omega0 must be nonzero: at omega0 = 0 the parity blocks are isospectral at every g")
+    k, lo, hi = table.levels_plus.shape[1], float(g[0]), float(g[-1])
+    step = float(np.max(np.diff(g))) if g.size > 1 else 0.0
+    e_cap = max(table.levels_plus.max(), table.levels_minus.max()) + 4.0 * math.sqrt(M) * step / p.omega
+    lam_max = 2.0 * max(-lo, hi) / p.omega
     abs_params = ModelParams(p.omega, abs(p.omega0))
-    root_n = np.sqrt(np.arange(1.0, table.cutoff + 1.0))
-    blocks = [(d, d.tolist()) for d in (_block_arrays(p, table.cutoff, parity)[0] for parity in (1, -1))]
-    zero_rows = np.nonzero(g == 0.0)[0]
+    root_n = np.sqrt(np.arange(1.0, M + 1.0))
+    blocks = [(d, d.tolist()) for d in (_block_arrays(p, M, parity)[0] for parity in (1, -1))]
 
-    @functools.cache
-    def points(N: int) -> list:
-        return juddian_points(N, abs_params) if N >= 1 and p.omega0 != 0.0 else []
-
-    def certified(gs: float, E: float, i: int, j: int) -> bool:
-        counts = _block_counts(blocks, 2.0 * gs / p.omega * root_n, E, 0.5 * _CROSSING_TOL)
-        return counts == [(i, i + 1), (j, j + 1)]
-
-    crossings: list[Crossing] = []
-    for i in range(k):
-        for j in range(k):
-            diff = table.levels_plus[:, i] - table.levels_minus[:, j]
-            exact = diff == 0.0
-            for m in np.nonzero(exact)[0]:
-                if g[m] != 0.0:  # a row at g = 0 is certified below
-                    crossings.append(Crossing(float(g[m]), float(table.levels_plus[m, i]), i, j))
-            for m in zero_rows:
-                N = float(np.rint(table.levels_plus[m, i]))
-                if abs(diff[m]) <= _CROSSING_TOL and certified(0.0, N, i, j):
-                    crossings.append(Crossing(0.0, N, i, j))
-            neg = diff < 0.0
-            for m in np.nonzero((neg[:-1] != neg[1:]) & ~exact[:-1] & ~exact[1:])[0]:
-                ga, gb = float(g[m]), float(g[m + 1])
-                ends = np.rint(table.levels_plus[m : m + 2, i] + (2.0 * g[m : m + 2] / p.omega) ** 2)
-                orders = sorted({int(N) + s for N in ends for s in (-1, 0, 1)})
-                candidates = [(0.0, float(N)) for N in orders if ga <= 0.0 <= gb]
-                candidates += [(s * pt.g, pt.E) for N in orders for pt in points(N) for s in (1.0, -1.0)
-                               if ga <= s * pt.g <= gb]
-                found = [c for c in candidates if certified(*c, i, j)]
-                if len(found) != 1:
-                    raise RuntimeError(
-                        f"crossing of levels (+{i}, -{j}) in cell g = [{ga:.6g}, {gb:.6g}] did not resolve: "
-                        f"{len(found)} Juddian points there hold both levels within {_CROSSING_TOL:g}, not one; "
-                        "the cutoff may be too small or the levels unresolved"
-                    )
-                crossings.append(Crossing(*found[0], i, j))
-
+    crossings = []
+    for N in range(1, int(e_cap + lam_max * lam_max) + 2):
+        candidates = [(0.0, float(N), None)] if lo <= 0.0 <= hi else []
+        candidates += [(s * pt.g, pt.E, pt) for pt in juddian_points(N, abs_params) for s in (1.0, -1.0)
+                       if lo <= s * pt.g <= hi and pt.E <= e_cap]
+        for gs, E, pt in candidates:
+            (i, i_top), (j, j_top) = _block_counts(blocks, 2.0 * gs / p.omega * root_n, E, 0.5 * _CROSSING_TOL)
+            if i >= k or j >= k:
+                continue
+            if i_top - i == j_top - j == 1:
+                crossings.append(Crossing(gs, E, i, j))
+            elif pt is not None:
+                raise ValueError(
+                    f"Juddian point g={gs!r}, E={E!r} of order N={N} (levels +{i}, -{j}) is not one level "
+                    f"of each block at cutoff {M}: they hold {i_top - i} and {j_top - j} within "
+                    f"{0.5 * _CROSSING_TOL:g} of it; its states need support_rows R = {support_rows(pt.lam, N)}"
+                )
     crossings.sort(key=lambda c: (c.g_star, c.level_plus, c.level_minus))
-    deduped: list[Crossing] = []
-    for c in crossings:
-        if deduped and (
-            c.level_plus == deduped[-1].level_plus
-            and c.level_minus == deduped[-1].level_minus
-            and abs(c.g_star - deduped[-1].g_star) <= 1e-12 * max(1.0, abs(c.g_star))
-        ):
-            continue
-        deduped.append(c)
-    return deduped
+    return crossings

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rabijudd.rabi as rabi
+from rabijudd.bosons import support_rows
 from rabijudd.juddian import juddian_points
 from rabijudd.numerics import (
     sym_eig,
     tridiag_eigvals_lowest,
 )
 from rabijudd.rabi import (
+    Crossing,
     ModelParams,
     _apply_rabi,
     _block_arrays,
@@ -109,6 +111,18 @@ def test_parity_blocks_shapes_and_basis_map():
         assert len(block.basis_map) == 101
         for n, s in block.basis_map:
             assert -s * (-1.0) ** n == block.parity
+
+
+@pytest.mark.parametrize("omega_tilde", [0.0, 0.5, 1.3, 3.7, -2.2, 1e-300, 1e17])
+def test_block_arrays_match_the_spin_power_formula(omega_tilde):
+    # the diagonal n + omega_tilde s, with spin s = -parity (-1)^n, bit for bit
+    params = ModelParams(omega0=2.0 * omega_tilde, g=0.3)
+    for M in (0, 1, 2, 100, 2500):
+        n = np.arange(M + 1)
+        for parity in (1, -1):
+            diag, off = _block_arrays(params, M, parity)
+            assert diag.tobytes() == (n + params.omega_tilde * (-parity * (-1.0) ** n)).tobytes()
+            assert off.tobytes() == (params.lam * np.sqrt(np.arange(1.0, M + 1.0))).tobytes()
 
 
 def test_block_spectra_union_matches_full():
@@ -259,8 +273,7 @@ def test_crossing_refinement_tolerance():
 
 
 def test_crossing_fields_are_python_scalars():
-    # placed and exact-hit crossings alike: float g_star and E_star, int levels,
-    # never numpy scalars, whichever path produced the value
+    # float g_star and E_star, int levels, never numpy scalars
     t = spectrum_sweep(ModelParams(omega0=1.0), np.linspace(0.05, 0.8, 201), 60, 8)
     crossings = find_crossings(t)
     assert len(crossings) == 24
@@ -309,17 +322,19 @@ def test_crossings_match_sign_changes_and_meet_within_tol(omega_tilde):
         assert abs(c.E_star - 0.5 * (ep + em)) <= 1e-9
 
 
-def test_crossing_refinement_count_budget(monkeypatch):
-    # the criterion-8 table: each crossing is certified at its one candidate
-    # point by two counts per block. rabi's own name is patched, since
-    # find_crossings looks it up there
-    calls = []
-    count = rabi._sturm_count
+def test_crossing_count_budget_is_four_per_candidate(monkeypatch):
+    # the criterion-8 table: each of its 27 candidate points (24 of them
+    # crossings) is certified by two counts per block and nothing else is
+    # counted. rabi's own names are patched, since find_crossings looks them up there
+    calls, deltas = [], []
+    count, block_counts = rabi._sturm_count, rabi._block_counts
     monkeypatch.setattr(rabi, "_sturm_count", lambda *a: calls.append(1) or count(*a))
+    monkeypatch.setattr(rabi, "_block_counts", lambda *a: deltas.append(a[3]) or block_counts(*a))
     t = spectrum_sweep(ModelParams(), np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
     crossings = find_crossings(t)
     assert len(crossings) == 24
-    assert 0 < len(calls) <= 4 * len(crossings)
+    assert deltas == [5e-10] * 27
+    assert len(calls) == 4 * len(deltas)
 
 
 # the crossing at g = sqrt(3)/8 lies in cell 44 of the 201-row grid; each short
@@ -337,15 +352,18 @@ def test_crossing_on_short_grids_matches_long_grid(rows, cell):
     assert abs(got[0].E_star - ref.E_star) <= 1e-9
 
 
-def test_sign_change_the_model_lacks_does_not_resolve():
-    # a table whose levels were altered so that E+_0 - E-_0 changes sign in a
-    # cell where the model's levels never meet: the counts on the true levels
-    # certify none of the cell's candidate points, and the error names the cell
-    t = spectrum_sweep(ModelParams(), np.linspace(0.01, 0.03, 5), cutoff=40, levels_per_block=2)
+def test_crossings_ignore_the_levels_below_the_top():
+    # the crossings are the exact points the table's window can hold, so only
+    # its grid, model, cutoff, level count and top level enter: a table whose
+    # level 0 was altered to change sign against -0 where the model's levels
+    # never meet gives the same crossings as the true table
+    t = spectrum_sweep(ModelParams(), np.linspace(0.2, 0.25, 6), cutoff=100, levels_per_block=4)
     fake = t.levels_plus.copy()
-    fake[:, 0] = t.levels_minus[:, 0] + np.array([-2e-3, -1e-3, 1e-3, 2e-3, 3e-3])
-    with pytest.raises(RuntimeError, match=r"levels \(\+0, -0\) in cell g = \[0.015, 0.02\] did not resolve"):
-        find_crossings(replace(t, levels_plus=fake))
+    fake[:, 0] = t.levels_minus[:, 0] + np.array([-2e-3, -1e-3, 1e-3, 2e-3, 3e-3, 4e-3])
+    assert fake.max() == t.levels_plus.max()
+    want = find_crossings(t)
+    assert [(c.level_plus, c.level_minus) for c in want] == [(1, 1)]
+    assert find_crossings(replace(t, levels_plus=fake)) == want
 
 
 def _block(omega_tilde, lam, M, parity):
@@ -385,6 +403,18 @@ def test_degeneracies_at_zero_coupling_sit_at_g_zero():
         assert (c.g_star, c.E_star) == (0.0, N)
 
 
+@pytest.mark.parametrize("omega_tilde", [0.5, 2.0])
+def test_crossings_mirror_across_g_zero(omega_tilde):
+    # the spectrum is even in g, so a grid symmetric about 0 holds each point
+    # at -g as at +g, with the same energy and levels
+    t = spectrum_sweep(ModelParams(omega0=2.0 * omega_tilde), np.linspace(-0.4, 0.4, 201), cutoff=100, levels_per_block=8)
+    crossings = find_crossings(t)
+    left = sorted((-c.g_star, c.E_star, c.level_plus, c.level_minus) for c in crossings if c.g_star < 0.0)
+    right = sorted((c.g_star, c.E_star, c.level_plus, c.level_minus) for c in crossings if c.g_star > 0.0)
+    assert len(left) >= 4
+    assert left == right
+
+
 @pytest.mark.parametrize("grid", [np.linspace(0.0, 0.8, 201), np.linspace(-0.4, 0.4, 201)], ids=["from-zero", "across-zero"])
 @pytest.mark.parametrize("omega_tilde", [0.5, 1.0, 1.5, 2.0, 3.0])
 def test_crossings_at_g_zero_are_the_equal_uncoupled_levels(omega_tilde, grid):
@@ -398,19 +428,66 @@ def test_crossings_at_g_zero_are_the_equal_uncoupled_levels(omega_tilde, grid):
     assert bool(want) == (omega_tilde == round(omega_tilde))
 
 
-@pytest.mark.parametrize("grid, cutoff", [
-    # past g = 2 the resonant doublets differ by rounding alone, about 1e-13
-    (np.linspace(0.05, 3.0, 401), 100),
-    # a cutoff far too small: truncation crosses levels that never meet
-    (np.linspace(0.05, 1.5, 201), 12),
-], ids=["rounding", "truncation"])
-def test_sign_changes_off_every_point_fail_loudly(grid, cutoff):
-    t = spectrum_sweep(ModelParams(), grid, cutoff=cutoff, levels_per_block=8)
-    with pytest.raises(RuntimeError, match="the cutoff may be too small or the levels unresolved") as info:
+@pytest.mark.parametrize("grid, k, count", [
+    (np.linspace(0.0, 3.0, 301), 1, 0),
+    (np.linspace(0.0, 3.0, 301), 8, 28),
+    # past g = 2 the resonant doublets differ by rounding alone, about 1e-13,
+    # and change sign where no point lies
+    (np.linspace(0.05, 3.0, 401), 8, 28),
+], ids=["from-zero-k1", "from-zero-k8", "rounding"])
+def test_deep_coupling_crossings_meet_by_eigvalsh(grid, k, count):
+    params = ModelParams(omega0=1.0)
+    crossings = find_crossings(spectrum_sweep(params, grid, cutoff=100, levels_per_block=k))
+    assert len(crossings) == count
+    for c in crossings:
+        for parity, level in ((1, c.level_plus), (-1, c.level_minus)):
+            value = np.linalg.eigvalsh(_block(0.5, 2.0 * c.g_star, 100, parity))[level]
+            assert abs(value - c.E_star) <= 1e-9, (c, parity, value)
+
+
+@pytest.mark.parametrize("omega_tilde", [0.5, 1.3, 3.7])
+def test_crossings_are_complete_on_the_criterion_8_tables(omega_tilde):
+    params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
+    grid = np.linspace(0.05, 0.8, 201)
+    t = spectrum_sweep(params, grid, cutoff=100, levels_per_block=8)
+    crossings = find_crossings(t)
+    # every exact point in the window whose LAPACK levels put both indices
+    # below k is returned, with those indices
+    for N in range(1, 16):
+        for pt in juddian_points(N, params):
+            if not grid[0] <= pt.g <= grid[-1]:
+                continue
+            below = []
+            for parity in (1, -1):
+                values = np.linalg.eigvalsh(_block(omega_tilde, pt.lam, 100, parity))
+                assert np.sum(np.abs(values - pt.E) <= 5e-10) == 1, (pt, parity)
+                below.append(int(np.sum(values < pt.E - 5e-10)))
+            if max(below) < 8:
+                assert Crossing(pt.g, pt.E, *below) in crossings, pt
+    # every clear sign change holds an odd number of crossings of its pair
+    for i, j, m in _sign_change_cells(t):
+        diff = t.levels_plus[m : m + 2, i] - t.levels_minus[m : m + 2, j]
+        if np.all(np.abs(diff) > 1e-9):
+            inside = [c for c in crossings
+                      if (c.level_plus, c.level_minus) == (i, j) and grid[m] <= c.g_star <= grid[m + 1]]
+            assert len(inside) % 2 == 1, (i, j, m)
+
+
+def test_crossings_refuse_omega0_zero():
+    # the blocks are isospectral at every g: every level pair meets on every row
+    t = spectrum_sweep(ModelParams(omega0=0.0), np.linspace(0.0, 0.8, 201), cutoff=100, levels_per_block=8)
+    with pytest.raises(ValueError, match="omega0 must be nonzero"):
         find_crossings(t)
-    named = re.match(r"crossing of levels \(\+(\d+), -(\d+)\) in cell g = \[(\S+), (\S+)\] did not resolve", str(info.value))
+
+
+def test_truncated_cutoff_raises_naming_the_point():
+    # a cutoff far too small: the truncated levels miss an exact point whose
+    # levels the table tracks, and truncation crosses levels that never meet
+    t = spectrum_sweep(ModelParams(), np.linspace(0.05, 1.5, 201), cutoff=12, levels_per_block=8)
+    with pytest.raises(ValueError, match=r"Juddian point g=\S+, E=\S+ of order N=\d+ \(levels \+\d+, -\d+\) is not one level of each block at cutoff 12") as info:
+        find_crossings(t)
+    named = re.search(r"g=(\S+), E=(\S+) of order N=(\d+).*support_rows R = (\d+)$", str(info.value))
     assert named, info.value
-    i, j, ga, gb = int(named[1]), int(named[2]), named[3], named[4]
-    cells = [m for (a, b, m) in _sign_change_cells(t)
-             if (a, b) == (i, j) and (f"{t.g_values[m]:.6g}", f"{t.g_values[m + 1]:.6g}") == (ga, gb)]
-    assert len(cells) == 1
+    g, E, N = float(named[1]), float(named[2]), int(named[3])
+    point = next(p for p in juddian_points(N, ModelParams()) if (p.g, p.E) == (g, E))
+    assert int(named[4]) == support_rows(point.lam, N) > 13
