@@ -10,12 +10,14 @@ from .bosons import (
     squeezed_osc_hamiltonian,
 )
 from .juddian import (
+    Crossing,
     JuddianPoint,
     JuddianState,
     VerificationReport,
     alternate_branch,
     build_full_system,
     compatibility_polynomial,
+    find_crossings,
     juddian_points,
     reconstruct_state,
     verify_point,
@@ -31,12 +33,10 @@ from .numerics import (
     sym_eig,
 )
 from .rabi import (
-    Crossing,
     ModelParams,
     ParityBlock,
     SpectrumTable,
     build_rabi,
-    find_crossings,
     parity_blocks,
     spectrum_sweep,
 )

@@ -20,7 +20,7 @@ import math
 import sys
 
 from ._numpy import np
-from .bosons import oscillator_levels, squeeze_params, support_rows
+from .bosons import DEFAULT_CUTOFF, oscillator_levels, squeeze_params, support_rows
 from .juddian import juddian_points, verify_point
 from .numerics import RootCountError
 from .rabi import ModelParams, spectrum_sweep
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g-min", type=float, default=0.05)
     p.add_argument("--g-max", type=float, default=0.8)
     p.add_argument("--g-steps", type=int, default=201)
-    p.add_argument("--cutoff", type=int, default=100, metavar="M",
+    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF, metavar="M",
                    help="boson basis cutoff")
     p.add_argument("--levels", type=int, default=8,
                    help="levels kept per parity block")
@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check exact points numerically")
     p.add_argument("--n", type=int, required=True, metavar="N",
                    help="baseline index whose points are checked")
-    p.add_argument("--cutoff", type=int, default=100, metavar="M")
+    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF, metavar="M")
     p.add_argument("--omega", type=float, default=1.0, help="field frequency")
     p.add_argument("--omega0", type=float, default=1.0,
                    help="level splitting frequency")
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("displaced", "squeezed"))
     p.add_argument("--lambda", dest="lam", type=float, required=True,
                    help="coupling strength")
-    p.add_argument("--cutoff", type=int, default=100, metavar="M")
+    p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF, metavar="M")
     p.add_argument("--levels", type=int, default=10)
     p.set_defaults(func=cmd_oscillator)
 

@@ -4,10 +4,10 @@ The two-component eigenproblem is transformed to coherent bosons a = b -/+ lam,
 where a finite Ansatz (N coefficients p alongside N+1 coefficients q) closes
 the Schroedinger equation exactly provided a compatibility determinant in
 x = lam^2 vanishes. This module finds its roots and the finite states from
-the reduced tridiagonal T(x) alone, and verifies each point against an
-independent truncated-basis spectrum. The full system and the coefficients
-of det T(x) are references for the tests and the benchmark's probes; the
-tests take the determinants themselves from LAPACK.
+the reduced tridiagonal T(x) alone; Sturm counts of the parity blocks
+certify a point (verify_point) and a sweep's crossings, which are points
+(find_crossings). The full system and det T(x)'s coefficients serve the tests
+and the benchmark's probes; the tests' determinants come from LAPACK.
 """
 
 from __future__ import annotations
@@ -19,17 +19,18 @@ from typing import Callable
 
 from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, displaced_number_states, support_rows
-from .numerics import FullRankError, RootCountError, _gershgorin, _integral, _inverse_step
-from .rabi import ModelParams, _apply_rabi, _block_arrays, _block_counts
+from .numerics import _EPS, FullRankError, RootCountError, _gershgorin, _integral, _inverse_step, _sturm_count, _sturm_stop
+from .rabi import ModelParams, SpectrumTable, _apply_rabi, _block_arrays
 
 _SQRT_HALF = math.sqrt(0.5)
-_EPS = sys.float_info.epsilon
 # every root x of order N lies below N * _ROOT_BOUND (Gershgorin on T(x))
 _ROOT_BOUND = (3.0 + 2.0 * math.sqrt(2.0)) / 4.0
 # the root search gives up after this many rounds of counts
 _ROUNDS = 400
 # verify_point widens its certificate at most this far from E
 _MAX_DELTA = 1e-3
+# find_crossings certifies both levels of a crossing within half this of E_star
+_CROSSING_TOL = 1e-9
 
 
 def build_full_system(N: int, omega_tilde: float, x: float, lam_sign: int = 1) -> np.ndarray:
@@ -410,12 +411,38 @@ class VerificationReport:
     support_rows: int
 
 
+def _block_counts(blocks, off: np.ndarray, E: float, delta: float) -> list[tuple[int, int]]:
+    """Sturm counts (below, above) of each block: its levels below E - delta and below E + delta.
+
+    blocks holds (diagonal, the same as a list) per parity block, and off
+    the coupling lam sqrt(n) they share. Each block's stop data are built
+    once per call, with tiny = eps stop.scale. A block holds above - below
+    levels in [E - delta, E + delta), the lowest of index below; a count is
+    exact for a matrix within a few eps ||T|| of the block (Kahan 1966;
+    Demmel, Dhillon & Ren 1995).
+    """
+    e2 = (off * off).tolist()
+    bound = np.abs(off)
+    counts = []
+    for d, dl in blocks:
+        stop = _sturm_stop(d, bound)
+        tiny = _EPS * stop.scale
+        counts.append((_sturm_count(dl, e2, E - delta, tiny, stop), _sturm_count(dl, e2, E + delta, tiny, stop)))
+    return counts
+
+
+def _certificate_blocks(params: ModelParams, M: int) -> tuple[list, np.ndarray]:
+    """The (+1, -1) blocks as _block_counts takes them, and sqrt(n) for n = 1..M, their couplings over lam."""
+    diags = (_block_arrays(params, M, parity)[0] for parity in (1, -1))
+    return [(d, d.tolist()) for d in diags], np.sqrt(np.arange(1.0, M + 1.0))
+
+
 def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> VerificationReport:
     """Cross-check one point against the truncated-basis spectrum.
 
     Two Sturm counts per parity block at g = point.g, at E -/+ delta,
     certify how many of its levels lie in [E - delta, E + delta)
-    (rabi._block_counts); nothing is bisected. delta starts at 64 eps
+    (_block_counts); nothing is bisected. delta starts at 64 eps
     max(|lo|, |hi|, 1) over both blocks' Gershgorin intervals and grows
     16-fold, up to 1e-3, while a block shows no level. The report gives the
     levels' indices (the counts at E - delta), energy_plus = energy_minus = E
@@ -437,9 +464,9 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
     params = point.model_params()
     E = point.E
 
-    (d_plus, off), (d_minus, _) = (_block_arrays(params, M, parity) for parity in (1, -1))
-    blocks = [(d, d.tolist()) for d in (d_plus, d_minus)]
-    delta = 64.0 * _EPS * max(abs(end) for d in (d_plus, d_minus) for end in (*_gershgorin(d, off), 1.0))
+    blocks, root_n = _certificate_blocks(params, M)
+    off = params.lam * root_n
+    delta = 64.0 * _EPS * max(abs(end) for d, _ in blocks for end in (*_gershgorin(d, off), 1.0))
     while True:
         counts = _block_counts(blocks, off, E, delta)
         held = [above - below for below, above in counts]
@@ -478,3 +505,65 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
         tail_weight=float(tail @ tail),
         support_rows=support,
     )
+
+
+@dataclass(frozen=True)
+class Crossing:
+    """A degeneracy between level i of the + block and level j of the - block."""
+
+    g_star: float
+    E_star: float
+    level_plus: int
+    level_minus: int
+
+
+def find_crossings(table: SpectrumTable) -> list[Crossing]:
+    """Opposite-parity degeneracies on the table, each an exact (Juddian) point.
+
+    Such levels meet only on the baselines E = N - lam^2 (Kus 1985; Braak
+    2011), so the points are enumerated, not searched for. A crossing lies
+    within the largest step h of a row at g, at most rise = 4 sqrt(M) h /
+    omega above the row's top level (Hellmann-Feynman), so its order is at
+    most top + rise + (2 (|g| + h) / omega)^2. The orders run
+    1 .. floor(n_cap) + 1, n_cap the largest such bound over the rows; the
+    candidates are their points (juddian_points for |omega0|) at +g and -g
+    in the grid with E <= E_cap, the table's top level + rise, and (0, N)
+    when the grid holds g = 0. Four Sturm counts at E* -/+ 5e-10
+    (_block_counts) give the levels below a candidate, i (+) and j (-); it
+    is a crossing when each block holds one level there and i, j < k.
+    g_star and E_star are the point's bit for bit; results ascend in g_star.
+
+    Raises ValueError at omega0 = 0, where the blocks are isospectral at
+    every g, and when a point with i, j < k is not a level of both blocks;
+    the message names the point, its order, the cutoff and the rows it needs.
+    """
+    p, g, M = table.params, table.g_values, table.cutoff
+    if p.omega0 == 0.0:
+        raise ValueError("omega0 must be nonzero: at omega0 = 0 the parity blocks are isospectral at every g")
+    k, lo, hi = table.levels_plus.shape[1], float(g[0]), float(g[-1])
+    step = float(np.max(np.diff(g))) if g.size > 1 else 0.0
+    rise = 4.0 * math.sqrt(M) * step / p.omega
+    caps = np.maximum(table.levels_plus.max(axis=1), table.levels_minus.max(axis=1)) + rise
+    e_cap, n_cap = float(caps.max()), float(np.max(caps + (2.0 * (np.abs(g) + step) / p.omega) ** 2))
+    abs_params = ModelParams(p.omega, abs(p.omega0))
+    blocks, root_n = _certificate_blocks(p, M)
+
+    crossings = []
+    for N in range(1, int(n_cap) + 2):
+        candidates = [(0.0, float(N), None)] if lo <= 0.0 <= hi else []
+        candidates += [(s * pt.g, pt.E, pt) for pt in juddian_points(N, abs_params) for s in (1.0, -1.0)
+                       if lo <= s * pt.g <= hi and pt.E <= e_cap]
+        for gs, E, pt in candidates:
+            (i, i_top), (j, j_top) = _block_counts(blocks, 2.0 * gs / p.omega * root_n, E, 0.5 * _CROSSING_TOL)
+            if i >= k or j >= k:
+                continue
+            if i_top - i == j_top - j == 1:
+                crossings.append(Crossing(gs, E, i, j))
+            elif pt is not None:
+                raise ValueError(
+                    f"Juddian point g={gs!r}, E={E!r} of order N={N} (levels +{i}, -{j}) is not one level "
+                    f"of each block at cutoff {M}: they hold {i_top - i} and {j_top - j} within "
+                    f"{0.5 * _CROSSING_TOL:g} of it; its states need support_rows R = {support_rows(pt.lam, N)}"
+                )
+    crossings.sort(key=lambda c: (c.g_star, c.level_plus, c.level_minus))
+    return crossings

@@ -8,7 +8,7 @@ coupling grid; both refuse a Gershgorin interval past half the float
 range). A count at one
 shift (_sturm_count, which ends early by _sturm_stop) certifies the levels
 next to a point without bisecting them: verify and the crossing detector
-count both parity blocks at E -/+ delta (rabi._block_counts), and the
+count both parity blocks at E -/+ delta (juddian._block_counts), and the
 difference is the number of levels in between. _integral refuses a count
 argument that int() would change.
 Inverse iteration (_inverse_step) gives the null vector of T(x) for
@@ -471,14 +471,14 @@ def _sturm_stop(d: np.ndarray, bound: np.ndarray) -> _SturmStop:
     max |d| + 2 max b, as do the computed slacks; first_row therefore asks
     for slack x + 1e-12 (scale + |x|), which makes the induction hold for
     the computed pivots too. A count that stops this way equals the
-    full-length count exactly.
+    full-length count exactly. scale >= float_info.min keeps eps scale > 0.
     """
     n = d.size
     b = np.zeros(n + 1)
     b[1:n] = bound
     slack = d - b[:n] - b[1:]
     suffix = np.minimum.accumulate(slack[::-1])[::-1]
-    scale = float(np.max(np.abs(d))) + 2.0 * float(np.max(b))
+    scale = max(float(np.max(np.abs(d))) + 2.0 * float(np.max(b)), sys.float_info.min)
     return _SturmStop(suffix.tolist() + [math.inf], b[1:].tolist(), scale)
 
 

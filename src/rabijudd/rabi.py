@@ -1,6 +1,6 @@
-"""Rabi Hamiltonian on the truncated basis: assembly, parity decomposition,
-spectrum sweeps, and the opposite-parity crossings a sweep holds, each a
-Juddian point certified by Sturm counts on the blocks.
+"""Rabi Hamiltonian on the truncated basis: assembly, its band product,
+parity decomposition and spectrum sweeps. The crossings a sweep holds are
+the exact points, so find_crossings lives with them in juddian.
 
 Basis ordering is (n, spin) lexicographic with the spin-up (sigma_z = +1)
 state first, so index(n, up) = 2n and index(n, down) = 2n + 1; output files
@@ -10,14 +10,11 @@ built on this ordering are reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ._numpy import np
-from .bosons import DEFAULT_CUTOFF, ladder_matrices, support_rows
-from .numerics import _EPS, _integral, _sturm_count, _sturm_lowest_batch, _sturm_stop
-
-# find_crossings certifies both levels of a crossing within half this of E_star
-_CROSSING_TOL = 1e-9
+from .bosons import DEFAULT_CUTOFF, ladder_matrices
+from .numerics import _integral, _sturm_lowest_batch
 
 
 @dataclass(frozen=True)
@@ -48,9 +45,6 @@ class ModelParams:
     def lam(self) -> float:
         return 2.0 * self.g / self.omega
 
-    def with_g(self, g: float) -> "ModelParams":
-        return replace(self, g=float(g))
-
 
 @dataclass(frozen=True)
 class ParityBlock:
@@ -75,12 +69,11 @@ def build_rabi(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
     create, annihilate, number = ladder_matrices(M)
     eye_f = np.eye(M + 1)
     eye_s = np.eye(2)
-    H = (
+    return (
         params.omega_tilde * np.kron(eye_f, np.array([[1.0, 0.0], [0.0, -1.0]]))
         + np.kron(number, eye_s)
         + params.lam * np.kron(create + annihilate, np.array([[0.0, 1.0], [1.0, 0.0]]))
     )
-    return H
 
 
 def _apply_rabi(params: ModelParams, vector: np.ndarray) -> np.ndarray:
@@ -115,26 +108,6 @@ def _block_arrays(params: ModelParams, cutoff: int, parity: int) -> tuple[np.nda
     return diag, off
 
 
-def _block_counts(blocks, off: np.ndarray, E: float, delta: float) -> list[tuple[int, int]]:
-    """Sturm counts (below, above) of each block: its levels below E - delta and below E + delta.
-
-    blocks holds (diagonal, the same as a list) per parity block, and off
-    the coupling lam sqrt(n) they share. Each block's stop data are built
-    once per call, with tiny = eps stop.scale. A block holds above - below
-    levels in [E - delta, E + delta), the lowest of index below; a count is
-    exact for a matrix within a few eps ||T|| of the block (Kahan 1966;
-    Demmel, Dhillon & Ren 1995).
-    """
-    e2 = (off * off).tolist()
-    bound = np.abs(off)
-    counts = []
-    for d, dl in blocks:
-        stop = _sturm_stop(d, bound)
-        tiny = _EPS * stop.scale
-        counts.append((_sturm_count(dl, e2, E - delta, tiny, stop), _sturm_count(dl, e2, E + delta, tiny, stop)))
-    return counts
-
-
 def parity_blocks(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> tuple[ParityBlock, ParityBlock]:
     """The two exact parity sectors, (+1 block, -1 block), each of dim M+1.
 
@@ -167,16 +140,6 @@ class SpectrumTable:
     levels_minus: np.ndarray
     params: ModelParams
     cutoff: int
-
-
-@dataclass(frozen=True)
-class Crossing:
-    """A degeneracy between level i of the + block and level j of the - block."""
-
-    g_star: float
-    E_star: float
-    level_plus: int
-    level_minus: int
 
 
 def spectrum_sweep(
@@ -219,56 +182,3 @@ def spectrum_sweep(
         params=params,
         cutoff=M,
     )
-
-
-def find_crossings(table: SpectrumTable) -> list[Crossing]:
-    """Opposite-parity degeneracies on the table, each an exact (Juddian) point.
-
-    Such levels meet only on the baselines E = N - lam^2 (Kus 1985; Braak
-    2011), so the points are enumerated, not searched for: the orders
-    N = 1 .. floor(E_cap + lam_max^2) + 1, with E_cap the top level plus
-    4 sqrt(M) h / omega (the Hellmann-Feynman rise of a level over the
-    largest step h); their points (juddian_points for |omega0|) at +g and -g
-    in the grid with E <= E_cap; and (0, N) when the grid holds g = 0. Four
-    Sturm counts at E* -/+ 5e-10 (_block_counts) give the levels below a
-    candidate, i (+) and j (-); it is a crossing when each block holds one
-    level there and i, j < k. g_star and E_star are the point's bit for
-    bit; results ascend in g_star.
-
-    Raises ValueError at omega0 = 0, where the blocks are isospectral at
-    every g, and when a point with i, j < k is not a level of both blocks;
-    the message names the point, its order, the cutoff and the rows it needs.
-    """
-    # juddian imports this module, so the import waits for the first call
-    from .juddian import juddian_points
-
-    p, g, M = table.params, table.g_values, table.cutoff
-    if p.omega0 == 0.0:
-        raise ValueError("omega0 must be nonzero: at omega0 = 0 the parity blocks are isospectral at every g")
-    k, lo, hi = table.levels_plus.shape[1], float(g[0]), float(g[-1])
-    step = float(np.max(np.diff(g))) if g.size > 1 else 0.0
-    e_cap = max(table.levels_plus.max(), table.levels_minus.max()) + 4.0 * math.sqrt(M) * step / p.omega
-    lam_max = 2.0 * max(-lo, hi) / p.omega
-    abs_params = ModelParams(p.omega, abs(p.omega0))
-    root_n = np.sqrt(np.arange(1.0, M + 1.0))
-    blocks = [(d, d.tolist()) for d in (_block_arrays(p, M, parity)[0] for parity in (1, -1))]
-
-    crossings = []
-    for N in range(1, int(e_cap + lam_max * lam_max) + 2):
-        candidates = [(0.0, float(N), None)] if lo <= 0.0 <= hi else []
-        candidates += [(s * pt.g, pt.E, pt) for pt in juddian_points(N, abs_params) for s in (1.0, -1.0)
-                       if lo <= s * pt.g <= hi and pt.E <= e_cap]
-        for gs, E, pt in candidates:
-            (i, i_top), (j, j_top) = _block_counts(blocks, 2.0 * gs / p.omega * root_n, E, 0.5 * _CROSSING_TOL)
-            if i >= k or j >= k:
-                continue
-            if i_top - i == j_top - j == 1:
-                crossings.append(Crossing(gs, E, i, j))
-            elif pt is not None:
-                raise ValueError(
-                    f"Juddian point g={gs!r}, E={E!r} of order N={N} (levels +{i}, -{j}) is not one level "
-                    f"of each block at cutoff {M}: they hold {i_top - i} and {j_top - j} within "
-                    f"{0.5 * _CROSSING_TOL:g} of it; its states need support_rows R = {support_rows(pt.lam, N)}"
-                )
-    crossings.sort(key=lambda c: (c.g_star, c.level_plus, c.level_minus))
-    return crossings

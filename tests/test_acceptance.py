@@ -26,6 +26,7 @@ from rabijudd.juddian import (
     alternate_branch,
     build_full_system,
     compatibility_polynomial,
+    find_crossings,
     juddian_points,
     reconstruct_state,
     verify_point,
@@ -35,7 +36,6 @@ from rabijudd.rabi import (
     ModelParams,
     _block_arrays,
     build_rabi,
-    find_crossings,
     parity_blocks,
     spectrum_sweep,
 )

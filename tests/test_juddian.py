@@ -13,7 +13,6 @@ import pytest
 import rabijudd.bosons as bosons_module
 import rabijudd.juddian as juddian_module
 import rabijudd.numerics as numerics_module
-import rabijudd.rabi as rabi_module
 from rabijudd.bosons import displacement_matrix, support_rows
 from rabijudd.juddian import (
     _compatibility_count,
@@ -686,8 +685,8 @@ def test_verify_certifies_each_point_with_four_counts(monkeypatch):
     # two Sturm counts per parity block at E -/+ delta, delta = 64 eps times
     # the larger Gershgorin end of the two blocks: each level lies within it
     calls = []
-    count = rabi_module._sturm_count
-    monkeypatch.setattr(rabi_module, "_sturm_count", lambda *a: calls.append(1) or count(*a))
+    count = juddian_module._sturm_count
+    monkeypatch.setattr(juddian_module, "_sturm_count", lambda *a: calls.append(1) or count(*a))
     for point in juddian_points(4, RESONANCE):
         calls.clear()
         report = verify_point(point, cutoff=100)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rabijudd.numerics as numerics
-import rabijudd.rabi as rabi
+import rabijudd.juddian as juddian
 from rabijudd.numerics import (
     FullRankError,
     RootCountError,
@@ -543,11 +543,11 @@ def test_block_counts_stop_early_and_stay_exact(monkeypatch):
         blocks = [(d, d.tolist()) for d in (_block_arrays(params, M, parity)[0] for parity in (1, -1))]
         delta = 1e-10
         rows.clear()
-        monkeypatch.setattr(rabi, "_sturm_count", recording)
-        early = rabi._block_counts(blocks, off, point.E, delta)
+        monkeypatch.setattr(juddian, "_sturm_count", recording)
+        early = juddian._block_counts(blocks, off, point.E, delta)
         assert len(rows) == 4 and sum(rows) < 0.1 * (M + 1)
-        monkeypatch.setattr(rabi, "_sturm_count", lambda d, e2, x, tiny, stop: _full_count(d, e2, x, tiny))
-        assert rabi._block_counts(blocks, off, point.E, delta) == early
+        monkeypatch.setattr(juddian, "_sturm_count", lambda d, e2, x, tiny, stop: _full_count(d, e2, x, tiny))
+        assert juddian._block_counts(blocks, off, point.E, delta) == early
         assert all(above - below == 1 for below, above in early)
 
 
@@ -570,7 +570,7 @@ def test_block_counts_equal_full_counts_at_stop_boundaries(matrix, data):
     x = data.draw(st.sampled_from(_stop_shifts(d, e).tolist()))
     delta = data.draw(st.sampled_from([0.0, 1e-12, 0.25, 3.0]))
     E = x + data.draw(st.sampled_from([delta, -delta]))
-    assert rabi._block_counts(blocks, e, E, delta) == _full_block_counts(blocks, e, E, delta)
+    assert juddian._block_counts(blocks, e, E, delta) == _full_block_counts(blocks, e, E, delta)
 
 
 def test_block_counts_match_lapack_on_random_tridiagonals():
@@ -584,7 +584,7 @@ def test_block_counts_match_lapack_on_random_tridiagonals():
         diags = [rng.standard_normal(n) * rng.choice([1e-3, 1.0, 30.0]) for _ in range(2)]
         E = float(rng.choice(diags[0])) + rng.choice([0.0, 1e-4, 0.3]) * rng.standard_normal()
         delta = float(rng.choice([1e-6, 1e-3, 0.3, 5.0]))
-        counts = rabi._block_counts([(d, d.tolist()) for d in diags], e, E, delta)
+        counts = juddian._block_counts([(d, d.tolist()) for d in diags], e, E, delta)
         for d, (below, above) in zip(diags, counts):
             eig = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
             margin = 1e-9 * max(1.0, np.abs(eig).max())
@@ -616,7 +616,7 @@ def test_block_counts_match_lapack_on_random_tridiagonals():
 def test_block_counts_on_chosen_cases(d, e, E, delta, want):
     d, e = np.array(d), np.array(e, dtype=float)
     blocks = [(d, d.tolist())]
-    assert rabi._block_counts(blocks, e, E, delta) == [want] == _full_block_counts(blocks, e, E, delta)
+    assert juddian._block_counts(blocks, e, E, delta) == [want] == _full_block_counts(blocks, e, E, delta)
 
 
 @pytest.mark.parametrize("omega0, N, M", [(1.0, 8, 100), (2.6, 6, 300), (0.5, 12, 100)])
@@ -627,7 +627,7 @@ def test_block_counts_certify_one_level_per_block_at_each_point(omega0, N, M):
         params = point.model_params()
         off = _block_arrays(params, M, 1)[1]
         diags = [_block_arrays(params, M, parity)[0] for parity in (1, -1)]
-        counts = rabi._block_counts([(d, d.tolist()) for d in diags], off, point.E, 1e-10)
+        counts = juddian._block_counts([(d, d.tolist()) for d in diags], off, point.E, 1e-10)
         for d, (below, above) in zip(diags, counts):
             eig = np.linalg.eigvalsh(np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
             assert above == below + 1

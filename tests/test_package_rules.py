@@ -21,6 +21,10 @@ _LINALG_NAME = re.compile(r"^(\w+\.)*linalg(\.\w+)*$")
 _NUMPY_NAME = re.compile(r"^numpy(\.\w+)*$")
 # the one module that imports numpy, lazily, for all the others
 _NUMPY_HELPER = "_numpy.py"
+# the package modules, each importing only those before it; the package's
+# __init__ and __main__ stand above them all
+_LAYERS = ("_numpy", "numerics", "bosons", "rabi", "juddian", "svgplot", "cli")
+_ENTRY_POINTS = ("__init__", "__main__")
 
 
 def _uses(tree: ast.AST, pattern: re.Pattern) -> list[tuple[int, str]]:
@@ -39,6 +43,30 @@ def _uses(tree: ast.AST, pattern: re.Pattern) -> list[tuple[int, str]]:
             continue
         uses += [(node.lineno, name) for name in names if pattern.match(name)]
     return uses
+
+
+def _package_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """Lines and package modules of every import at any depth, relative or
+    through rabijudd; the package itself counts as __init__."""
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["rabijudd" if node.level else "", node.module]))
+            # from . import x and from rabijudd import x name modules or __init__'s names
+            paths = [f"{module}.{alias.name}" for alias in node.names] if module == "rabijudd" else [module]
+        else:
+            continue
+        imports += [(node.lineno, (path + ".__init__").split(".")[1]) for path in paths
+                    if path.split(".")[0] == "rabijudd"]
+    return imports
+
+
+def _layer_breaches(tree: ast.AST, name: str) -> list[tuple[int, str]]:
+    """The imports of module `name` that are not of a module below it."""
+    below = _LAYERS[:_LAYERS.index(name)]
+    return [(line, module) for line, module in _package_imports(tree) if module not in below]
 
 
 def test_the_package_sources_are_all_found():
@@ -85,6 +113,45 @@ def test_numpy_is_imported_by_the_helper_alone(path):
 ])
 def test_the_numpy_rule_catches_each_form(source):
     assert _uses(ast.parse(source), _NUMPY_NAME)
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in _SOURCES) == sorted(_LAYERS + _ENTRY_POINTS)
+
+
+@pytest.mark.parametrize("path", [p for p in _SOURCES if p.stem not in _ENTRY_POINTS], ids=lambda p: p.name)
+def test_modules_import_only_the_layers_below(path):
+    # the imports run one way, _numpy -> numerics -> bosons -> rabi -> juddian
+    # -> svgplot -> cli, so no module waits on one above it to load
+    assert _layer_breaches(ast.parse(path.read_text(), filename=str(path)), path.stem) == []
+
+
+@pytest.mark.parametrize("source", [
+    "def f():\n    from .juddian import juddian_points",
+    "from .juddian import juddian_points",
+    "from . import juddian",
+    "from . import numerics, cli",
+    "import rabijudd.juddian",
+    "from rabijudd.juddian import verify_point",
+    "from rabijudd import juddian_points",
+    "import rabijudd",
+    "from .rabi import ModelParams",
+    "class A:\n    def f(self):\n        import rabijudd.svgplot as s",
+])
+def test_the_layer_rule_catches_each_form(source):
+    assert _layer_breaches(ast.parse(source), "rabi")
+
+
+@pytest.mark.parametrize("source", [
+    "from .bosons import support_rows",
+    "from . import numerics",
+    "import rabijudd.numerics",
+    "from rabijudd._numpy import np",
+    "import math\nfrom dataclasses import dataclass",
+    "from rabijudd_extra import rabi",
+])
+def test_the_layer_rule_passes_the_layers_below(source):
+    assert _layer_breaches(ast.parse(source), "rabi") == []
 
 
 def _resolves(dotted: str) -> bool:

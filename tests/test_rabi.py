@@ -1,5 +1,6 @@
 """Tests for Hamiltonian assembly, parity blocks, sweeps, and crossings."""
 
+import functools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -9,20 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import rabijudd.rabi as rabi
+import rabijudd.juddian as juddian
 from rabijudd.bosons import support_rows
-from rabijudd.juddian import juddian_points
+from rabijudd.juddian import Crossing, find_crossings, juddian_points
 from rabijudd.numerics import (
     sym_eig,
     tridiag_eigvals_lowest,
 )
 from rabijudd.rabi import (
-    Crossing,
     ModelParams,
     _apply_rabi,
     _block_arrays,
     build_rabi,
-    find_crossings,
     parity_blocks,
     spectrum_sweep,
 )
@@ -38,7 +37,7 @@ def test_model_params_derived_fields():
     q = ModelParams(omega=2.0, omega0=1.0, g=0.3)
     assert q.omega_tilde == 0.25
     assert q.lam == pytest.approx(0.3)
-    assert q.with_g(0.5).lam == pytest.approx(0.5)
+    assert replace(q, g=0.5).lam == pytest.approx(0.5)
     with pytest.raises(ValueError):
         ModelParams(omega=0.0)
     with pytest.raises(ValueError):
@@ -315,7 +314,7 @@ def test_crossings_match_sign_changes_and_meet_within_tol(omega_tilde):
         assert t.g_values[m] <= c.g_star <= t.g_values[m + 1]
         levels = []
         for parity in (1, -1):
-            diag, off = _block_arrays(p.with_g(c.g_star), 60, parity)
+            diag, off = _block_arrays(replace(p, g=c.g_star), 60, parity)
             levels.append(tridiag_eigvals_lowest(diag, off, 16))
         ep, em = levels[0][i], levels[1][j]
         assert abs(ep - em) <= 1e-9
@@ -323,17 +322,17 @@ def test_crossings_match_sign_changes_and_meet_within_tol(omega_tilde):
 
 
 def test_crossing_count_budget_is_four_per_candidate(monkeypatch):
-    # the criterion-8 table: each of its 27 candidate points (24 of them
+    # the criterion-8 table: each of its 26 candidate points (24 of them
     # crossings) is certified by two counts per block and nothing else is
-    # counted. rabi's own names are patched, since find_crossings looks them up there
+    # counted. juddian's own names are patched, since find_crossings looks them up there
     calls, deltas = [], []
-    count, block_counts = rabi._sturm_count, rabi._block_counts
-    monkeypatch.setattr(rabi, "_sturm_count", lambda *a: calls.append(1) or count(*a))
-    monkeypatch.setattr(rabi, "_block_counts", lambda *a: deltas.append(a[3]) or block_counts(*a))
+    count, block_counts = juddian._sturm_count, juddian._block_counts
+    monkeypatch.setattr(juddian, "_sturm_count", lambda *a: calls.append(1) or count(*a))
+    monkeypatch.setattr(juddian, "_block_counts", lambda *a: deltas.append(a[3]) or block_counts(*a))
     t = spectrum_sweep(ModelParams(), np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
     crossings = find_crossings(t)
     assert len(crossings) == 24
-    assert deltas == [5e-10] * 27
+    assert deltas == [5e-10] * 26
     assert len(calls) == 4 * len(deltas)
 
 
@@ -471,6 +470,55 @@ def test_crossings_are_complete_on_the_criterion_8_tables(omega_tilde):
             inside = [c for c in crossings
                       if (c.level_plus, c.level_minus) == (i, j) and grid[m] <= c.g_star <= grid[m + 1]]
             assert len(inside) % 2 == 1, (i, j, m)
+
+
+@functools.cache
+def _deep_points():
+    """(point, LAPACK levels below it, levels within 5e-10) per parity, for
+    every point of orders 1..45 with g <= 3 at omega0 = 1 and cutoff 100."""
+    found = []
+    for N in range(1, 46):
+        for pt in juddian_points(N, ModelParams(omega0=1.0)):
+            if pt.g <= 3.0:
+                values = [np.linalg.eigvalsh(_block(0.5, pt.lam, 100, parity)) for parity in (1, -1)]
+                below = [int(np.sum(v < pt.E - 5e-10)) for v in values]
+                found.append((pt, below, [int(np.sum(np.abs(v - pt.E) <= 5e-10)) for v in values]))
+    return found
+
+
+@pytest.mark.parametrize("k", [1, 8])
+def test_crossings_are_complete_on_the_deep_coupling_tables(k):
+    # the tables whose orders the table-wide bound walked up to 44: over
+    # orders 1..45, the crossings are exactly the points in the window whose
+    # LAPACK levels put both indices below k, one level of each block there
+    grid = np.linspace(0.0, 3.0, 301)
+    t = spectrum_sweep(ModelParams(omega0=1.0), grid, cutoff=100, levels_per_block=k)
+    crossings = find_crossings(t)
+    want = []
+    for pt, below, held in _deep_points():
+        if max(below) < k:
+            assert held == [1, 1], pt
+            want.append(Crossing(pt.g, pt.E, *below))
+    assert sorted(want, key=lambda c: c.g_star) == crossings
+    for i, j, m in _sign_change_cells(t):
+        diff = t.levels_plus[m : m + 2, i] - t.levels_minus[m : m + 2, j]
+        if np.all(np.abs(diff) > 1e-9):
+            inside = [c for c in crossings
+                      if (c.level_plus, c.level_minus) == (i, j) and grid[m] <= c.g_star <= grid[m + 1]]
+            assert len(inside) % 2 == 1, (i, j, m)
+
+
+def test_crossing_orders_stop_at_the_rows_bound(monkeypatch):
+    # each row bounds the orders a crossing next to it can have, by its own top
+    # level and coupling: on the deep k = 8 table the points of orders up to
+    # 8 are computed, where one table-wide bound took them up to 44
+    orders = []
+    points = juddian.juddian_points
+    monkeypatch.setattr(juddian, "juddian_points", lambda N, p: orders.append(N) or points(N, p))
+    t = spectrum_sweep(ModelParams(omega0=1.0), np.linspace(0.0, 3.0, 301), cutoff=100, levels_per_block=8)
+    assert len(find_crossings(t)) == 28
+    assert orders == list(range(1, len(orders) + 1))
+    assert 7 <= max(orders) <= 9
 
 
 def test_crossings_refuse_omega0_zero():
