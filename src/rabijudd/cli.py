@@ -92,12 +92,14 @@ def cmd_juddian(args) -> int:
             }
             for p in points
         ]
-        text = json.dumps(rows, indent=2) + "\n"
+        # json.dumps joins these chunks; the closing newline joins with them
+        text = "".join([*json.JSONEncoder(indent=2).iterencode(rows), "\n"])
     else:
         lines = [_JUDDIAN_HEADER]
         for p in points:
             lines.append(f"{p.N},{p.root_index},{p.lam:.10f},{p.g:.10f},{p.E:.10f}")
-        text = "\n".join(lines) + "\n"
+        lines.append("")  # the closing newline, so the text is joined once
+        text = "\n".join(lines)
     _write_text(args.out, text)
     return 0
 
@@ -137,7 +139,8 @@ def cmd_spectrum(args) -> int:
         head = f"{g:.12g},"
         lines += [f"{head}1,{level},{unit * E:.12g}" for level, E in enumerate(plus)]
         lines += [f"{head}-1,{level},{unit * E:.12g}" for level, E in enumerate(minus)]
-    _write_text(args.out, "\n".join(lines) + "\n")
+    lines.append("")  # the closing newline, so the text is joined once
+    _write_text(args.out, "\n".join(lines))
     return 0
 
 

@@ -10,6 +10,7 @@ byte-identical files.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 _WIDTH = 860.0
 _HEIGHT = 560.0
@@ -69,14 +70,18 @@ def render_figure(
     hold two). They need at least one point row to fix the g -> lam
     mapping, so they are skipped when points is empty. Raises ValueError
     when the padded g or energy window, or its span, is not finite.
+
+    Each (parity, level) series keeps one reference per row, not a copy of
+    its (g, energy), and is dropped once its polyline is emitted; the x text
+    of each distinct g is formatted once and shared by every series.
     """
     if not spectrum_rows:
         raise ValueError("no spectrum rows to plot")
 
-    gs = [r[0] for r in spectrum_rows]
-    es = [r[3] for r in spectrum_rows]
-    g_lo, g_hi = min(gs), max(gs)
-    e_lo, e_hi = min(es), max(es)
+    g_lo = min(map(itemgetter(0), spectrum_rows))
+    g_hi = max(map(itemgetter(0), spectrum_rows))
+    e_lo = min(map(itemgetter(3), spectrum_rows))
+    e_hi = max(map(itemgetter(3), spectrum_rows))
     if g_hi == g_lo:
         g_lo, g_hi = g_lo - 0.5, g_hi + 0.5
     pad = 0.04 * (e_hi - e_lo) or 0.5
@@ -96,6 +101,7 @@ def render_figure(
     def sy(e: float) -> float:
         return _MARGIN_T + (e_hi - e) / (e_hi - e_lo) * y_span
 
+    y_text = "{:.2f}".format
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH:g}" height="{_HEIGHT:g}" '
@@ -133,7 +139,6 @@ def render_figure(
         n_top = min(n_max, math.floor(e_hi + max(min(p) for p in pairs)) + 1) if pairs else 0
         # each sample's x text is formatted once, and sy inlined as below
         x_texts = [f"{_fmt(sx(g))}," for g in samples]
-        y_text = "{:.2f}".format
         for n in range(n_bottom, n_top + 1):
             # a baseline rises with g up to g = 0 and falls after it, so it can
             # leave the window and come back: each in-window run is a polyline
@@ -151,17 +156,20 @@ def render_figure(
             parts += [f'  <polyline class="baseline" points="{" ".join(c)}"/>'
                       for c in runs if len(c) >= 2]
 
-    series: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for g, parity, level, energy in spectrum_rows:
-        series.setdefault((parity, level), []).append((g, energy))
-    # sx and sy inlined in their order of operations, one format call per sample
-    pair = "{:.2f},{:.2f}".format
-    for (parity, level) in sorted(series, key=lambda s: (-s[0], s[1])):
-        pts = sorted(series[(parity, level)])
-        xs = [_MARGIN_L + (g - g_lo) / g_span * x_span for g, _ in pts]
-        ys = [_MARGIN_T + (e_hi - e) / e_span * y_span for _, e in pts]
-        coords = " ".join(map(pair, xs, ys))
-        cls = "level-plus" if parity == 1 else "level-minus"
+    # each series holds the row tuples themselves; within one (parity, level)
+    # they sort as (g, energy) would
+    series: dict[tuple[int, int], list[tuple[float, int, int, float]]] = {}
+    for row in spectrum_rows:
+        series.setdefault((row[1], row[2]), []).append(row)
+    # sx and sy inlined in their order of operations; each distinct g's x text
+    # is formatted once for all series (g = -0.0 and 0.0 give the same text)
+    x_text_of = {g: f"{_fmt(_MARGIN_L + (g - g_lo) / g_span * x_span)},"
+                 for g in set(map(itemgetter(0), spectrum_rows))}
+    for key in sorted(series, key=lambda s: (-s[0], s[1])):
+        rows = sorted(series.pop(key))
+        coords = " ".join([x_text_of[g] + y_text(_MARGIN_T + (e_hi - e) / e_span * y_span)
+                           for g, _, _, e in rows])
+        cls = "level-plus" if key[0] == 1 else "level-minus"
         parts.append(f'  <polyline class="{cls}" points="{coords}"/>')
 
     for p in sorted(points, key=lambda q: (float(q["g"]), int(q["N"]))):
@@ -209,5 +217,5 @@ def render_figure(
         f'  <text x="16" y="{_fmt(_MARGIN_T + y_span / 2)}" text-anchor="middle" '
         f'font-style="italic" transform="rotate(-90 16 {_fmt(_MARGIN_T + y_span / 2)})">E</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
