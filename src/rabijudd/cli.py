@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, oscillator_levels, squeeze_params, support_rows
@@ -34,13 +35,16 @@ class CLIError(Exception):
     """Bad input or a failed run that should abort with exit status 2."""
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write_text(out: str | None, chunks: Iterable[str]) -> None:
+    """Write the chunks, in order, to the file out or (None or "-") to stdout."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
         return
     try:
         with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise CLIError(f"cannot write {out}: {exc}") from exc
 
@@ -100,7 +104,7 @@ def cmd_juddian(args) -> int:
             lines.append(f"{p.N},{p.root_index},{p.lam:.10f},{p.g:.10f},{p.E:.10f}")
         lines.append("")  # the closing newline, so the text is joined once
         text = "\n".join(lines)
-    _write_text(args.out, text)
+    _write_text(args.out, [text])
     return 0
 
 
@@ -133,15 +137,20 @@ def cmd_spectrum(args) -> int:
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
 
-    unit = params.omega if args.unscaled else 1.0
-    lines = [_SPECTRUM_HEADER]
-    for g, plus, minus in zip(table.g_values.tolist(), table.levels_plus.tolist(), table.levels_minus.tolist()):
-        head = f"{g:.12g},"
-        lines += [f"{head}1,{level},{unit * E:.12g}" for level, E in enumerate(plus)]
-        lines += [f"{head}-1,{level},{unit * E:.12g}" for level, E in enumerate(minus)]
-    lines.append("")  # the closing newline, so the text is joined once
-    _write_text(args.out, "\n".join(lines))
+    _write_text(args.out, _spectrum_csv(table, params.omega if args.unscaled else 1.0))
     return 0
+
+
+def _spectrum_csv(table, unit: float) -> Iterator[str]:
+    """The spectrum CSV as one chunk per grid row, after the header: one row's
+    levels are converted to Python floats at a time, never the whole table."""
+    yield _SPECTRUM_HEADER + "\n"
+    for g, plus, minus in zip(table.g_values.tolist(), table.levels_plus, table.levels_minus):
+        head = f"{g:.12g},"
+        yield "".join(
+            [f"{head}1,{level},{unit * E:.12g}\n" for level, E in enumerate(plus.tolist())]
+            + [f"{head}-1,{level},{unit * E:.12g}\n" for level, E in enumerate(minus.tolist())]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +320,7 @@ def cmd_plot(args) -> int:
         svg = render_figure(rows, points, baselines=args.baselines == "on")
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    _write_text(args.out, svg)
+    _write_text(args.out, [svg])
     return 0
 
 

@@ -14,18 +14,21 @@ argument that int() would change.
 Inverse iteration (_inverse_step) gives the null vector of T(x) for
 juddian.reconstruct_state, from lists and a Gershgorin interval formed once.
 Kept for tests and benchmark tasks:
-sym_eig (eigenvalues only, by implicit-shift QL on Python floats, for a
-matrix whose connected components are each tridiagonal in index order; it
-rejects any other), poly_real_roots (a sign-change scan, each sign change
-bisected, for polynomials held as coefficient tuples) and Gaussian
-elimination for null vectors. Dense matrices and determinants are left to
+sym_eig (eigenvalues only, for a matrix whose connected components are
+each tridiagonal in index order; it rejects any other; each component is
+scaled by a power of two and solved by root-free QL on its diagonal and
+squared couplings, as LAPACK's dsterf, in Python floats), poly_real_roots (a
+sign-change scan, each sign change bisected, for polynomials held as
+coefficient tuples) and Gaussian elimination for null vectors. Every
+eigenvalue path reads the couplings only as e**2, so its values are
+exactly even in their signs. Dense matrices and determinants are left to
 the tests, which check against LAPACK.
 ndarrays serve storage and elementwise/matmul arithmetic only; there are no
 calls into numpy.linalg or any external solver. numpy is the package's lazy
 handle (rabijudd._numpy), loaded by the first function here that reads it;
 the scalar Sturm counts and the QL sweep run on Python floats, and eps and
-the QL split come from sys.float_info, so juddian_points loads no numpy and
-its scalars stay Python floats.
+the QL split's floor come from sys.float_info, so juddian_points loads no
+numpy and its scalars stay Python floats.
 """
 
 from __future__ import annotations
@@ -39,9 +42,6 @@ from typing import NamedTuple
 from ._numpy import np
 
 _EPS = sys.float_info.epsilon
-# QL splits at couplings this small whatever the diagonal: the rotation chase
-# multiplies two of them, which underflows to 0 and stalls the sweep
-_QL_SPLIT = math.sqrt(sys.float_info.min)
 
 
 class NonConvergenceError(RuntimeError):
@@ -184,56 +184,58 @@ def _components(A: np.ndarray) -> list[list[int]]:
     return components
 
 
-def _ql_implicit(d: list, e: list) -> None:
-    """Implicit-shift QL on tridiagonal (d, e), in place, on Python floats.
+def _ql_implicit(d: list, e2: list) -> None:
+    """Root-free implicit-shift QL on tridiagonal (d, e**2), in place, on Python floats.
 
-    d and e are lists: the diagonal, and e[j] = T[j, j+1] with e[n-1] = 0;
-    on return d holds the eigenvalues, unsorted. The matrix splits at the
-    first j >= l with |e[j]| <= max(eps (|d[j]| + |d[j+1]|), sqrt(tiny)).
-    Raises NonConvergenceError after 30 sweeps on a single eigenvalue.
+    d and e2 are lists: the diagonal, and e2[j] = T[j, j+1]**2 with
+    e2[n-1] = 0; on return d holds the eigenvalues, unsorted. This is the
+    Pal-Walker-Kahan form of Reinsch's root-free QL (tqlrat) that LAPACK's
+    dsterf runs (Parlett, The Symmetric Eigenvalue Problem, section 8.15): the
+    chase carries squared sines and cosines, so its rotations take no hypot
+    and no square root; only the Wilkinson shift does, once per sweep, from
+    sqrt(e2[l]). The matrix splits at the first j >= l with
+    e2[j] <= eps**2 |d[j] d[j+1]| + float_info.min: dsterf's relative test,
+    with the floor that keeps zero diagonals splitting at negligible
+    couplings; the first step of the chase sets that coupling to 0. The
+    caller scales the matrix (sym_eig) so that e**2 neither overflows nor
+    underflows. Raises NonConvergenceError after 30 sweeps on a single
+    eigenvalue.
     """
     n = len(d)
-    eps, hypot, copysign = _EPS, math.hypot, math.copysign
+    eps2, tiny, sqrt, hypot, copysign = _EPS * _EPS, sys.float_info.min, math.sqrt, math.hypot, math.copysign
     for l in range(n):
         sweeps = 0
         while True:
-            m = l
-            while m < n - 1 and abs(e[m]) > _QL_SPLIT and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
-                m += 1
+            for m in range(l, n - 1):
+                if e2[m] <= eps2 * abs(d[m] * d[m + 1]) + tiny:
+                    break
+            else:
+                m = n - 1
             if m == l:
                 break
             sweeps += 1
             if sweeps > 30:
                 raise NonConvergenceError(l)
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
+            rte = sqrt(e2[l])
+            sigma = (d[l + 1] - d[l]) / (2.0 * rte)
+            sigma = d[l] - rte / (sigma + copysign(hypot(sigma, 1.0), sigma))
+            c, s = 1.0, 0.0
+            gamma = d[m] - sigma
+            p = gamma * gamma
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation annihilated early; drop the shift and restart
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
+                bb = e2[i]
+                r = p + bb
+                e2[i + 1] = s * r  # 0 on the first step (s = 0): e2[m] splits off
+                oldc = c
+                c = p / r
+                s = bb / r
+                oldgam = gamma
+                alpha = d[i]
+                gamma = c * (alpha - sigma) - s * oldgam
+                d[i + 1] = oldgam + (alpha - gamma)
+                p = gamma * gamma / c if c != 0.0 else oldc * bb
+            e2[l] = s * p
+            d[l] = sigma + gamma
 
 
 def sym_eig(A: np.ndarray) -> EigResult:
@@ -250,9 +252,14 @@ def sym_eig(A: np.ndarray) -> EigResult:
     Returns
     -------
     EigResult with the values in ascending order: the stable sort of the
-    joined QL spectra of the components. QL splits at a zero coupling
-    anyway, so a tridiagonal matrix gets values bit-identical to one solve.
-    Raises ValueError naming the first index of any other component.
+    joined spectra of the components. Each component is multiplied by the
+    power of two that brings its largest |entry| into [1/2, 1) (exact in
+    binary, dsterf's scaling step), so its squared couplings neither
+    overflow nor underflow; _ql_implicit solves it and the values are scaled
+    back. The solve therefore sees the same numbers for A and 2**k A, whose
+    values are 2**k times A's bit for bit while every entry and value stays
+    a normal float. Raises ValueError naming the first index of any other
+    component.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
@@ -262,15 +269,19 @@ def sym_eig(A: np.ndarray) -> EigResult:
     if not np.array_equal(A, A.T):
         raise ValueError("sym_eig needs an exactly symmetric matrix")
 
-    values: list[float] = []
+    values: list[np.ndarray] = []
     for idx in _components(A):
         B = A if len(idx) == A.shape[0] else A[np.ix_(idx, idx)]
         if np.count_nonzero(B) != np.count_nonzero(np.diagonal(B)) + 2 * np.count_nonzero(np.diagonal(B, 1)):
             raise ValueError(f"sym_eig needs chains: the component at index {idx[0]} is not tridiagonal in index order")
-        d, e = np.diagonal(B).tolist(), np.diagonal(B, 1).tolist() + [0.0]
-        _ql_implicit(d, e)
-        values += d
-    return EigResult(values=np.sort(np.array(values), kind="stable"))
+        diag, off = np.diagonal(B), np.diagonal(B, 1)
+        # a power of two brings the largest |entry| into [1/2, 1): exact, and e**2 stays in range
+        _, exp = math.frexp(max(float(np.max(np.abs(diag))), float(np.max(np.abs(off), initial=0.0))))
+        off = np.ldexp(off, -exp)
+        d, e2 = np.ldexp(diag, -exp).tolist(), (off * off).tolist() + [0.0]
+        _ql_implicit(d, e2)
+        values.append(np.ldexp(d, exp))
+    return EigResult(values=np.sort(np.concatenate(values), kind="stable"))
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,33 @@ def test_spectrum_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_spectrum_to_an_unwritable_path_names_it(tmp_path):
+    out = tmp_path / "missing" / "a.csv"
+    proc = run_cli("spectrum", "--g-steps", "2", "--cutoff", "5", "--levels", "2", "--out", str(out), check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: cannot write {out}: [Errno 2] No such file or directory: '{out}'\n"
+
+
+def test_spectrum_csv_adds_little_to_the_sweep_peak(tmp_path):
+    # the CSV goes out one grid row at a time; built whole, its 32,016 lines
+    # and the tolist copies of both level arrays raised the traced peak of
+    # this command 1.25 x the file's size over the sweep's own
+    out = tmp_path / "s.csv"
+    args = ["spectrum", "--out", str(out), "--g-steps"]
+    assert main(args + ["3"]) == 0  # first-call allocations outside the window
+    tracemalloc.start()
+    try:
+        spectrum_sweep(ModelParams(), np.linspace(0.05, 0.8, 2001), 100, 8)
+        sweep = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(args + ["2001"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert peak - sweep < 0.2 * size, (peak, sweep, size)
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -25,11 +25,13 @@ from rabijudd.numerics import (
 from rabijudd.bosons import (
     displaced_number_states,
     displaced_osc_band,
+    displaced_osc_hamiltonian,
     displacement_matrix,
     ladder_matrices,
     oscillator_levels,
     squeezed_osc_band,
     squeezed_osc_hamiltonian,
+    squeeze_params,
 )
 from rabijudd.juddian import build_full_system, compatibility_polynomial, juddian_points
 from rabijudd.rabi import ModelParams, _block_arrays, build_rabi, parity_blocks
@@ -118,10 +120,17 @@ def _random_symmetric(n, seed):
     return (A + A.T) / 2.0
 
 
-def _random_chains(n, seed, chains=3, zero=0.0):
+def _random_chains(n, seed, chains=3, zero=0.0, graded=False):
     # each index joins one of the ascending chains at random, or with
     # probability zero is an all-zero row; a chain has a normal diagonal and
-    # normal couplings between its consecutive members
+    # normal couplings between its consecutive members. A graded chain, like
+    # an oscillator's, multiplies its diagonal by magnitudes from 1e-8 to 1e8
+    # (log-uniform, sorted ascending or descending along the chain) and each
+    # coupling by the geometric mean of its two rows' magnitudes; the whole
+    # is then scaled by 2**-27, exactly, so the largest entries sit near 1,
+    # where _check_sums compares squared sums against a tolerance linear in
+    # the norm (sym_eig itself scales exactly: see
+    # test_sym_eig_scales_exactly_by_powers_of_two)
     rng = np.random.RandomState(seed)
     label = rng.randint(chains, size=n)
     label[rng.random_sample(n) < zero] = -1
@@ -130,9 +139,13 @@ def _random_chains(n, seed, chains=3, zero=0.0):
         idx = np.flatnonzero(label == c)
         A[idx, idx] = rng.standard_normal(idx.size)
         e = rng.standard_normal(max(idx.size - 1, 0))
+        if graded:
+            size = np.sort(10.0 ** rng.uniform(-8.0, 8.0, idx.size))[:: rng.choice([1, -1])]
+            A[idx, idx] *= size
+            e *= np.sqrt(size[:-1] * size[1:])
         A[idx[:-1], idx[1:]] = e
         A[idx[1:], idx[:-1]] = e
-    return A
+    return np.ldexp(A, -27) if graded else A
 
 
 def _check_eig(A, res, tol=1e-10):
@@ -211,6 +224,35 @@ def test_sym_eig_splits_at_underflowing_couplings(d, e):
     _check_eig(T, sym_eig(T))
 
 
+def _tridiagonal_from(d, e):
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+@pytest.mark.parametrize("k", [-560, 0, 600])
+@pytest.mark.parametrize("seed, graded", [(1, False), (2, False), (3, True), (4, True), (5, False)])
+def test_sym_eig_scales_exactly_by_powers_of_two(k, seed, graded):
+    # each component is solved at the power of two that brings its largest
+    # |entry| into [1/2, 1), so 2**k A gives 2**k times the values bit for bit
+    A = _random_chains(12 + seed, seed, chains=2, graded=graded)
+    assert np.array_equal(sym_eig(np.ldexp(A, k)).values, np.ldexp(sym_eig(A).values, k))
+
+
+@pytest.mark.parametrize("T", [
+    # an absolute split at sqrt(float_info.min) dropped these couplings: 20 % off
+    1e-160 * _tridiagonal_from([1.0, 2.0, 3.0], [1.0, 1.0]),
+    _tridiagonal_from([1.0, 2.0, 3.0], [1e200, 1e200]),
+    _tridiagonal_from([1e300, 2e300, -3e300], [1.0, 1.0]),
+    1e300 * _tridiagonal_from([1.0, -2.0, 3.0, 0.5], [1.0, 1.0, 0.25]),
+    1e-300 * _tridiagonal_from([0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 1.0, 3.0]),
+])
+def test_sym_eig_far_from_unit_scale_matches_lapack(T):
+    # unscaled, the squared couplings or the split test's products d[j] d[j+1]
+    # of these would overflow or underflow
+    ref = np.linalg.eigvalsh(T)
+    assert np.abs(sym_eig(T).values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_sym_eig_input_validation():
     with pytest.raises(ValueError):
         sym_eig(np.ones((2, 3)))
@@ -278,6 +320,20 @@ def test_sym_eig_squeezed_matches_lapack():
     assert np.abs(res.values[:10] - (np.arange(10) + 0.5) * 0.8).max() <= 1e-14
 
 
+@pytest.mark.parametrize("kind, lam, M", [
+    # the ends of the benchmark's oscillator slots
+    ("displaced", 0.2, 200), ("displaced", 2.0, 200), ("squeezed", 0.05, 300), ("squeezed", 0.4, 300),
+])
+def test_sym_eig_oscillators_match_closed_form_and_lapack(kind, lam, M):
+    build = displaced_osc_hamiltonian if kind == "displaced" else squeezed_osc_hamiltonian
+    A = build(lam, M)
+    res = sym_eig(A)
+    _check_eig(A, res)
+    # the lowest levels land on the closed form (n + 1/2) Omega, Omega = 1 when displaced
+    omega = squeeze_params(lam).Omega if kind == "squeezed" else 1.0
+    assert np.abs(res.values[:10] - (np.arange(10) + 0.5) * omega).max() <= 1e-12
+
+
 @pytest.mark.parametrize("g", [0.2, 0.9])
 def test_sym_eig_rabi_matches_lapack(g):
     A = build_rabi(ModelParams(omega=1.0, omega0=1.3, g=g), 100)
@@ -306,7 +362,8 @@ def _chain_matrices(draw, min_size=1):
     n = draw(st.integers(min_value=min_size, max_value=12))
     chains = draw(st.integers(min_value=1, max_value=4))
     zero = draw(st.sampled_from([0.0, 0.2, 0.5]))
-    return _random_chains(n, draw(st.integers(min_value=0, max_value=2 ** 31 - 1)), chains, zero)
+    graded = draw(st.booleans())
+    return _random_chains(n, draw(st.integers(min_value=0, max_value=2 ** 31 - 1)), chains, zero, graded)
 
 
 @settings(max_examples=60, deadline=None)
@@ -319,6 +376,19 @@ def test_sym_eig_sparse_patterns(A):
     components = numerics._components(A)
     assert sorted(i for c in components for i in c) == list(range(A.shape[0]))
     assert all(c == sorted(c) for c in components)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=_chain_matrices(), data=st.data())
+def test_sym_eig_is_even_in_the_coupling_signs(A, data):
+    # only e**2 enters the solve, as in the Sturm counts: flipping the sign
+    # of any couplings (both triangles) leaves the values bit-identical
+    rows, cols = np.nonzero(np.triu(A, 1))
+    flip = np.array(data.draw(st.lists(st.booleans(), min_size=rows.size, max_size=rows.size)), dtype=bool)
+    B = A.copy()
+    B[rows[flip], cols[flip]] *= -1.0
+    B[cols[flip], rows[flip]] *= -1.0
+    assert np.array_equal(sym_eig(B).values, sym_eig(A).values)
 
 
 @st.composite
