@@ -4,8 +4,9 @@ The two-component eigenproblem is transformed to coherent bosons a = b -/+ lam,
 where a finite Ansatz (N coefficients p alongside N+1 coefficients q) closes
 the Schroedinger equation exactly provided a compatibility determinant in
 x = lam^2 vanishes. This module finds its roots and the finite states from
-the reduced tridiagonal T(x) alone; Sturm counts of the parity blocks
-certify a point (verify_point) and a sweep's crossings, which are points
+the reduced tridiagonal T(x) alone; Sturm counts of the parity blocks,
+through one counter per point or per table (_block_counter), certify a
+point (verify_point) and a sweep's crossings, which are points
 (find_crossings). The full system and det T(x)'s coefficients serve the tests
 and the benchmark's probes; the tests' determinants come from LAPACK.
 """
@@ -20,7 +21,7 @@ from typing import Callable
 from ._numpy import np
 from .bosons import DEFAULT_CUTOFF, displaced_number_states, support_rows
 from .numerics import _EPS, FullRankError, RootCountError, _gershgorin, _integral, _inverse_step, _sturm_count, _sturm_stop
-from .rabi import ModelParams, SpectrumTable, _apply_rabi, _block_arrays
+from .rabi import ModelParams, SpectrumTable, _apply_rabi, _block_layout
 
 _SQRT_HALF = math.sqrt(0.5)
 # every root x of order N lies below N * _ROOT_BOUND (Gershgorin on T(x))
@@ -339,7 +340,7 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     p = np.ones(N)
     dl, el, interval = d.tolist(), e.tolist(), _gershgorin(d, e)
     for _ in range(2):
-        p = _inverse_step(dl, el, interval, 0.0, p)
+        p = _inverse_step(dl, el, interval, p)
     residual = d * p
     residual[:-1] += e * p[1:]
     residual[1:] += e * p[:-1]
@@ -411,43 +412,41 @@ class VerificationReport:
     support_rows: int
 
 
-def _block_counts(blocks, off: np.ndarray, E: float, delta: float) -> list[tuple[int, int]]:
-    """Sturm counts (below, above) of each block: its levels below E - delta and below E + delta.
+def _block_counter(diags, root: np.ndarray, lam_max: float) -> Callable:
+    """Sturm counts of the blocks (diags[p], lam root) at any |lam| <= |lam_max|.
 
-    blocks holds (diagonal, the same as a list) per parity block, and off
-    the coupling lam sqrt(n) they share. Each block's stop data are built
-    once per call, with tiny = eps stop.scale. A block holds above - below
-    levels in [E - delta, E + delta), the lowest of index below; a count is
-    exact for a matrix within a few eps ||T|| of the block (Kahan 1966;
-    Demmel, Dhillon & Ren 1995).
+    count(lam, E, delta) gives (below, above) per diagonal, its levels below
+    E -/+ delta: the block holds above - below levels in [E - delta,
+    E + delta), the lowest of index below. Each diagonal's list, _sturm_stop
+    data on the bound |lam_max| root and tiny = eps stop.scale are built
+    once. The stop needs only |e_j| <= b_j, so each count equals the
+    full-length count with that tiny, exact for a matrix within a few
+    eps ||T|| of the block (Kahan 1966; Demmel, Dhillon & Ren 1995).
     """
-    e2 = (off * off).tolist()
-    bound = np.abs(off)
-    counts = []
-    for d, dl in blocks:
-        stop = _sturm_stop(d, bound)
-        tiny = _EPS * stop.scale
-        counts.append((_sturm_count(dl, e2, E - delta, tiny, stop), _sturm_count(dl, e2, E + delta, tiny, stop)))
-    return counts
+    blocks = []
+    for d in diags:
+        stop = _sturm_stop(d, abs(lam_max) * root)
+        blocks.append((d.tolist(), _EPS * stop.scale, stop))
 
+    def count(lam: float, E: float, delta: float) -> list[tuple[int, int]]:
+        e2 = np.square(lam * root).tolist()
+        return [(_sturm_count(dl, e2, E - delta, tiny, stop), _sturm_count(dl, e2, E + delta, tiny, stop))
+                for dl, tiny, stop in blocks]
 
-def _certificate_blocks(params: ModelParams, M: int) -> tuple[list, np.ndarray]:
-    """The (+1, -1) blocks as _block_counts takes them, and sqrt(n) for n = 1..M, their couplings over lam."""
-    diags = (_block_arrays(params, M, parity)[0] for parity in (1, -1))
-    return [(d, d.tolist()) for d in diags], np.sqrt(np.arange(1.0, M + 1.0))
+    return count
 
 
 def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> VerificationReport:
     """Cross-check one point against the truncated-basis spectrum.
 
     Two Sturm counts per parity block at g = point.g, at E -/+ delta,
-    certify how many of its levels lie in [E - delta, E + delta)
-    (_block_counts); nothing is bisected. delta starts at 64 eps
-    max(|lo|, |hi|, 1) over both blocks' Gershgorin intervals and grows
-    16-fold, up to 1e-3, while a block shows no level. The report gives the
-    levels' indices (the counts at E - delta), energy_plus = energy_minus = E
-    and degeneracy_gap = 2 delta, a certified bound on |E+ - E-|; the point
-    is left unchanged. It adds the reconstructed state's eigen-residual
+    certify how many of its levels lie in [E - delta, E + delta); nothing
+    is bisected. One _block_counter at the point's lam serves every delta:
+    delta starts at 64 eps max(|lo|, |hi|, 1) over both blocks' Gershgorin
+    intervals and grows 16-fold, up to 1e-3, while a block shows no level.
+    The report gives the levels' indices (the counts at E - delta),
+    energy_plus = energy_minus = E and degeneracy_gap = 2 delta, a certified
+    bound on |E+ - E-|; the point is left unchanged. It adds the reconstructed state's eigen-residual
     ||(H - E) psi|| on the same cutoff, with H applied through its band on
     the min(M + 1, R + 1) rows where it can be nonzero, its tail weight and
     its support rows R. No matrix is formed and each count stops early, so
@@ -463,12 +462,11 @@ def verify_point(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Verificat
         raise ValueError(f"cutoff must be non-negative, got {M}")
     params = point.model_params()
     E = point.E
-
-    blocks, root_n = _certificate_blocks(params, M)
-    off = params.lam * root_n
-    delta = 64.0 * _EPS * max(abs(end) for d, _ in blocks for end in (*_gershgorin(d, off), 1.0))
+    diags, root = _block_layout(params, M)
+    count = _block_counter(diags, root, params.lam)
+    delta = 64.0 * _EPS * max(abs(end) for d in diags for end in (*_gershgorin(d, params.lam * root), 1.0))
     while True:
-        counts = _block_counts(blocks, off, E, delta)
+        counts = count(params.lam, E, delta)
         held = [above - below for below, above in counts]
         for parity, n in zip((1, -1), held):
             if n > 1:
@@ -521,17 +519,20 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     """Opposite-parity degeneracies on the table, each an exact (Juddian) point.
 
     Such levels meet only on the baselines E = N - lam^2 (Kus 1985; Braak
-    2011), so the points are enumerated, not searched for. A crossing lies
-    within the largest step h of a row at g, at most rise = 4 sqrt(M) h /
-    omega above the row's top level (Hellmann-Feynman), so its order is at
-    most top + rise + (2 (|g| + h) / omega)^2. The orders run
+    2011), so the points are enumerated, not searched for. With h the
+    largest step, a crossing at g* >= 0 has a row g_m in [g*, g* + h], and
+    one at g* < 0 a row in [g* - h, g*], so |g_m| >= |g*|; its levels lie
+    at most rise = 4 sqrt(M) h / omega above that row's top level
+    (Hellmann-Feynman), so E* <= cap_m = top_m + rise and its order
+    N = E* + lam*^2 <= cap_m + (2 g_m / omega)^2. The orders run
     1 .. floor(n_cap) + 1, n_cap the largest such bound over the rows; the
     candidates are their points (juddian_points for |omega0|) at +g and -g
     in the grid with E <= E_cap, the table's top level + rise, and (0, N)
-    when the grid holds g = 0. Four Sturm counts at E* -/+ 5e-10
-    (_block_counts) give the levels below a candidate, i (+) and j (-); it
-    is a crossing when each block holds one level there and i, j < k.
-    g_star and E_star are the point's bit for bit; results ascend in g_star.
+    when the grid spans g = 0. One _block_counter, built for the table at
+    lam_max = 2 max|g| / omega, counts each candidate at its own lam at
+    E* -/+ 5e-10: i (+) and j (-) levels lie below it, and it is a crossing
+    when each block holds one level there and i, j < k. g_star and E_star
+    are the point's bit for bit; results ascend in g_star.
 
     Raises ValueError at omega0 = 0, where the blocks are isospectral at
     every g, and when a point with i, j < k is not a level of both blocks;
@@ -544,9 +545,9 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     step = float(np.max(np.diff(g))) if g.size > 1 else 0.0
     rise = 4.0 * math.sqrt(M) * step / p.omega
     caps = np.maximum(table.levels_plus.max(axis=1), table.levels_minus.max(axis=1)) + rise
-    e_cap, n_cap = float(caps.max()), float(np.max(caps + (2.0 * (np.abs(g) + step) / p.omega) ** 2))
+    e_cap, n_cap = float(caps.max()), float(np.max(caps + (2.0 * np.abs(g) / p.omega) ** 2))
     abs_params = ModelParams(p.omega, abs(p.omega0))
-    blocks, root_n = _certificate_blocks(p, M)
+    count = _block_counter(*_block_layout(p, M), 2.0 * max(abs(lo), abs(hi)) / p.omega)
 
     crossings = []
     for N in range(1, int(n_cap) + 2):
@@ -554,7 +555,7 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
         candidates += [(s * pt.g, pt.E, pt) for pt in juddian_points(N, abs_params) for s in (1.0, -1.0)
                        if lo <= s * pt.g <= hi and pt.E <= e_cap]
         for gs, E, pt in candidates:
-            (i, i_top), (j, j_top) = _block_counts(blocks, 2.0 * gs / p.omega * root_n, E, 0.5 * _CROSSING_TOL)
+            (i, i_top), (j, j_top) = count(2.0 * gs / p.omega, E, 0.5 * _CROSSING_TOL)
             if i >= k or j >= k:
                 continue
             if i_top - i == j_top - j == 1:

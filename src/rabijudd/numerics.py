@@ -5,14 +5,15 @@ lowest k eigenvalues come from bisection (tridiag_eigvals_lowest, which
 checks its input, or _sturm_lowest_batch, one lockstep walk over several
 diagonals that share many couplings, such as the two parity blocks over a
 coupling grid; both refuse a Gershgorin interval past half the float
-range). A count at one
-shift (_sturm_count, which ends early by _sturm_stop) certifies the levels
-next to a point without bisecting them: verify and the crossing detector
-count both parity blocks at E -/+ delta (juddian._block_counts), and the
-difference is the number of levels in between. _integral refuses a count
-argument that int() would change.
-Inverse iteration (_inverse_step) gives the null vector of T(x) for
-juddian.reconstruct_state, from lists and a Gershgorin interval formed once.
+range). A count at one shift (_sturm_count, which ends early by
+_sturm_stop) certifies the levels next to a point without bisecting them:
+verify and the crossing detector count both parity blocks at E -/+ delta,
+through stop data built once on the largest coupling they serve
+(juddian._block_counter), and the difference is the number of levels in
+between. _integral refuses a count argument that int() would change.
+Inverse iteration at shift 0 (_inverse_step) gives the null vector of T(x)
+for juddian.reconstruct_state, from lists and a Gershgorin interval formed
+once.
 Kept for tests and benchmark tasks:
 sym_eig (eigenvalues only, for a matrix whose connected components are
 each tridiagonal in index order; it rejects any other; each component is
@@ -519,34 +520,28 @@ def _sturm_count(d, e2, x: float, tiny: float, stop: _SturmStop) -> int:
     return count
 
 
-def _inverse_step(
-    dl: list, el: list, interval: tuple[float, float], shift: float, start: np.ndarray
-) -> np.ndarray:
-    """One step of inverse iteration on the symmetric tridiagonal (d, e).
+def _inverse_step(dl: list, el: list, interval: tuple[float, float], start: np.ndarray) -> np.ndarray:
+    """One step of inverse iteration at shift 0 on the symmetric tridiagonal (d, e).
 
     dl and el are d and e as lists, interval their Gershgorin interval
-    (formed once by the caller for all its steps on one matrix), and
-    start an ndarray of the same length. Solves (T - shift) x = start
-    through the LDL^T factorization, without pivoting, with pivots smaller
-    than eps times the Gershgorin scale pushed out to that size, as in the
-    Sturm count; returns x normalized, signed so that x . start > 0. With
-    shift at an isolated eigenvalue and a start vector close to its
-    eigenvector, x is that eigenvector to about eps times ||T|| over the
-    gap. O(n), no eigenvalues formed.
+    (formed once by the caller for all its steps on one matrix), and start
+    an ndarray of the same length. Solves T x = start through the LDL^T
+    factorization, without pivoting, with pivots smaller than eps times the
+    Gershgorin scale pushed out to that size, as in the Sturm count;
+    returns x normalized, signed so that x . start > 0. With an isolated
+    eigenvalue at 0 and a start vector close to its eigenvector, x is that
+    eigenvector to about eps ||T|| over the gap. O(n).
     """
-    lo, hi = interval
-    tiny = _EPS * max(abs(lo - shift), abs(hi - shift), 1.0)
+    tiny = _EPS * max(abs(interval[0]), abs(interval[1]), 1.0)
     neg_tiny = -tiny
     rhs = start.tolist()
-    # forward elimination: pivots q_i = d_i - shift - (e_{i-1} / q_{i-1}) e_{i-1}
-    q = dl[0] - shift
-    if neg_tiny < q < tiny:
-        q = neg_tiny if q < 0.0 else tiny
-    y = rhs[0]
-    pivots, ys = [q], [y]
-    for d, e, b in zip(dl[1:], el, rhs[1:]):
+    # forward elimination: pivots q_i = d_i - (e_{i-1} / q_{i-1}) e_{i-1}, with
+    # e_{-1} = 0, so row 0 takes q_0 = d_0 - 0.0 = d_0 and y_0 = b_0 exactly
+    q, y = 1.0, 0.0
+    pivots, ys = [], []
+    for d, e, b in zip(dl, [0.0] + el, rhs):
         ratio = e / q
-        q = d - shift - ratio * e
+        q = d - ratio * e
         if neg_tiny < q < tiny:
             q = neg_tiny if q < 0.0 else tiny
         y = b - ratio * y

@@ -69,7 +69,9 @@ def render_figure(
     one polyline per run of samples inside it (a window across g = 0 can
     hold two). They need at least one point row to fix the g -> lam
     mapping, so they are skipped when points is empty. Raises ValueError
-    when the padded g or energy window, or its span, is not finite.
+    when the padded g or energy window, or its span, is not finite, and,
+    with baselines, when the first point's 2 g / lambda is not positive and
+    finite.
 
     Each (parity, level) series keeps one reference per row, not a copy of
     its (g, energy), and is dropped once its polyline is emitted; the x text
@@ -129,7 +131,9 @@ def render_figure(
         n_max = max(int(p["N"]) for p in points)
         # the g -> lam mapping comes from any point row (lam = 2 g / omega)
         ref = points[0]
-        omega = 2.0 * float(ref["g"]) / float(ref["lambda"])
+        omega = 2.0 * float(ref["g"]) / float(ref["lambda"]) if ref["lambda"] else 0.0
+        if not 0.0 < omega < math.inf:
+            raise ValueError("point 0: 2 g / lambda must be positive and finite")
         samples = [g_lo + (g_hi - g_lo) * s / 240.0 for s in range(241)]
         lam2 = [(2.0 * g / omega) * (2.0 * g / omega) for g in samples]
         # walk only orders with n - lam^2 in the window at two adjacent samples (as

@@ -34,7 +34,7 @@ from rabijudd.juddian import (
 from rabijudd.numerics import poly_real_roots, sym_eig, tridiag_eigvals_lowest
 from rabijudd.rabi import (
     ModelParams,
-    _block_arrays,
+    _block_layout,
     build_rabi,
     parity_blocks,
     spectrum_sweep,
@@ -239,9 +239,10 @@ def test_criterion_9_property_suite():
         full = np.linalg.eigvalsh(build_rabi(p, M))
         bound = 1e-10 * max(1.0, np.abs(full).max())
         plus, minus = parity_blocks(p, M)
+        diags, root = _block_layout(p, M)
         for parts in (
             [sym_eig(block.matrix).values for block in (plus, minus)],
-            [tridiag_eigvals_lowest(*_block_arrays(p, M, parity), M + 1) for parity in (1, -1)],
+            [tridiag_eigvals_lowest(diag, p.lam * root, M + 1) for diag in diags],
         ):
             union = np.sort(np.concatenate(parts))
             assert np.abs(union - full).max() <= bound

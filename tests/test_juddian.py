@@ -36,7 +36,7 @@ from rabijudd.numerics import (
 )
 from rabijudd.rabi import (
     ModelParams,
-    _block_arrays,
+    _block_layout,
     build_rabi,
     parity_blocks,
 )
@@ -692,9 +692,8 @@ def test_verify_certifies_each_point_with_four_counts(monkeypatch):
         report = verify_point(point, cutoff=100)
         assert len(calls) == 4
         params = point.model_params()
-        scale = max(
-            max(abs(v) for v in _gershgorin(*_block_arrays(params, 100, parity))) for parity in (1, -1)
-        )
+        diags, root = _block_layout(params, 100)
+        scale = max(max(abs(v) for v in _gershgorin(diag, params.lam * root)) for diag in diags)
         assert report.degeneracy_gap == 2.0 * 64.0 * _EPS * scale
         assert report.energy_plus == report.energy_minus == point.E
 
@@ -749,7 +748,8 @@ def test_verify_refuses_levels_past_the_widest_certificate(shift):
 
 def test_verify_refuses_two_levels_in_one_block(monkeypatch):
     # two levels inside the certificate of one block: the point is not isolated
-    monkeypatch.setattr(juddian_module, "_block_counts", lambda blocks, off, E, delta: [(3, 4), (3, 5)])
+    monkeypatch.setattr(juddian_module, "_block_counter",
+                        lambda diags, root, lam_max: lambda lam, E, delta: [(3, 4), (3, 5)])
     point = juddian_points(2, RESONANCE)[0]
     message = (
         rf"^2 eigenvalues within \S+ of E={point.E:.6f} in the parity -1 block at cutoff 100; "
@@ -757,6 +757,60 @@ def test_verify_refuses_two_levels_in_one_block(monkeypatch):
     )
     with pytest.raises(RuntimeError, match=message):
         verify_point(point, cutoff=100)
+
+
+def test_verify_climbs_its_delta_ladder_on_one_counter(monkeypatch):
+    # the counter is built once, at the point's coupling, and every rung of
+    # the delta ladder counts through it
+    built, deltas = [], []
+    block_counter = juddian_module._block_counter
+
+    def recording(*args):
+        built.append(args[2])
+        counter = block_counter(*args)
+        return lambda lam, E, delta: deltas.append((lam, delta)) or counter(lam, E, delta)
+
+    monkeypatch.setattr(juddian_module, "_block_counter", recording)
+    point = juddian_points(3, RESONANCE)[1]
+    verify_point(dataclasses.replace(point, E=point.E + 1e-5), cutoff=100)
+    lam = point.model_params().lam
+    assert built == [lam]
+    assert len(deltas) >= 3
+    assert all(b == (lam, 16.0 * a[1]) for a, b in zip(deltas, deltas[1:]))
+
+
+def test_verify_starts_its_ladder_at_64_eps_or_above(monkeypatch):
+    # delta starts at 64 eps max(|lo|, |hi|, 1) over the blocks' Gershgorin
+    # intervals: at cutoff 0 the blocks are the 1 x 1 [-/+ 1/2], inside
+    # [-1, 1], so the floor sets it; a zero block would otherwise start, and
+    # stay, at delta = 0
+    deltas = []
+    block_counter = juddian_module._block_counter
+
+    def recording(*args):
+        counter = block_counter(*args)
+        return lambda lam, E, delta: deltas.append(delta) or counter(lam, E, delta)
+
+    monkeypatch.setattr(juddian_module, "_block_counter", recording)
+    with pytest.raises(RuntimeError, match="^no eigenvalue within 1e-3 of E="):
+        verify_point(juddian_points(1, RESONANCE)[0], cutoff=0)
+    assert deltas[0] == 64.0 * _EPS
+
+
+def test_verify_climbs_until_both_blocks_hold_their_level():
+    # at cutoff 8 truncation moves this point's two levels by different
+    # amounts, about 1.5e-6 (+) and 7.9e-6 (-), more than one rung of the
+    # ladder apart: it climbs until both lie within delta, so the gap bounds both
+    point = juddian_points(4, RESONANCE)[0]
+    report = verify_point(point, cutoff=8)
+    params = point.model_params()
+    diags, root = _block_layout(params, 8)
+    off = params.lam * root
+    distances = []
+    for diag, level in zip(diags, (report.level_plus, report.level_minus)):
+        distances.append(abs(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))[level] - point.E))
+    assert max(distances) <= 0.5 * report.degeneracy_gap
+    assert min(distances) <= 0.5 * report.degeneracy_gap / 16.0
 
 
 def test_verify_undersized_cutoff_message():

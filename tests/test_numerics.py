@@ -34,7 +34,7 @@ from rabijudd.bosons import (
     squeeze_params,
 )
 from rabijudd.juddian import build_full_system, compatibility_polynomial, juddian_points
-from rabijudd.rabi import ModelParams, _block_arrays, build_rabi, parity_blocks
+from rabijudd.rabi import ModelParams, _block_layout, build_rabi, parity_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -609,24 +609,33 @@ def test_block_counts_stop_early_and_stay_exact(monkeypatch):
 
     for point in juddian_points(4, ModelParams(omega=1.0, omega0=1.0)):
         params = point.model_params()
-        off = _block_arrays(params, M, 1)[1]
-        blocks = [(d, d.tolist()) for d in (_block_arrays(params, M, parity)[0] for parity in (1, -1))]
+        counter = juddian._block_counter(*_block_layout(params, M), params.lam)
         delta = 1e-10
         rows.clear()
         monkeypatch.setattr(juddian, "_sturm_count", recording)
-        early = juddian._block_counts(blocks, off, point.E, delta)
+        early = counter(params.lam, point.E, delta)
         assert len(rows) == 4 and sum(rows) < 0.1 * (M + 1)
         monkeypatch.setattr(juddian, "_sturm_count", lambda d, e2, x, tiny, stop: _full_count(d, e2, x, tiny))
-        assert juddian._block_counts(blocks, off, point.E, delta) == early
+        assert counter(params.lam, point.E, delta) == early
         assert all(above - below == 1 for below, above in early)
 
 
-def _full_block_counts(blocks, off, E, delta):
-    """_block_counts with full-length counts, each block's tiny from its own stop scale."""
+def test_stop_scale():
+    # the stop scale is max|d| + 2 max b, the size of a pivot's terms, which
+    # sets the clamp tiny = eps scale and the stop margin, and stays positive
+    # on the zero matrix
+    assert numerics._sturm_stop(np.array([0.5, -1.0, 0.25]), np.array([2.0, 0.5])).scale == 5.0
+    assert numerics._sturm_stop(np.zeros(2), np.zeros(1)).scale == np.finfo(float).tiny
+
+
+def _full_block_counts(diags, root, lam_max, lam, E, delta):
+    """The block counter's counts by full-length walks, with its tiny: eps
+    times each diagonal's stop scale on the bound |lam_max| root."""
+    off = lam * root
     e2 = (off * off).tolist()
-    tinies = [numerics._EPS * numerics._sturm_stop(d, np.abs(off)).scale for d, _ in blocks]
-    return [(_full_count(dl, e2, E - delta, tiny), _full_count(dl, e2, E + delta, tiny))
-            for (_, dl), tiny in zip(blocks, tinies)]
+    tinies = [numerics._EPS * numerics._sturm_stop(d, abs(lam_max) * root).scale for d in diags]
+    return [(_full_count(d.tolist(), e2, E - delta, tiny), _full_count(d.tolist(), e2, E + delta, tiny))
+            for d, tiny in zip(diags, tinies)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -636,11 +645,30 @@ def test_block_counts_equal_full_counts_at_stop_boundaries(matrix, data):
     # or a diagonal entry; the mirrored diagonal is a second block on the
     # same couplings
     d, e = matrix
-    blocks = [(d, d.tolist()), (-d, (-d).tolist())]
+    diags, root = [d, -d], np.abs(e)
     x = data.draw(st.sampled_from(_stop_shifts(d, e).tolist()))
     delta = data.draw(st.sampled_from([0.0, 1e-12, 0.25, 3.0]))
     E = x + data.draw(st.sampled_from([delta, -delta]))
-    assert juddian._block_counts(blocks, e, E, delta) == _full_block_counts(blocks, e, E, delta)
+    lam = data.draw(st.sampled_from([1.0, -1.0]))
+    counter = juddian._block_counter(diags, root, 1.0)
+    assert counter(lam, E, delta) == _full_block_counts(diags, root, 1.0, lam, E, delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tridiagonals(), st.data())
+def test_block_counter_equals_full_counts_below_its_bound(matrix, data):
+    # one counter serves every coupling lam root with |lam| <= |lam_max|: its
+    # stop data and tiny come from the bound, and each count still equals the
+    # full-length count with that tiny
+    d, e = matrix
+    diags, root = [d, -d], np.abs(e)
+    lam_max = data.draw(st.sampled_from([0.5, 1.0, 3.0, -2.0]))
+    lam = data.draw(st.sampled_from([0.0, -lam_max, lam_max]) | st.floats(-abs(lam_max), abs(lam_max)))
+    x = data.draw(st.sampled_from(_stop_shifts(d, lam * root).tolist() + _stop_shifts(d, lam_max * root).tolist()))
+    delta = data.draw(st.sampled_from([0.0, 1e-12, 0.25, 3.0]))
+    E = x + data.draw(st.sampled_from([delta, -delta]))
+    counter = juddian._block_counter(diags, root, lam_max)
+    assert counter(lam, E, delta) == _full_block_counts(diags, root, lam_max, lam, E, delta)
 
 
 def test_block_counts_match_lapack_on_random_tridiagonals():
@@ -648,13 +676,15 @@ def test_block_counts_match_lapack_on_random_tridiagonals():
     # eigenvalues below them
     rng = np.random.RandomState(43)
     checked = 0
-    for _ in range(300):
+    for trial in range(300):
         n = rng.randint(1, 30)
         e = rng.standard_normal(n - 1) * rng.choice([0.0, 1e-9, 1.0])
         diags = [rng.standard_normal(n) * rng.choice([1e-3, 1.0, 30.0]) for _ in range(2)]
         E = float(rng.choice(diags[0])) + rng.choice([0.0, 1e-4, 0.3]) * rng.standard_normal()
         delta = float(rng.choice([1e-6, 1e-3, 0.3, 5.0]))
-        counts = juddian._block_counts([(d, d.tolist()) for d in diags], e, E, delta)
+        # root |e| and lam = +/-1 give the couplings +/-|e|: the spectrum is even in their signs
+        counter = juddian._block_counter(diags, np.abs(e), 1.0)
+        counts = counter((1.0, -1.0)[trial % 2], E, delta)
         for d, (below, above) in zip(diags, counts):
             eig = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
             margin = 1e-9 * max(1.0, np.abs(eig).max())
@@ -685,8 +715,9 @@ def test_block_counts_match_lapack_on_random_tridiagonals():
 ], ids=["right", "left", "narrow", "two-straddling", "two-close", "half-open", "zero-pivot", "whole", "one-row"])
 def test_block_counts_on_chosen_cases(d, e, E, delta, want):
     d, e = np.array(d), np.array(e, dtype=float)
-    blocks = [(d, d.tolist())]
-    assert juddian._block_counts(blocks, e, E, delta) == [want] == _full_block_counts(blocks, e, E, delta)
+    counter = juddian._block_counter([d], e, 1.0)
+    for lam in (1.0, -1.0):
+        assert counter(lam, E, delta) == [want] == _full_block_counts([d], e, 1.0, lam, E, delta)
 
 
 @pytest.mark.parametrize("omega0, N, M", [(1.0, 8, 100), (2.6, 6, 300), (0.5, 12, 100)])
@@ -695,9 +726,9 @@ def test_block_counts_certify_one_level_per_block_at_each_point(omega0, N, M):
     # point, the one LAPACK puts there
     for point in juddian_points(N, ModelParams(omega=1.0, omega0=omega0)):
         params = point.model_params()
-        off = _block_arrays(params, M, 1)[1]
-        diags = [_block_arrays(params, M, parity)[0] for parity in (1, -1)]
-        counts = juddian._block_counts([(d, d.tolist()) for d in diags], off, point.E, 1e-10)
+        diags, root = _block_layout(params, M)
+        off = params.lam * root
+        counts = juddian._block_counter(diags, root, params.lam)(params.lam, point.E, 1e-10)
         for d, (below, above) in zip(diags, counts):
             eig = np.linalg.eigvalsh(np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
             assert above == below + 1
@@ -714,7 +745,7 @@ def test_block_counts_certify_one_level_per_block_at_each_point(omega0, N, M):
 ] + [pytest.param(0.5, 60, 8, 1, 2001, id="1-0.5-60-8-G2001")])
 def test_sweep_batch_is_bit_identical_to_full_length(omega_tilde, M, k, parity, G):
     params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
-    diag, _ = _block_arrays(params, M, parity)
+    diag = _block_layout(params, M)[0][0 if parity == 1 else 1]
     lams = 2.0 * np.linspace(0.05, 0.8, G)
     e2_cols = (np.sqrt(np.arange(1.0, M + 1.0))[:, None] * lams[None, :]) ** 2
     got = numerics._sturm_lowest_batch(diag[None, :], e2_cols, k)
@@ -831,8 +862,9 @@ def test_lowest_keeps_large_entries_inside_half_the_float_range():
 
 
 def _inverse_iteration(d, e, shift, start):
-    """One inverse-iteration step on the symmetric tridiagonal (d, e), from arrays."""
-    return _inverse_step(d.tolist(), e.tolist(), _gershgorin(d, e), shift, start)
+    """One inverse-iteration step on the symmetric tridiagonal (d - shift, e), from arrays."""
+    d = d - shift
+    return _inverse_step(d.tolist(), e.tolist(), _gershgorin(d, e), start)
 
 
 def test_inverse_iteration_recovers_eigenvector():

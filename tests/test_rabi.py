@@ -20,7 +20,7 @@ from rabijudd.numerics import (
 from rabijudd.rabi import (
     ModelParams,
     _apply_rabi,
-    _block_arrays,
+    _block_layout,
     build_rabi,
     parity_blocks,
     spectrum_sweep,
@@ -118,10 +118,11 @@ def test_block_arrays_match_the_spin_power_formula(omega_tilde):
     params = ModelParams(omega0=2.0 * omega_tilde, g=0.3)
     for M in (0, 1, 2, 100, 2500):
         n = np.arange(M + 1)
-        for parity in (1, -1):
-            diag, off = _block_arrays(params, M, parity)
+        diags, root = _block_layout(params, M)
+        assert diags.shape == (2, M + 1)
+        for parity, diag in zip((1, -1), diags):
             assert diag.tobytes() == (n + params.omega_tilde * (-parity * (-1.0) ** n)).tobytes()
-            assert off.tobytes() == (params.lam * np.sqrt(np.arange(1.0, M + 1.0))).tobytes()
+        assert root.tobytes() == np.sqrt(np.arange(1.0, M + 1.0)).tobytes()
 
 
 def test_block_spectra_union_matches_full():
@@ -169,7 +170,7 @@ def test_sweep_is_bit_identical_to_full_length_per_parity(M, k, omega_tilde):
     params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
     grid = np.linspace(0.05, 0.8, 101)
     table = spectrum_sweep(params, grid, M, k)
-    diags = np.array([_block_arrays(params, M, parity)[0] for parity in (1, -1)])
+    diags = _block_layout(params, M)[0]
     lams = 2.0 * grid / params.omega
     e2_cols = (np.sqrt(np.arange(1.0, M + 1.0))[:, None] * lams[None, :]) ** 2
     reference = _full_lowest_batch(diags, e2_cols, k)
@@ -312,10 +313,8 @@ def test_crossings_match_sign_changes_and_meet_within_tol(omega_tilde):
     for c, (i, j, m) in zip(ordered, sorted(cells)):
         assert (c.level_plus, c.level_minus) == (i, j)
         assert t.g_values[m] <= c.g_star <= t.g_values[m + 1]
-        levels = []
-        for parity in (1, -1):
-            diag, off = _block_arrays(replace(p, g=c.g_star), 60, parity)
-            levels.append(tridiag_eigvals_lowest(diag, off, 16))
+        diags, root = _block_layout(p, 60)
+        levels = [tridiag_eigvals_lowest(diag, replace(p, g=c.g_star).lam * root, 16) for diag in diags]
         ep, em = levels[0][i], levels[1][j]
         assert abs(ep - em) <= 1e-9
         assert abs(c.E_star - 0.5 * (ep + em)) <= 1e-9
@@ -323,17 +322,98 @@ def test_crossings_match_sign_changes_and_meet_within_tol(omega_tilde):
 
 def test_crossing_count_budget_is_four_per_candidate(monkeypatch):
     # the criterion-8 table: each of its 26 candidate points (24 of them
-    # crossings) is certified by two counts per block and nothing else is
-    # counted. juddian's own names are patched, since find_crossings looks them up there
-    calls, deltas = [], []
-    count, block_counts = juddian._sturm_count, juddian._block_counts
+    # crossings) is certified by two counts per block, through one counter
+    # built for the table, and nothing else is counted. juddian's own names
+    # are patched, since find_crossings looks them up there
+    calls, deltas, built = [], [], []
+    count, block_counter = juddian._sturm_count, juddian._block_counter
+
+    def recording(*args):
+        built.append(args[2])
+        counter = block_counter(*args)
+        return lambda lam, E, delta: deltas.append(delta) or counter(lam, E, delta)
+
     monkeypatch.setattr(juddian, "_sturm_count", lambda *a: calls.append(1) or count(*a))
-    monkeypatch.setattr(juddian, "_block_counts", lambda *a: deltas.append(a[3]) or block_counts(*a))
+    monkeypatch.setattr(juddian, "_block_counter", recording)
     t = spectrum_sweep(ModelParams(), np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
     crossings = find_crossings(t)
     assert len(crossings) == 24
+    assert built == [1.6]  # lam_max = 2 * 0.8 / omega
     assert deltas == [5e-10] * 26
     assert len(calls) == 4 * len(deltas)
+
+
+def _rewrite_counts(monkeypatch, change):
+    """Patch find_crossings' counter so that change rewrites each candidate's counts."""
+    block_counter = juddian._block_counter
+
+    def patched(*args):
+        counter = block_counter(*args)
+        return lambda lam, E, delta: change(counter(lam, E, delta))
+
+    monkeypatch.setattr(juddian, "_block_counter", patched)
+
+
+def test_crossings_refuse_a_point_with_two_levels_in_one_block(monkeypatch):
+    # the criterion-8 table holds no g = 0 row, so every candidate is a real
+    # point: one whose certificate holds two + levels is not a crossing, and
+    # find_crossings raises on the first such point instead of accepting it
+    t = spectrum_sweep(ModelParams(), np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
+    _rewrite_counts(monkeypatch, lambda counts: [(counts[0][0], counts[0][1] + 1), counts[1]])
+    with pytest.raises(ValueError, match=r"is not one level of each block at cutoff 100: they hold 2 and 1 within"):
+        find_crossings(t)
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["plus", "minus"])
+def test_crossings_skip_a_point_past_the_top_level_of_either_block(monkeypatch, block):
+    # a candidate at or above level k of either block lies outside the table:
+    # it is skipped, with no crossing and no error, whatever the other block holds
+    t = spectrum_sweep(ModelParams(), np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
+    seen = []
+
+    def change(counts):
+        seen.append(counts)
+        counts = list(counts)
+        counts[block] = (8, 9)
+        return counts
+
+    _rewrite_counts(monkeypatch, change)
+    assert find_crossings(t) == []
+    assert len(seen) == 26
+
+
+def test_crossings_above_every_row_are_kept_by_the_rise():
+    # the levels peak at g = 0, so on a grid across it with no row there the
+    # order-2 crossings at g = -/+0.166 lie above the top level of both rows:
+    # only the Hellmann-Feynman rise keeps them in the window
+    t = spectrum_sweep(ModelParams(), np.array([-0.3, 0.3]), cutoff=100, levels_per_block=3)
+    top = max(t.levels_plus.max(), t.levels_minus.max())
+    point = next(p for p in juddian_points(2, ModelParams()) if p.g < 0.3)
+    high = [c for c in find_crossings(t) if c.E_star > top]
+    assert high == [Crossing(-point.g, point.E, 2, 2), Crossing(point.g, point.E, 2, 2)]
+
+
+def test_crossings_of_a_deep_window_match_the_whole_table():
+    # on g in [1, 1.5] the top level sits near 3.1, but the crossing there has
+    # order 7: the rows' lam^2 in the order bound reaches it, and the window
+    # returns what the whole table holds inside it
+    grid = np.linspace(0.0, 3.0, 301)
+    whole = find_crossings(spectrum_sweep(ModelParams(omega0=1.0), grid, cutoff=100, levels_per_block=8))
+    part = find_crossings(spectrum_sweep(ModelParams(omega0=1.0), grid[100:151], cutoff=100, levels_per_block=8))
+    assert part == [c for c in whole if 1.0 <= c.g_star <= 1.5]
+    assert len(part) == 1
+
+
+def test_crossings_on_a_negative_grid_mirror_the_positive_one():
+    # the spectrum is even in g, so a grid of negative g alone holds the
+    # mirror image of the positive grid's crossings; its counter must serve
+    # couplings up to 2 |g_min| / omega, not 2 g_max / omega
+    grid = np.linspace(0.05, 0.8, 201)
+    pos = find_crossings(spectrum_sweep(ModelParams(), grid, cutoff=100, levels_per_block=8))
+    neg = find_crossings(spectrum_sweep(ModelParams(), -grid[::-1], cutoff=100, levels_per_block=8))
+    assert len(pos) == 24
+    assert [(-c.g_star, c.E_star, c.level_plus, c.level_minus) for c in reversed(neg)] == [
+        (c.g_star, c.E_star, c.level_plus, c.level_minus) for c in pos]
 
 
 # the crossing at g = sqrt(3)/8 lies in cell 44 of the 201-row grid; each short

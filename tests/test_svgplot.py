@@ -98,3 +98,19 @@ def test_render_peak_stays_near_the_figure_size():
             tracemalloc.stop()
     assert svg.count('<polyline class="level-') == 16
     assert peak < 4 * len(svg), (peak, len(svg))
+
+
+@pytest.mark.parametrize("point", [
+    {"N": 1, "lambda": 0.0, "g": 0.2, "E": 0.8},
+    {"N": 1, "lambda": 0.4, "g": 0.0, "E": 0.8},
+    # a negative lambda would mirror every baseline about g = 0
+    {"N": 1, "lambda": -0.4, "g": 0.2, "E": 0.84},
+], ids=["lambda-zero", "g-zero", "lambda-negative"])
+def test_baselines_refuse_a_point_without_a_positive_finite_omega(point):
+    # the baselines map g to lambda through omega = 2 g / lambda, so the first
+    # point must give a positive, finite omega; the figure without baselines
+    # does not use it
+    rows = _grid_rows([0.1, 0.35, 0.6])
+    with pytest.raises(ValueError, match="^point 0: 2 g / lambda must be positive and finite$"):
+        render_figure(rows, [point])
+    assert render_figure(rows, [point], baselines=False).count('<path class="juddian-point"') == 1
