@@ -239,9 +239,14 @@ def oscillator_levels(kind: str, lam: float, cutoff: int, levels: int) -> np.nda
 
 
 def _band_matrix(d: np.ndarray, c: np.ndarray, stride: int) -> np.ndarray:
-    H = np.diag(d)
-    if c.size:
-        H += np.diag(c, stride) + np.diag(c, -stride)
+    """Dense symmetric matrix with diagonal d and coupling c at offsets +/- stride, filled in one array."""
+    n, k = d.size, c.size
+    H = np.zeros((n, n))
+    H.flat[:: n + 1] = d
+    # H[j, j + stride] and H[j + stride, j], j < k, lie n + 1 apart in the flat array;
+    # each slice has an explicit stop, since H.flat[a::b][:k] would write into a copy
+    H.flat[stride : stride + k * (n + 1) : n + 1] = c
+    H.flat[stride * n : stride * n + k * (n + 1) : n + 1] = c
     return H
 
 

@@ -528,7 +528,12 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     1 .. floor(n_cap) + 1, n_cap the largest such bound over the rows; the
     candidates are their points (juddian_points for |omega0|) at +g and -g
     in the grid with E <= E_cap, the table's top level + rise, and (0, N)
-    when the grid spans g = 0. One _block_counter, built for the table at
+    when the grid spans g = 0, omega_tilde lies within _CROSSING_TOL of an
+    integer and N <= E_cap + _CROSSING_TOL: at g = 0 the blocks' levels are
+    n -/+ omega_tilde, so otherwise none lies within 0.5 _CROSSING_TOL of
+    the integer N, and a level there below level k lies at most its
+    bisection width (far below 0.5 _CROSSING_TOL) above the top level of
+    the g = 0 row, itself at most E_cap. One _block_counter, built for the table at
     lam_max = 2 max|g| / omega, counts each candidate at its own lam at
     E* -/+ 5e-10: i (+) and j (-) levels lie below it, and it is a crossing
     when each block holds one level there and i, j < k. g_star and E_star
@@ -549,9 +554,10 @@ def find_crossings(table: SpectrumTable) -> list[Crossing]:
     abs_params = ModelParams(p.omega, abs(p.omega0))
     count = _block_counter(*_block_layout(p, M), 2.0 * max(abs(lo), abs(hi)) / p.omega)
 
+    g_zero = lo <= 0.0 <= hi and abs(p.omega_tilde - round(p.omega_tilde)) <= _CROSSING_TOL
     crossings = []
     for N in range(1, int(n_cap) + 2):
-        candidates = [(0.0, float(N), None)] if lo <= 0.0 <= hi else []
+        candidates = [(0.0, float(N), None)] if g_zero and N <= e_cap + _CROSSING_TOL else []
         candidates += [(s * pt.g, pt.E, pt) for pt in juddian_points(N, abs_params) for s in (1.0, -1.0)
                        if lo <= s * pt.g <= hi and pt.E <= e_cap]
         for gs, E, pt in candidates:

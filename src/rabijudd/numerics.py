@@ -18,7 +18,11 @@ Kept for tests and benchmark tasks:
 sym_eig (eigenvalues only, for a matrix whose connected components are
 each tridiagonal in index order; it rejects any other; each component is
 scaled by a power of two and solved by root-free QL on its diagonal and
-squared couplings, as LAPACK's dsterf, in Python floats), poly_real_roots (a
+squared couplings, as LAPACK's dsterf, in Python floats; below the row
+being converged, its Python scan for a split runs only when the smallest
+coupling, found at C speed, lies below a floor that every split threshold
+stays under, so the oscillators' sweeps scan nothing and the values are
+the scan's bit for bit), poly_real_roots (a
 sign-change scan, each sign change bisected, for polynomials held as
 coefficient tuples) and Gaussian elimination for null vectors. Every
 eigenvalue path reads the couplings only as e**2, so its values are
@@ -201,19 +205,38 @@ def _ql_implicit(d: list, e2: list) -> None:
     caller scales the matrix (sym_eig) so that e**2 neither overflows nor
     underflows. Raises NonConvergenceError after 30 sweeps on a single
     eigenvalue.
+
+    Row l, whose coupling the sweeps drive to zero, is tested first, on its
+    own. The scan of the rows below it runs in Python, so it is skipped when
+    none of them can split: every iterate is orthogonally similar to the
+    input, so each of its diagonal entries is bounded by the input's norm,
+    at most max|d| + 2 max|e| (Gershgorin); B, twice that, bounds every
+    |d[j]| strictly, with room for rounding. When min(e2[l+1:n-1]), taken
+    at C speed, exceeds the floor eps**2 B**2 + float_info.min, it exceeds
+    every e2[j] <= eps**2 |d[j] d[j+1]| + float_info.min test as well, and
+    the block runs to n - 1 as the scan would find. Otherwise the scan runs,
+    so the exact relative test still decides every split and the values are
+    those of the scan alone, bit for bit. Row l is left out of the minimum:
+    its coupling falls through the gap between its own threshold and the
+    floor as it converges, and on a graded chain's top rows, an
+    oscillator's, that gap spans a factor of about 1e5, so a minimum over
+    it would rescan the chain on many sweeps. The other couplings of an
+    oscillator chain never come near the floor, so its sweeps take no scan.
     """
     n = len(d)
     eps2, tiny, sqrt, hypot, copysign = _EPS * _EPS, sys.float_info.min, math.sqrt, math.hypot, math.copysign
-    for l in range(n):
+    bound = 2.0 * (max(map(abs, d)) + 2.0 * sqrt(max(e2)))
+    floor = eps2 * bound * bound + tiny
+    for l in range(n - 1):  # d[n-1] is final once every row above it has split off
         sweeps = 0
-        while True:
-            for m in range(l, n - 1):
-                if e2[m] <= eps2 * abs(d[m] * d[m + 1]) + tiny:
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
+        while e2[l] > eps2 * abs(d[l] * d[l + 1]) + tiny:
+            m = n - 1
+            if min(e2[l + 1 : m], default=math.inf) <= floor:
+                for m in range(l + 1, n - 1):
+                    if e2[m] <= eps2 * abs(d[m] * d[m + 1]) + tiny:
+                        break
+                else:
+                    m = n - 1
             sweeps += 1
             if sweeps > 30:
                 raise NonConvergenceError(l)

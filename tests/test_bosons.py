@@ -267,6 +267,24 @@ def test_squeezed_domain():
         squeezed_osc_hamiltonian(0.5, 50)
 
 
+@pytest.mark.parametrize("M", [0, 1, 2, 3, 50, 300])
+@pytest.mark.parametrize("kind, lam", [("displaced", 1.7), ("displaced", -0.6), ("squeezed", 0.3), ("squeezed", -0.45)])
+def test_dense_oscillators_equal_their_bands_summed(kind, lam, M):
+    # the one-array fill gives the bytes of three np.diag matrices summed,
+    # the empty and one-entry bands of the smallest cutoffs included
+    band, build = {
+        "displaced": (bosons_module.displaced_osc_band, displaced_osc_hamiltonian),
+        "squeezed": (bosons_module.squeezed_osc_band, squeezed_osc_hamiltonian),
+    }[kind]
+    d, c, s = band(lam, M)
+    reference = np.diag(d)
+    if c.size:  # np.diag of an empty band at offset s is s x s, not empty
+        reference = reference + np.diag(c, s) + np.diag(c, -s)
+    H = build(lam, M)
+    assert H.shape == reference.shape == (M + 1, M + 1)
+    assert H.tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("M", [0, 1, 7, 60])
 @pytest.mark.parametrize("kind, lam", [("displaced", 1.0), ("squeezed", 0.3), ("squeezed", -0.45)])
 def test_oscillator_sector_levels_match_full_diagonalization(kind, lam, M):

@@ -673,6 +673,38 @@ def test_perturbed_coupling_breaks_degeneracy():
         reconstruct_state(fake, cutoff=100)
 
 
+@pytest.mark.parametrize("N, index", [(1, 0), (4, 3), (6, 2)])
+def test_reconstruct_refuses_a_point_a_relative_1e9_off_the_locus(N, index):
+    # moving lam by a relative eps leaves ||T(x) p|| at about 0.4 to 1 eps of
+    # its scale: 1e-9 is refused, 1e-13 (rounding) is not
+    point = juddian_points(N, RESONANCE)[index]
+    for eps, refused in ((1e-9, True), (1e-13, False)):
+        lam = point.lam * (1.0 + eps)
+        moved = dataclasses.replace(point, lam=lam, g=0.5 * lam)
+        if refused:
+            with pytest.raises(FullRankError, match="off the locus"):
+                reconstruct_state(moved, cutoff=100)
+        else:
+            reconstruct_state(moved, cutoff=100)
+
+
+def test_verify_residual_reaches_the_row_past_the_state(monkeypatch):
+    # the state is zero from row R on, so (H - E) psi can be nonzero up to
+    # row R: a state whose one entry is on row R - 1 couples to row R, and
+    # the residual holds that coupling as the dense H gives it
+    point, M = juddian_points(1, RESONANCE)[0], 100
+    R = support_rows(point.lam, point.N)
+    assert R < M
+    fock = np.zeros(2 * (M + 1))
+    fock[2 * (R - 1)] = 1.0
+    state = juddian_module.JuddianState(p=None, q=None, displacement_sign=1, fock_vector=fock)
+    monkeypatch.setattr(juddian_module, "reconstruct_state", lambda p, cutoff: state)
+    report = verify_point(point, M)
+    dense = build_rabi(point.model_params(), M) @ fock - point.E * fock
+    assert np.flatnonzero(dense).max() // 2 == R
+    assert report.eigen_residual == pytest.approx(np.linalg.norm(dense), rel=1e-14)
+
+
 def test_verify_undersized_cutoff_raises():
     point = juddian_points(1, RESONANCE)[0]
     with pytest.raises(RuntimeError):

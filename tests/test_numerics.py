@@ -1,5 +1,6 @@
 """Tests for the polynomial, eigenvalue and elimination kernels."""
 
+import hashlib
 import math
 import re
 
@@ -251,6 +252,61 @@ def test_sym_eig_far_from_unit_scale_matches_lapack(T):
     # of these would overflow or underflow
     ref = np.linalg.eigvalsh(T)
     assert np.abs(sym_eig(T).values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _threshold_chain(m, seed, coupling=2.0 ** -52, n=12):
+    # a chain whose coupling m sits between two diagonal entries 1.0 and all
+    # else below 1 in magnitude: sym_eig scales it by 1/2, the halves on
+    # either side of m too, so coupling 2**-52 squares to 2**-106, exactly
+    # _ql_implicit's split threshold eps**2 |0.5 * 0.5| (+ float_info.min,
+    # lost in rounding) when it is first tested
+    rng = np.random.RandomState(seed)
+    d, e = rng.uniform(-0.9, 0.9, n), rng.uniform(0.1, 0.6, n - 1)
+    d[m] = d[m + 1] = 1.0
+    e[m] = coupling
+    return _tridiagonal_from(d, e)
+
+
+@pytest.mark.parametrize("m, seed", [(0, 1), (5, 2)], ids=["first", "middle"])
+def test_sym_eig_splits_at_the_threshold_exactly(m, seed):
+    # a coupling at the threshold splits the chain, so the values are those
+    # of its two halves solved apart, bit for bit; one ulp above it the
+    # chain is solved whole, and its values are not
+    A = _threshold_chain(m, seed)
+    halves = np.concatenate([sym_eig(A[: m + 1, : m + 1]).values, sym_eig(A[m + 1 :, m + 1 :]).values])
+    assert np.array_equal(sym_eig(A).values, np.sort(halves, kind="stable"))
+    above = _threshold_chain(m, seed, coupling=np.nextafter(2.0 ** -52, 1.0))
+    assert not np.array_equal(sym_eig(above).values, np.sort(halves, kind="stable"))
+    _check_eig(above, sym_eig(above))
+
+
+@pytest.mark.parametrize("m, seed", [(0, 1), (5, 2)], ids=["first", "middle"])
+def test_sym_eig_coupling_far_above_the_floor_matches_lapack(m, seed):
+    # 2**-30 is small beside the chain but far above eps**2 B**2: no split
+    A = _threshold_chain(m, seed, coupling=2.0 ** -30)
+    _check_eig(A, sym_eig(A))
+
+
+# SHA-256 of sym_eig(A).values.tobytes(), recorded by hand from the solver
+# that scanned every row for a split; skipping the scan must not move them
+_GOLDEN_SYM_EIG = {
+    ("displaced", 0.2, 200): "af93a030bf4f3cd6ae0b1de1050f37dfcedd45d96be33650104a68fe4050b026",
+    ("displaced", 2.0, 200): "4c6b2858116709b3cac3ae1010dc173e5bd4819544cade69f8a32e168e836793",
+    ("squeezed", 0.05, 300): "819015ce359b2c883dde51c1646e9e8e98b3d9e3d683d5112f61d478a45a1b00",
+    ("squeezed", 0.4, 300): "ba82aa74c3322d253b2f3173af057e790200f04fd179cb367230ca9e4f2fb80a",
+    ("threshold", 0, 1): "84c3d587e80b7764eae14d240e8cc89c9fbce3642bf6b206ca733393d5837fd0",
+    ("threshold", 5, 2): "7249c806eb180c4de736701ceb9289cca836088ef15bd801b4eb8ced851f7628",
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_SYM_EIG), ids=lambda c: "-".join(map(str, c)))
+def test_sym_eig_values_keep_their_golden_bytes(case):
+    # the benchmark's oscillator inputs at both ends of their lambda ranges,
+    # and the two threshold chains
+    kind, a, b = case
+    builders = {"displaced": displaced_osc_hamiltonian, "squeezed": squeezed_osc_hamiltonian}
+    A = _threshold_chain(a, b) if kind == "threshold" else builders[kind](a, b)
+    assert hashlib.sha256(sym_eig(A).values.tobytes()).hexdigest() == _GOLDEN_SYM_EIG[case]
 
 
 def test_sym_eig_input_validation():
@@ -528,6 +584,23 @@ def test_early_batch_equals_full_batch(matrix, scales):
     d, e = matrix
     e2_cols = (e[:, None] * np.array(scales)[None, :]) ** 2
     k = min(3, d.size)
+    got = numerics._sturm_lowest_batch(d[None, :], e2_cols, k)
+    assert got.tobytes() == _full_lowest_batch(d[None, :], e2_cols, k).tobytes()
+
+
+@pytest.mark.parametrize("d, e, scales, k", [
+    ([0.0, 0.0, 0.5], [0.5, 0.0], [1.0, 0.0], 1),
+    ([0.0, 0.5, 0.0, 1.0], [0.0, 0.0, 0.5], [1.0], 3),
+    ([0.0, 1.0, 2.0], [0.0, 0.0], [1.7, 1.0, 0.0], 2),
+    ([-0.5, 0.5, 0.1, 1.5, 0.5], [0.25, 0.0, 0.0, 0.0], [0.0], 3),
+])
+def test_batch_levels_on_their_cap_match_the_full_walk(d, e, scales, k):
+    # with zero couplings a level can sit exactly on its cap, the top
+    # Gershgorin end of the leading block, and a dyadic midpoint can land on
+    # it; the count there says "above", so the cap step may only decide
+    # midpoints past the cap's margin, or the values move by an ulp or more
+    d, e = np.array(d), np.array(e)
+    e2_cols = (e[:, None] * np.array(scales)[None, :]) ** 2
     got = numerics._sturm_lowest_batch(d[None, :], e2_cols, k)
     assert got.tobytes() == _full_lowest_batch(d[None, :], e2_cols, k).tobytes()
 

@@ -168,3 +168,13 @@ def test_every_name_the_benchmark_calls_resolves():
     names = {"rj" + m for path in _PERFBENCH.glob("*.py") for m in _RJ_NAME.findall(path.read_text())}
     assert {"rj.sym_eig", "rj.null_vector", "rj.svgplot.render_figure"} <= names
     assert sorted(name for name in names if not _resolves(name)) == []
+
+
+def test_every_mutant_text_occurs_once_in_its_module():
+    # tests/mutants.py is run by hand; a refactor that moves or rewrites a
+    # mutated line would otherwise first show when the harness refuses it
+    import mutants
+
+    texts = {module: (Path(rabijudd.__file__).parent / module).read_text() for _, module, _, _ in mutants.MUTANTS}
+    assert len({name for name, *_ in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    assert [(name, texts[module].count(old)) for name, module, old, _ in mutants.MUTANTS if texts[module].count(old) != 1] == []

@@ -343,6 +343,42 @@ def test_crossing_count_budget_is_four_per_candidate(monkeypatch):
     assert len(calls) == 4 * len(deltas)
 
 
+def _counted_candidates(monkeypatch, table):
+    """find_crossings' result on table, and the (lam, E) of every candidate it counted."""
+    seen, block_counter = [], juddian._block_counter
+
+    def recording(*args):
+        counter = block_counter(*args)
+        return lambda lam, E, delta: seen.append((lam, E)) or counter(lam, E, delta)
+
+    monkeypatch.setattr(juddian, "_block_counter", recording)
+    return find_crossings(table), seen
+
+
+def test_crossings_count_no_g_zero_candidate_off_integer_omega_tilde(monkeypatch):
+    # omega_tilde = 1/2: at g = 0 the levels are n -/+ 1/2, none at an integer
+    # E, so the grid across g = 0 counts only the points at g != 0
+    t = spectrum_sweep(ModelParams(omega0=1.0), np.linspace(-0.4, 0.4, 201), cutoff=100, levels_per_block=8)
+    crossings, seen = _counted_candidates(monkeypatch, t)
+    assert len(crossings) == 26 and len(seen) == 28
+    assert all(lam != 0.0 for lam, _ in seen)
+
+
+@pytest.mark.parametrize("omega0, first", [(2.0, 1), (4.0, 2), (6.0, 3)])
+def test_crossings_at_g_zero_reach_the_top_level_of_a_one_row_table(monkeypatch, omega0, first):
+    # at integer omega_tilde the one row g = 0 holds crossings (0, N) for
+    # N = first .. 7, levels (N, N); the top one, N = 7, may lie a few ulps
+    # above the bisected top level (6.999999999999995 at omega0 = 2), so
+    # E_cap alone would drop it. Orders above E_cap + _CROSSING_TOL are not
+    # counted
+    t = spectrum_sweep(ModelParams(omega0=omega0), np.array([0.0]), cutoff=60, levels_per_block=8)
+    crossings, seen = _counted_candidates(monkeypatch, t)
+    assert [(c.g_star, c.E_star, c.level_plus, c.level_minus) for c in crossings] == [
+        (0.0, float(N), N, N) for N in range(first, 8)
+    ]
+    assert seen == [(0.0, float(N)) for N in range(1, 8)]
+
+
 def _rewrite_counts(monkeypatch, change):
     """Patch find_crossings' counter so that change rewrites each candidate's counts."""
     block_counter = juddian._block_counter
