@@ -2,12 +2,12 @@
 
 Ladder operators on the lowest M+1 number states, the displaced number
 states D(z)|n> from the Laguerre closed form of their matrix elements on the
-rows that hold them (support_rows), squeeze parameters on
-the physical branch, and the displaced / squeezed oscillators, each written
-once as its band (diagonal, coupling, stride): oscillator_levels bisects the
-band's chains for the spectra that anchor the validation suite. The dense
-matrices built from the bands and the dense displacement matrix (scaling and
-squaring of the truncated generator) are references for tests and probes.
+rows that hold them (support_rows), squeeze parameters on the physical
+branch, and the displaced / squeezed oscillators, each written once as its
+band (diagonal, coupling, stride): oscillator_levels bisects each chain's
+levels with the scalar Sturm count for the validation suite's spectra. The
+dense band matrices and the dense displacement matrix (scaling and squaring
+of the truncated generator) are references for tests and probes.
 """
 
 from __future__ import annotations
@@ -221,10 +221,11 @@ def squeezed_osc_band(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray, 
 def oscillator_levels(kind: str, lam: float, cutoff: int, levels: int) -> np.ndarray:
     """Lowest levels of the "displaced" or "squeezed" oscillator band, ascending.
 
-    A band of stride s holds s tridiagonal chains (d[f::s], coupling[f::s])
-    that never mix; each is bisected (tridiag_eigvals_lowest), no dense matrix
-    formed, and the levels merged. Raises ValueError for another kind, levels
-    outside 1..M+1 or not integral, and input the band or bisection refuses.
+    A band of stride s holds s chains (d[f::s], coupling[f::s]) that never
+    mix; each is bisected level by level with scalar Sturm counts
+    (tridiag_eigvals_lowest), no dense matrix formed, and the levels merged.
+    Raises ValueError for another kind, levels outside 1..M+1 or not
+    integral, and input the band or bisection refuses.
     """
     bands = {"displaced": displaced_osc_band, "squeezed": squeezed_osc_band}
     if kind not in bands:

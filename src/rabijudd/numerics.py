@@ -1,19 +1,19 @@
 """Self-contained numerical kernel.
 
 Package paths run on Sturm counts of symmetric tridiagonal matrices. The
-lowest k eigenvalues come from bisection (tridiag_eigvals_lowest, which
-checks its input, or _sturm_lowest_batch, one lockstep walk over several
-diagonals that share many couplings, such as the two parity blocks over a
-coupling grid; both refuse a Gershgorin interval past half the float
-range). A count at one shift (_sturm_count, which ends early by
-_sturm_stop) certifies the levels next to a point without bisecting them:
-verify and the crossing detector count both parity blocks at E -/+ delta,
-through stop data built once on the largest coupling they serve
-(juddian._block_counter), and the difference is the number of levels in
-between. _integral refuses a count argument that int() would change.
-Inverse iteration at shift 0 (_inverse_step) gives the null vector of T(x)
-for juddian.reconstruct_state, from lists and a Gershgorin interval formed
-once.
+lowest k eigenvalues come from bisection, set up per matrix by
+_bisection_start (which refuses a Gershgorin interval past half the float
+range): tridiag_eigvals_lowest checks one matrix and bisects it level by
+level with the scalar _sturm_count, and _sturm_lowest_batch walks the
+sweep's two parity blocks over a coupling grid in lockstep, with the same
+bits. A count at one shift (_sturm_count, which ends early by _sturm_stop)
+certifies the levels next to a point without bisecting them: verify and the
+crossing detector count both parity blocks at E -/+ delta, through stop data
+built once on the largest coupling they serve (juddian._block_counter), and
+the difference is the number of levels in between. _integral refuses a count
+argument that int() would change. Inverse iteration at shift 0
+(_inverse_step) gives the null vector of T(x) for juddian.reconstruct_state,
+from lists and a Gershgorin interval formed once.
 Kept for tests and benchmark tasks:
 sym_eig (eigenvalues only, for a matrix whose connected components are
 each tridiagonal in index order; it rejects any other; each component is
@@ -328,19 +328,41 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+def _bisection_start(d: np.ndarray, e_max: np.ndarray, k: int) -> tuple:
+    """Pivot clamp, Gershgorin interval, stop width and _sturm_stop data of (d, e), |e| <= e_max.
+
+    Levels 1..k lie below the leading k x k block's top Gershgorin end (Cauchy
+    interlacing), so a count at or above it plus the stop margin is at least k:
+    hi halves while the midpoint is there and the halved bracket exceeds width.
+    """
+    tiny = _EPS * (float(np.max(np.abs(d))) + float(np.max(e_max, initial=0.0)) + 1.0)
+    lo, hi = _gershgorin(d, e_max)
+    width = 4.0 * _EPS * max(hi - lo, 1.0)
+    stop = _sturm_stop(d, e_max)
+    left, right = np.append(0.0, e_max), np.append(e_max, 0.0)  # in the block, row k - 1 has no right coupling
+    top = max(float(d[k - 1] + left[k - 1]), float(np.max((d + left + right)[: k - 1], initial=-math.inf)))
+    cap = top + _STOP_MARGIN * (stop.scale + abs(top))
+    while (mid := 0.5 * (lo + hi)) >= cap and mid - lo > width:
+        hi = mid
+    return tiny, lo, hi, width, stop
+
+
 def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     """Lowest k eigenvalues of the symmetric tridiagonal (d, e), ascending.
 
-    Bisection with Sturm counts, bisecting all k target indices in lockstep.
-    Raises ValueError for an empty d, when d, e or e**2 has a non-finite
-    entry (only e**2 enters a count, so spectra are exactly even in the sign
-    of e), for k outside 1..n or not an integer (_integral), and when the
-    Gershgorin interval reaches past half the float range.
+    Each level is bisected with _sturm_count on Python floats, one step each
+    until the widest bracket is within width, as _sturm_lowest_batch walks,
+    so the values are its values bit for bit. Raises ValueError for an empty
+    or non-1-D d, an e not one shorter, a non-finite d, e or e**2 (only e**2
+    enters a count, so spectra are exactly even in the sign of e), k outside
+    1..n or not an integer (_integral), and a Gershgorin interval past half
+    the float range.
     """
-    d = np.asarray(d, dtype=float)
-    e = np.asarray(e, dtype=float)
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     if d.size < 1:
         raise ValueError("empty tridiagonal matrix")
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError(f"tridiag_eigvals_lowest needs 1-D d and e one shorter, got shapes {d.shape} and {e.shape}")
     with np.errstate(over="ignore"):
         e2 = e * e
     if not (np.isfinite(d).all() and np.isfinite(e2).all()):
@@ -348,7 +370,15 @@ def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     k = _integral(k, "k")
     if not 1 <= k <= d.size:
         raise ValueError(f"k={k} out of range for dimension {d.size}")
-    return _sturm_lowest_batch(d[None, :], e2[:, None], k)[0, 0]
+    tiny, lo, hi, width, stop = _bisection_start(d, np.sqrt(e2), k)
+    dl, e2, los, his = d.tolist(), e2.tolist(), [lo] * k, [hi] * k
+    for _ in range(90):
+        for t in range(k):
+            mid = 0.5 * (los[t] + his[t])  # level t (from 0) lies above mid when at most t lie below
+            (los if _sturm_count(dl, e2, mid, tiny, stop) <= t else his)[t] = mid
+        if max(b - a for a, b in zip(los, his)) <= width:
+            break
+    return np.array([0.5 * (a + b) for a, b in zip(los, his)])
 
 
 def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.ndarray:
@@ -361,10 +391,10 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
     (P, G, k), ascending along the last axis. All P*k*G bisections advance
     in one lockstep walk, so the whole sweep costs one Sturm recurrence per
     bisection step. Each diagonal is bisected exactly as it would be alone:
-    its own tiny, Gershgorin interval, span and _sturm_stop data, and its own
-    width test, after which its lanes are dropped from the walk. Raises
-    ValueError when a diagonal's Gershgorin interval reaches past half the
-    float range, where the midpoints and the stopping width would overflow.
+    its own _bisection_start on the row-wise maximum |e| and its own width
+    test, after which its lanes are dropped from the walk. Raises ValueError
+    when a diagonal's Gershgorin interval reaches past half the float range,
+    where the midpoints and the stopping width would overflow.
 
     The lanes are laid out (P, k, G), so the row's e^2 (a contiguous (G,)
     row of e2_cols) broadcasts along the innermost axis. The pivots, the
@@ -381,14 +411,9 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
     rows from the latest first row any diagonal's slack allows, the loop
     ends once every lane's pivot is at least b_i.
 
-    By Cauchy interlacing, level t (1-based) lies at or below the largest
-    eigenvalue of the leading t x t block, so below that block's top
-    Gershgorin end on the bound b: one cap per diagonal and level, raised
-    by the _sturm_stop margin, 1e-12 (scale + |cap|), which covers the
-    rounding and clamping of the computed count as it does for the stop.
-    A step where every lane's midpoint is at or above its cap sets
-    hi = mid, as the count would, and walks no rows: the early steps of a
-    wide interval, such as an oscillator's at a large cutoff.
+    The walk starts at _bisection_start's lowered hi: each halving is a step
+    whose count, at or above level k's cap, would set hi = mid in every lane,
+    so the brackets are the same and a wide interval's early steps walk no rows.
 
     The pivot clamp (a pivot with |q| < tiny becomes -tiny if q < 0, else
     tiny, with the diagonal's own tiny) is tested by one min of |q| against
@@ -403,19 +428,7 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
     diags = np.asarray(diags, dtype=float)
     e2_cols = np.asarray(e2_cols, dtype=float)
     e_max = np.sqrt(np.max(e2_cols, axis=1, initial=0.0))
-    e_top = math.sqrt(float(np.max(e2_cols, initial=0.0)))
-    tiny, lo, hi, width, stops, caps = [], [], [], [], [], []
-    left, right = np.append(0.0, e_max), np.append(e_max, 0.0)
-    for d in diags:
-        tiny.append(_EPS * (float(np.max(np.abs(d))) + e_top + 1.0))
-        a, b = _gershgorin(d, e_max)
-        lo.append(a)
-        hi.append(b)
-        width.append(4.0 * _EPS * max(b - a, 1.0))
-        stops.append(_sturm_stop(d, e_max))
-        # top Gershgorin end of the leading t x t block, t = 1..k: its last row has no coupling below
-        top = np.maximum(d[:k] + left[:k], np.append(-math.inf, np.maximum.accumulate((d + left + right)[: k - 1])))
-        caps.append(top + _STOP_MARGIN * (stops[-1].scale + np.abs(top)))
+    tiny, lo, hi, width, stops = zip(*(_bisection_start(d, e_max, k) for d in diags))
     bound = stops[0].bound  # the same for every diagonal: it depends on e_max alone
 
     P, n = diags.shape
@@ -428,34 +441,29 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
     # per active diagonal: its index, its rows (d_rows[i] has shape (A, 1, 1)), tiny and stop width
     act = np.arange(P)
     d_rows = diags.T[:, :, None, None]
-    tiny = np.array(tiny)[:, None, None]
-    width = np.array(width)
-    caps = np.array(caps)
+    tiny, width = np.array(tiny)[:, None, None], np.array(width)
     targets = np.arange(1, k + 1, dtype=np.int32)[:, None]
     for _ in range(90):
         np.multiply(np.add(los, his, out=mids), 0.5, out=mids)
-        if (np.min(mids, axis=2) >= caps).all():
-            np.copyto(his, mids)  # every lane's level lies below its midpoint: no row is walked
-        else:
-            tiny_top = float(np.max(tiny))
-            first = max(stops[p].first_row(float(m.max()), float(max(m.max(), -m.min()))) for p, m in zip(act, mids))
-            np.subtract(d_rows[0], mids, out=q)
-            np.less(q, 0.0, out=count)
-            for i, e2, d_i in zip(range(1, n), e2_cols, d_rows[1:]):
-                np.abs(q, out=t)
-                if t.min() < tiny_top:
-                    np.less(t, tiny, out=small)
-                    np.copyto(q, np.where(q < 0.0, -tiny, tiny), where=small)
-                # d_i - x - e2 / q, rounded in that order
-                np.divide(e2, q, out=t)
-                np.subtract(d_i, mids, out=q)
-                np.subtract(q, t, out=q)
-                np.add(count, np.less(q, 0.0, out=small), out=count)
-                if i >= first and (i - first) % 4 == 0 and q.min() >= bound[i]:
-                    break
-            np.less(count, targets, out=small)  # the target level lies above the midpoint
-            np.copyto(los, mids, where=small)
-            np.copyto(his, mids, where=np.logical_not(small, out=small))
+        tiny_top = float(np.max(tiny))
+        first = max(stops[p].first_row(float(m.max()), float(max(m.max(), -m.min()))) for p, m in zip(act, mids))
+        np.subtract(d_rows[0], mids, out=q)
+        np.less(q, 0.0, out=count)
+        for i, e2, d_i in zip(range(1, n), e2_cols, d_rows[1:]):
+            np.abs(q, out=t)
+            if t.min() < tiny_top:
+                np.less(t, tiny, out=small)
+                np.copyto(q, np.where(q < 0.0, -tiny, tiny), where=small)
+            # d_i - x - e2 / q, rounded in that order
+            np.divide(e2, q, out=t)
+            np.subtract(d_i, mids, out=q)
+            np.subtract(q, t, out=q)
+            np.add(count, np.less(q, 0.0, out=small), out=count)
+            if i >= first and (i - first) % 4 == 0 and q.min() >= bound[i]:
+                break
+        np.less(count, targets, out=small)  # the target level lies above the midpoint
+        np.copyto(los, mids, where=small)
+        np.copyto(his, mids, where=np.logical_not(small, out=small))
         done = np.max(np.subtract(his, los, out=t), axis=(1, 2)) <= width
         if done.any():
             np.multiply(np.add(los, his, out=mids), 0.5, out=mids)
@@ -463,7 +471,7 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
             if done.all():
                 return out.transpose(0, 2, 1)
             keep = ~done
-            act, d_rows, tiny, width, caps = act[keep], d_rows[:, keep], tiny[keep], width[keep], caps[keep]
+            act, d_rows, tiny, width = act[keep], d_rows[:, keep], tiny[keep], width[keep]
             los, his, mids, q, t, small, count = (a[keep] for a in (los, his, mids, q, t, small, count))
     out[act] = 0.5 * (los + his)
     return out.transpose(0, 2, 1)

@@ -127,9 +127,21 @@ MUTANTS = [
      "H.flat[(stride - 1) * n : (stride - 1) * n + k * (n + 1) : n + 1] = c"),
     ("band-lower-left-out", "bosons.py",
      "H.flat[stride * n : stride * n + k * (n + 1) : n + 1] = c", "pass"),
+    # numerics._bisection_start, the setup of both bisections
+    ("start-cap-no-margin", "numerics.py",
+     "cap = top + _STOP_MARGIN * (stop.scale + abs(top))", "cap = top"),
+    ("start-cap-of-level-1", "numerics.py",
+     "top = max(float(d[k - 1] + left[k - 1]), float(np.max((d + left + right)[: k - 1], initial=-math.inf)))",
+     "top = float(d[0])"),
+    ("start-halves-to-width", "numerics.py",
+     "while (mid := 0.5 * (lo + hi)) >= cap and mid - lo > width:",
+     "while (mid := 0.5 * (lo + hi)) >= cap and hi - lo > width:"),
+    ("start-width", "numerics.py",
+     "width = 4.0 * _EPS * max(hi - lo, 1.0)", "width = 64.0 * _EPS * max(hi - lo, 1.0)"),
+    # numerics.tridiag_eigvals_lowest's scalar bisection
+    ("lowest-count-strict", "numerics.py",
+     "_sturm_count(dl, e2, mid, tiny, stop) <= t", "_sturm_count(dl, e2, mid, tiny, stop) < t"),
     # numerics._sturm_lowest_batch
-    ("batch-cap-no-margin", "numerics.py",
-     "caps.append(top + _STOP_MARGIN * (stops[-1].scale + np.abs(top)))", "caps.append(top)"),
     ("batch-no-clamp", "numerics.py",
      "if t.min() < tiny_top:", "if False:"),
     ("batch-stop-before-first-row", "numerics.py",
@@ -140,8 +152,6 @@ MUTANTS = [
     ("batch-stop-stride-offset", "numerics.py",
      "if i >= first and (i - first) % 4 == 0 and q.min() >= bound[i]:",
      "if i >= first and (i - first) % 4 == 1 and q.min() >= bound[i]:"),
-    ("batch-width", "numerics.py",
-     "width.append(4.0 * _EPS * max(b - a, 1.0))", "width.append(64.0 * _EPS * max(b - a, 1.0))"),
     # juddian._compatibility_count and _compatibility_roots
     ("compat-no-clamp", "juddian.py",
      "                q = neg_tiny if q < 0.0 else tiny\n            q = d + x4 - x * e / q",

@@ -593,12 +593,15 @@ def test_early_batch_equals_full_batch(matrix, scales):
     ([0.0, 0.5, 0.0, 1.0], [0.0, 0.0, 0.5], [1.0], 3),
     ([0.0, 1.0, 2.0], [0.0, 0.0], [1.7, 1.0, 0.0], 2),
     ([-0.5, 0.5, 0.1, 1.5, 0.5], [0.25, 0.0, 0.0, 0.0], [0.0], 3),
+    ([0.0, 1e-10], [0.0], [1.0], 1),
 ])
 def test_batch_levels_on_their_cap_match_the_full_walk(d, e, scales, k):
     # with zero couplings a level can sit exactly on its cap, the top
     # Gershgorin end of the leading block, and a dyadic midpoint can land on
-    # it; the count there says "above", so the cap step may only decide
-    # midpoints past the cap's margin, or the values move by an ulp or more
+    # it; the count there says "above", so the start bound may only skip
+    # midpoints past the cap's margin, or the values move by an ulp or more.
+    # In the last case the interval is narrower than the width floor: the
+    # bound may skip only halvings that leave the bracket wider than width
     d, e = np.array(d), np.array(e)
     e2_cols = (e[:, None] * np.array(scales)[None, :]) ** 2
     got = numerics._sturm_lowest_batch(d[None, :], e2_cols, k)
@@ -825,27 +828,66 @@ def test_sweep_batch_is_bit_identical_to_full_length(omega_tilde, M, k, parity, 
     assert got.tobytes() == _full_lowest_batch(diag[None, :], e2_cols, k).tobytes()
 
 
+def _assert_lowest_is_full_walk(d, e, k):
+    """tridiag_eigvals_lowest on (d, e) is the full-length walk's values, bit for bit."""
+    got = tridiag_eigvals_lowest(d, e, k)
+    assert got.tobytes() == _full_lowest_batch(d[None, :], (e * e)[:, None], k)[0, 0].tobytes()
+
+
 @pytest.mark.parametrize("kind, lam, M", [
     ("displaced", 1.0, 200),
     ("squeezed", 0.3, 300),
     ("squeezed", -0.45, 300),
 ])
-def test_oscillator_sectors_are_bit_identical_to_full_length(kind, lam, M, monkeypatch):
-    # G = 1: one tridiagonal per chain, the oscillator subcommand's path
-    got = oscillator_levels(kind, lam, M, 10)
-    monkeypatch.setattr(numerics, "_sturm_lowest_batch", _full_lowest_batch)
-    assert got.tobytes() == oscillator_levels(kind, lam, M, 10).tobytes()
+def test_oscillator_sectors_are_bit_identical_to_full_length(kind, lam, M):
+    # one tridiagonal per chain, the oscillator subcommand's path: each chain's
+    # scalar bisection against the lockstep walk with full-length counts
+    d, c, stride = (displaced_osc_band if kind == "displaced" else squeezed_osc_band)(lam, M)
+    for f in range(stride):
+        _assert_lowest_is_full_walk(d[f::stride], c[f::stride], 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tridiagonals(), st.integers(min_value=1, max_value=12))
+# n = 1: no couplings at all
+@example((np.array([0.5]), np.array([])), 1)
+# zero and negative couplings, k = n
+@example((np.array([0.0, 1.0, 1.0, 4.0]), np.array([-1.0, 0.0, -0.5])), 4)
+# an interval 1e-10 wide, under the 4 eps floor of the width: the start bound
+# may halve hi only while the halved bracket stays wider than width, since
+# the walk takes a step before its first width test
+@example((np.array([0.0, 1e-10]), np.array([0.0])), 1)
+def test_lowest_is_bit_identical_to_the_full_walk(matrix, k):
+    d, e = matrix
+    _assert_lowest_is_full_walk(d, e, min(k, d.size))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lowest_on_random_graded_chains_is_the_full_walk(seed):
+    # oscillator-like chains: a diagonal growing with the row, couplings
+    # growing like sqrt(row) with random signs and some set to zero
+    rng = np.random.RandomState(seed)
+    n = rng.randint(2, 60)
+    d = np.arange(n) * rng.choice([0.5, 1.0, 2.0]) + rng.standard_normal(n)
+    e = rng.uniform(0.1, 1.5) * np.sqrt(np.arange(1.0, n)) * rng.choice([-1.0, 0.0, 1.0, 1.0], n - 1)
+    for k in (1, min(7, n), n):
+        _assert_lowest_is_full_walk(d, e, k)
 
 
 def test_steps_above_the_interlacing_caps_walk_no_rows(monkeypatch):
     # the displaced oscillator at cutoff 5000: the Gershgorin interval reaches
     # past 5000, so the first bisection steps of the lowest 5 levels fall above
-    # the top of their leading blocks; 51 steps walk rows without the caps
+    # the top of their leading blocks; 51 steps walk rows without the start
+    # bound. Each count calls first_row once: per level in the scalar
+    # bisection, per step in the walk at P = G = 1
     steps = []
     first_row = numerics._SturmStop.first_row
     monkeypatch.setattr(numerics._SturmStop, "first_row", lambda self, x, r: steps.append(1) or first_row(self, x, r))
     d, c, _ = displaced_osc_band(1.0, 5000)
     tridiag_eigvals_lowest(d, c, 5)
+    assert len(steps) <= 42 * 5
+    steps.clear()
+    numerics._sturm_lowest_batch(d[None, :], (c * c)[:, None], 5)
     assert len(steps) <= 42
 
 
@@ -914,6 +956,17 @@ def test_counts_refuse_what_int_would_change(call, name):
 def test_lowest_rejects_non_finite_input(d, e):
     with pytest.raises(ValueError, match="needs finite d and e"):
         tridiag_eigvals_lowest(np.array(d), np.array(e), 1)
+
+
+@pytest.mark.parametrize("d, e", [
+    ([1.0, 2.0, 3.0, 4.0, 5.0], [0.5]),          # e too short
+    ([1.0, 2.0], [0.5, 0.5]),                    # e too long
+    ([[1.0, 2.0], [3.0, 4.0]], [0.5]),           # a 2-D d
+])
+def test_lowest_rejects_mismatched_shapes(d, e):
+    d, e = np.array(d), np.array(e)
+    with pytest.raises(ValueError, match=re.escape(f"got shapes {d.shape} and {e.shape}")):
+        tridiag_eigvals_lowest(d, e, 1)
 
 
 @pytest.mark.parametrize("d, e", [

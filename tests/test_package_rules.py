@@ -170,6 +170,48 @@ def test_every_name_the_benchmark_calls_resolves():
     assert sorted(name for name in names if not _resolves(name)) == []
 
 
+def _referrers(tree: ast.AST, module: str, name: str) -> set[str]:
+    """module.f for each top-level function or class f that names `name` (a
+    call, an attribute or a value), and module for a top-level statement that does."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == name) or (
+                    isinstance(node, ast.Attribute) and node.attr == name):
+                found.add(f"{module}.{top.name}" if hasattr(top, "name") else module)
+    return found
+
+
+# each Sturm kernel does one job (ROADMAP aim 2): the lockstep walk serves the
+# sweep alone, the scalar count the block certificate and the single-matrix
+# bisection, the compatibility count the root search
+_KERNEL_CALLERS = {
+    "_sturm_lowest_batch": {"rabi.spectrum_sweep"},
+    "_sturm_count": {"juddian._block_counter", "numerics.tridiag_eigvals_lowest"},
+    "_compatibility_count": {"juddian._compatibility_roots"},
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_CALLERS))
+def test_each_sturm_kernel_has_only_its_own_callers(kernel):
+    callers = set()
+    for path in _SOURCES:
+        callers |= _referrers(ast.parse(path.read_text(), filename=str(path)), path.stem, kernel)
+    assert callers == _KERNEL_CALLERS[kernel]
+
+
+@pytest.mark.parametrize("source, want", [
+    ("def f(d, e, k):\n    return _sturm_lowest_batch(d[None, :], e[:, None], k)[0, 0]", {"m.f"}),
+    ("def f(x):\n    def g():\n        return numerics._sturm_count(x)\n    return g", {"m.f"}),
+    ("class A:\n    kernel = staticmethod(_sturm_count)", {"m.A"}),
+    ("x = _sturm_count(1)", {"m"}),
+    ("from .numerics import _sturm_count\ndef f():\n    return '_sturm_count'", set()),
+])
+def test_the_caller_scan_finds_each_form(source, want):
+    name = "_sturm_lowest_batch" if "batch" in source else "_sturm_count"
+    assert _referrers(ast.parse(source), "m", name) == want
+
+
 def test_every_mutant_text_occurs_once_in_its_module():
     # tests/mutants.py is run by hand; a refactor that moves or rewrites a
     # mutated line would otherwise first show when the harness refuses it
