@@ -6,7 +6,8 @@ _bisection_start (which refuses a Gershgorin interval past half the float
 range): tridiag_eigvals_lowest checks one matrix and bisects it level by
 level with the scalar _sturm_count, and _sturm_lowest_batch walks the
 sweep's two parity blocks over a coupling grid in lockstep, with the same
-bits. A count at one shift (_sturm_count, which ends early by _sturm_stop)
+bits, on couplings root_j lam_g whose rows it squares when it first reaches
+them. A count at one shift (_sturm_count, which ends early by _sturm_stop)
 certifies the levels next to a point without bisecting them: verify and the
 crossing detector count both parity blocks at E -/+ delta, through stop data
 built once on the largest coupling they serve (juddian._block_counter), and
@@ -381,26 +382,32 @@ def tridiag_eigvals_lowest(d: np.ndarray, e: np.ndarray, k: int) -> np.ndarray:
     return np.array([0.5 * (a + b) for a, b in zip(los, his)])
 
 
-def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.ndarray:
+def _sturm_lowest_batch(diags: np.ndarray, root: np.ndarray, lam: np.ndarray, k: int) -> np.ndarray:
     """Lowest k eigenvalues of every tridiagonal made of one of the diagonals
-    and one of the coupling columns.
+    and the couplings root_j lam_g at one grid value lam_g.
 
     diags has shape (P, n), one diagonal per row (the sweep case: the two
-    parity blocks); e2_cols has shape (n-1, G), one squared off-diagonal
-    per column (a coupling that scales over the grid). Returns shape
-    (P, G, k), ascending along the last axis. All P*k*G bisections advance
-    in one lockstep walk, so the whole sweep costs one Sturm recurrence per
-    bisection step. Each diagonal is bisected exactly as it would be alone:
-    its own _bisection_start on the row-wise maximum |e| and its own width
-    test, after which its lanes are dropped from the walk. Raises ValueError
-    when a diagonal's Gershgorin interval reaches past half the float range,
+    parity blocks); root has shape (n-1,) and lam shape (G,), and grid
+    value g has the off-diagonal root * lam[g] (sqrt(j) 2 g / omega in the
+    sweep). Returns shape (P, G, k), ascending along the last axis. All
+    P*k*G bisections advance in one lockstep walk, so the whole sweep costs
+    one Sturm recurrence per bisection step. Each diagonal is bisected
+    exactly as it would be alone: its own _bisection_start on the row-wise
+    maximum |e| and its own width test; a diagonal that passes it before
+    the others sets its values aside, to be written back into the last
+    midpoints, and is walked on with them. Raises ValueError when a
+    diagonal's Gershgorin interval reaches past half the float range,
     where the midpoints and the stopping width would overflow.
 
-    The lanes are laid out (P, k, G), so the row's e^2 (a contiguous (G,)
-    row of e2_cols) broadcasts along the innermost axis. The pivots, the
-    e^2 / q quotients, a mask and the int32 negative-pivot counts live in
-    buffers of that shape; each row writes them by ufuncs with out=,
-    rounding d_i - x - e^2 / q in the order of the full-length recurrence.
+    Row i's (G,) squared couplings (root[i-1] lam)^2 are formed when a
+    count first reaches row i and kept, so rows past every early stop are
+    never formed. The row-wise maximum is the square at the largest |lam|,
+    since fl(fl(r lam)^2) never decreases as |lam| grows (rounding is
+    monotone and even). The lanes are laid out (P, k, G), so a row's e^2
+    broadcasts along the innermost axis. The pivots, the e^2 / q quotients,
+    a mask and the int32 negative-pivot counts live in buffers of that
+    shape; each row writes them by ufuncs with out=, rounding
+    d_i - x - e^2 / q in the order of the full-length recurrence.
 
     The recurrence ends early by the rule of _sturm_stop, with one bound
     for every lane: the row-wise maximum |e|, which every diagonal shares.
@@ -426,37 +433,38 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
     to clamping every row, and to bisecting each diagonal alone.
     """
     diags = np.asarray(diags, dtype=float)
-    e2_cols = np.asarray(e2_cols, dtype=float)
-    e_max = np.sqrt(np.max(e2_cols, axis=1, initial=0.0))
+    root, lam = np.asarray(root, dtype=float), np.asarray(lam, dtype=float)
+    e_max = np.sqrt(np.square(root * lam[np.argmax(np.abs(lam))]))
     tiny, lo, hi, width, stops = zip(*(_bisection_start(d, e_max, k) for d in diags))
     bound = stops[0].bound  # the same for every diagonal: it depends on e_max alone
 
     P, n = diags.shape
-    shape = (P, k, e2_cols.shape[1])
+    shape = (P, k, lam.size)
     los = np.broadcast_to(np.array(lo)[:, None, None], shape).copy()
     his = np.broadcast_to(np.array(hi)[:, None, None], shape).copy()
-    mids, q, t, out = (np.empty(shape) for _ in range(4))
+    mids, q, t = (np.empty(shape) for _ in range(3))
     small = np.empty(shape, dtype=bool)
     count = np.empty(shape, dtype=np.int32)
-    # per active diagonal: its index, its rows (d_rows[i] has shape (A, 1, 1)), tiny and stop width
-    act = np.arange(P)
-    d_rows = diags.T[:, :, None, None]
+    d_rows = diags.T[:, :, None, None]  # d_rows[i] has shape (P, 1, 1)
     tiny, width = np.array(tiny)[:, None, None], np.array(width)
+    tiny_top = float(np.max(tiny))
     targets = np.arange(1, k + 1, dtype=np.int32)[:, None]
+    e2, aside = [], {}  # e2[i - 1] is row i's squared couplings; aside[p] is diagonal p's values
     for _ in range(90):
         np.multiply(np.add(los, his, out=mids), 0.5, out=mids)
-        tiny_top = float(np.max(tiny))
-        first = max(stops[p].first_row(float(m.max()), float(max(m.max(), -m.min()))) for p, m in zip(act, mids))
+        first = max(stop.first_row(float(m.max()), float(max(m.max(), -m.min()))) for stop, m in zip(stops, mids))
         np.subtract(d_rows[0], mids, out=q)
         np.less(q, 0.0, out=count)
-        for i, e2, d_i in zip(range(1, n), e2_cols, d_rows[1:]):
+        for i in range(1, n):
+            if i > len(e2):
+                e2.append(np.square(root[i - 1] * lam))
             np.abs(q, out=t)
             if t.min() < tiny_top:
                 np.less(t, tiny, out=small)
                 np.copyto(q, np.where(q < 0.0, -tiny, tiny), where=small)
             # d_i - x - e2 / q, rounded in that order
-            np.divide(e2, q, out=t)
-            np.subtract(d_i, mids, out=q)
+            np.divide(e2[i - 1], q, out=t)
+            np.subtract(d_rows[i], mids, out=q)
             np.subtract(q, t, out=q)
             np.add(count, np.less(q, 0.0, out=small), out=count)
             if i >= first and (i - first) % 4 == 0 and q.min() >= bound[i]:
@@ -465,16 +473,15 @@ def _sturm_lowest_batch(diags: np.ndarray, e2_cols: np.ndarray, k: int) -> np.nd
         np.copyto(los, mids, where=small)
         np.copyto(his, mids, where=np.logical_not(small, out=small))
         done = np.max(np.subtract(his, los, out=t), axis=(1, 2)) <= width
-        if done.any():
-            np.multiply(np.add(los, his, out=mids), 0.5, out=mids)
-            out[act[done]] = mids[done]
-            if done.all():
-                return out.transpose(0, 2, 1)
-            keep = ~done
-            act, d_rows, tiny, width = act[keep], d_rows[:, keep], tiny[keep], width[keep]
-            los, his, mids, q, t, small, count = (a[keep] for a in (los, his, mids, q, t, small, count))
-    out[act] = 0.5 * (los + his)
-    return out.transpose(0, 2, 1)
+        if done.all():
+            break
+        for p in np.flatnonzero(done):
+            if p not in aside:
+                aside[p] = 0.5 * (los[p] + his[p])
+    np.multiply(np.add(los, his, out=mids), 0.5, out=mids)
+    for p, values in aside.items():
+        mids[p] = values
+    return mids.transpose(0, 2, 1)
 
 
 # Relative margin on the slack test of _sturm_stop, far above rounding.

@@ -149,12 +149,12 @@ def spectrum_sweep(
     """Lowest levels_per_block energies of each parity at every grid point.
 
     Both parity blocks at every grid point are bisected in one lockstep
-    Sturm walk (numerics._sturm_lowest_batch), with the squared couplings
-    (2 g / omega)^2 n built once in (M, G) layout. The rows share one
-    table-wide Gershgorin start and stop width, set by the largest coupling,
-    so a row's last bits depend on the rest of the grid (by up to 6.8e-14
-    at M = 100). Each block keeps its own bisection, so the table is
-    bit-identical to sweeping one parity at a time.
+    Sturm walk (numerics._sturm_lowest_batch) on the couplings
+    sqrt(n) 2 g / omega, each row squared when the walk first reaches it.
+    The rows share one table-wide Gershgorin start and stop width, set by
+    the largest coupling, so a row's last bits depend on the rest of the
+    grid (by up to 6.8e-14 at M = 100). Each block keeps its own bisection,
+    so the table is bit-identical to sweeping one parity at a time.
     """
     g_values = np.asarray(g_grid, dtype=float)
     if g_values.ndim != 1 or g_values.size == 0:
@@ -170,7 +170,5 @@ def spectrum_sweep(
     if not math.isfinite(lam_max * lam_max * M):
         raise ValueError("squared couplings (2 g / omega)^2 n overflow: g / omega too large")
     diags, root = _block_layout(params, M)
-    e2_cols = np.multiply.outer(root, 2.0 * g_values / params.omega)
-    np.square(e2_cols, out=e2_cols)
-    plus, minus = _sturm_lowest_batch(diags, e2_cols, k)
+    plus, minus = _sturm_lowest_batch(diags, root, 2.0 * g_values / params.omega, k)
     return SpectrumTable(g_values=g_values, levels_plus=plus, levels_minus=minus, params=params, cutoff=M)

@@ -152,6 +152,12 @@ MUTANTS = [
     ("batch-stop-stride-offset", "numerics.py",
      "if i >= first and (i - first) % 4 == 0 and q.min() >= bound[i]:",
      "if i >= first and (i - first) % 4 == 1 and q.min() >= bound[i]:"),
+    ("sweep-row-off-by-one", "numerics.py",
+     "e2.append(np.square(root[i - 1] * lam))", "e2.append(np.square(root[i] * lam))"),
+    ("sweep-top-by-max", "numerics.py",
+     "lam[np.argmax(np.abs(lam))]", "lam[np.argmax(lam)]"),
+    ("sweep-set-aside-dropped", "numerics.py",
+     "for p, values in aside.items():\n        mids[p] = values", "for p, values in aside.items():\n        pass"),
     # juddian._compatibility_count and _compatibility_roots
     ("compat-no-clamp", "juddian.py",
      "                q = neg_tiny if q < 0.0 else tiny\n            q = d + x4 - x * e / q",

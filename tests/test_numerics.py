@@ -539,6 +539,15 @@ def _full_lowest_batch(diags, e2_cols, k):
     return np.array(out)
 
 
+def _assert_walk_is_full_walk(diags, root, lam, k):
+    """_sturm_lowest_batch on the couplings root_j lam_g is the full-length walk's values, bit for bit."""
+    root, lam = np.asarray(root, dtype=float), np.asarray(lam, dtype=float)
+    got = numerics._sturm_lowest_batch(diags, root, lam, k)
+    assert got.shape == (len(diags), lam.size, k)
+    assert got.tobytes() == _full_lowest_batch(diags, (root[:, None] * lam[None, :]) ** 2, k).tobytes()
+    return got
+
+
 # Grid values make zero couplings, repeated diagonal entries and shifts that
 # land exactly on a slack d_j - |e_{j-1}| - |e_j| common; the ramp makes the
 # later rows dominant, so the stop fires inside the matrix.
@@ -580,12 +589,13 @@ def test_early_count_equals_full_count(matrix):
 
 @settings(max_examples=40, deadline=None)
 @given(_tridiagonals(), st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.7]), min_size=1, max_size=4))
+# a constant chain: every slack lies below most midpoints, so few counts may
+# end early, and a stop tested before the first row _sturm_stop allows ends
+# counts that later rows would still raise
+@example((np.full(8, -1.0), np.full(7, -1.0)), [0.3])
 def test_early_batch_equals_full_batch(matrix, scales):
     d, e = matrix
-    e2_cols = (e[:, None] * np.array(scales)[None, :]) ** 2
-    k = min(3, d.size)
-    got = numerics._sturm_lowest_batch(d[None, :], e2_cols, k)
-    assert got.tobytes() == _full_lowest_batch(d[None, :], e2_cols, k).tobytes()
+    _assert_walk_is_full_walk(d[None, :], e, scales, min(3, d.size))
 
 
 @pytest.mark.parametrize("d, e, scales, k", [
@@ -602,15 +612,12 @@ def test_batch_levels_on_their_cap_match_the_full_walk(d, e, scales, k):
     # midpoints past the cap's margin, or the values move by an ulp or more.
     # In the last case the interval is narrower than the width floor: the
     # bound may skip only halvings that leave the bracket wider than width
-    d, e = np.array(d), np.array(e)
-    e2_cols = (e[:, None] * np.array(scales)[None, :]) ** 2
-    got = numerics._sturm_lowest_batch(d[None, :], e2_cols, k)
-    assert got.tobytes() == _full_lowest_batch(d[None, :], e2_cols, k).tobytes()
+    _assert_walk_is_full_walk(np.array(d)[None, :], e, scales, k)
 
 
 @st.composite
 def _diagonal_pairs(draw):
-    """Two diagonals of one length, squared couplings (n-1, G) they share, and k."""
+    """Two diagonals of one length, the coupling roots and grid they share, and k."""
     n = draw(st.integers(min_value=1, max_value=10))
     diags = []
     for _ in range(2):
@@ -620,23 +627,20 @@ def _diagonal_pairs(draw):
     e = np.array(draw(st.lists(_GRID | st.floats(-2.0, 2.0), min_size=n - 1, max_size=n - 1)))
     scales = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0, 1.7]), min_size=1, max_size=4)))
     k = draw(st.integers(min_value=1, max_value=n))
-    return np.array(diags), (e[:, None] * scales[None, :]) ** 2, k
+    return np.array(diags), e, scales, k
 
 
 @settings(max_examples=60, deadline=None)
 @given(_diagonal_pairs())
 # n = 1: no couplings at all
-@example((np.array([[0.5], [-2.0]]), np.zeros((0, 3)), 1))
+@example((np.array([[0.5], [-2.0]]), np.zeros(0), np.array([0.3, 1.0, 1.7]), 1))
 # zero couplings, k = n: the first diagonal's interval is [0, 0], so its one
 # midpoint makes q_0 = 0 and the clamp fires; the second bisects on
-@example((np.array([[0.0, 0.0], [-1.0, 1.0]]), np.zeros((1, 2)), 2))
-# G = 1 and k = n
-@example((np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0]]), np.array([[1.0], [1e-17]]), 3))
+@example((np.array([[0.0, 0.0], [-1.0, 1.0]]), np.zeros(1), np.array([0.3, 1.0]), 2))
+# G = 1 and k = n, with a squared coupling of 2**-56
+@example((np.array([[1.0, 0.0, 0.0], [0.0, 2.0, -1.0]]), np.array([1.0, 2.0 ** -28]), np.array([1.0]), 3))
 def test_diagonal_pairs_are_bit_identical_to_each_alone(case):
-    diags, e2_cols, k = case
-    got = numerics._sturm_lowest_batch(diags, e2_cols, k)
-    assert got.shape == (2, e2_cols.shape[1], k)
-    assert got.tobytes() == _full_lowest_batch(diags, e2_cols, k).tobytes()
+    _assert_walk_is_full_walk(*case)
 
 
 def _bisection_steps(d, e):
@@ -649,14 +653,12 @@ def test_each_diagonal_stops_at_its_own_width():
     # The first diagonal's Gershgorin interval is 1.2e-3 wide, so the 1.0 floor
     # on its span ends its bisection about 9 steps before the second's; a walk
     # that kept bisecting it until the second finished would move its values.
-    diags = np.array([[0.0, 1e-3], [0.0, 100.0]])
-    e2_cols = (1e-4 * np.linspace(0.5, 1.0, 5))[None, :] ** 2
-    e_max = np.sqrt(e2_cols.max(axis=1))
+    diags, root, lam = np.array([[0.0, 1e-3], [0.0, 100.0]]), np.array([1e-4]), np.linspace(0.5, 1.0, 5)
+    e_max = root * lam.max()
     assert _bisection_steps(diags[1], e_max) - _bisection_steps(diags[0], e_max) > 5
-    got = numerics._sturm_lowest_batch(diags, e2_cols, 2)
-    assert got.tobytes() == _full_lowest_batch(diags, e2_cols, 2).tobytes()
+    got = _assert_walk_is_full_walk(diags, root, lam, 2)
     for p in range(2):
-        assert got[p].tobytes() == numerics._sturm_lowest_batch(diags[p:p + 1], e2_cols, 2)[0].tobytes()
+        assert got[p].tobytes() == numerics._sturm_lowest_batch(diags[p:p + 1], root, lam, 2)[0].tobytes()
 
 
 class _ReadRecorder(list):
@@ -822,10 +824,7 @@ def test_block_counts_certify_one_level_per_block_at_each_point(omega0, N, M):
 def test_sweep_batch_is_bit_identical_to_full_length(omega_tilde, M, k, parity, G):
     params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
     diag = _block_layout(params, M)[0][0 if parity == 1 else 1]
-    lams = 2.0 * np.linspace(0.05, 0.8, G)
-    e2_cols = (np.sqrt(np.arange(1.0, M + 1.0))[:, None] * lams[None, :]) ** 2
-    got = numerics._sturm_lowest_batch(diag[None, :], e2_cols, k)
-    assert got.tobytes() == _full_lowest_batch(diag[None, :], e2_cols, k).tobytes()
+    _assert_walk_is_full_walk(diag[None, :], np.sqrt(np.arange(1.0, M + 1.0)), 2.0 * np.linspace(0.05, 0.8, G), k)
 
 
 def _assert_lowest_is_full_walk(d, e, k):
@@ -887,7 +886,7 @@ def test_steps_above_the_interlacing_caps_walk_no_rows(monkeypatch):
     tridiag_eigvals_lowest(d, c, 5)
     assert len(steps) <= 42 * 5
     steps.clear()
-    numerics._sturm_lowest_batch(d[None, :], (c * c)[:, None], 5)
+    numerics._sturm_lowest_batch(d[None, :], c, np.ones(1), 5)
     assert len(steps) <= 42
 
 
@@ -907,18 +906,17 @@ def _lanes_with_small_pivots(d, e2_rows):
     return hits
 
 
-@pytest.mark.parametrize("d, e2_rows, clamped", [
+@pytest.mark.parametrize("d, root, lam, clamped", [
     # the first midpoint is 0, so q_0 = 0 in every lane
-    ([0.0, 0.0], [[1.0]], [True]),
-    # at midpoint 0, q_0 = 1 and q_1 = -e2_0: exactly 0 in the first row,
-    # -1e-17 (inside tiny) in the third, -1 in the second, which is unclamped
-    ([1.0, 0.0, 0.0], [[0.0, 0.0], [1.0, 1.0], [1e-17, 1e-17]], [True, False, True]),
+    ([0.0, 0.0], [1.0], [1.0], [True]),
+    # at midpoint 0, q_0 = 1 and q_1 = -e2_0: exactly 0 in the first lane,
+    # -2**-56 (inside tiny) in the third, -1 in the second, which is unclamped
+    ([1.0, 0.0, 0.0], [1.0, 1.0], [0.0, 1.0, 2.0 ** -28], [True, False, True]),
 ])
-def test_clamped_pivots_batch_equals_full_batch(d, e2_rows, clamped):
-    d, e2_rows = np.array(d), np.array(e2_rows)
-    assert _lanes_with_small_pivots(d, e2_rows) == clamped
-    got = numerics._sturm_lowest_batch(d[None, :], e2_rows.T, d.size)
-    assert got.tobytes() == _full_lowest_batch(d[None, :], e2_rows.T, d.size).tobytes()
+def test_clamped_pivots_batch_equals_full_batch(d, root, lam, clamped):
+    d, root, lam = np.array(d), np.array(root), np.array(lam)
+    assert _lanes_with_small_pivots(d, (lam[:, None] * root[None, :]) ** 2) == clamped
+    _assert_walk_is_full_walk(d[None, :], root, lam, d.size)
 
 
 @pytest.mark.parametrize("call, name", [

@@ -163,12 +163,8 @@ def test_sweep_single_point_uncoupled():
     assert np.allclose(table.levels_minus[0], [0.5, 0.5, 2.5], atol=1e-12)
 
 
-# the cutoffs and level counts of the benchmark's sweep slots, on a shorter grid
-@pytest.mark.parametrize("omega_tilde", [0.5, 2.0])
-@pytest.mark.parametrize("M, k", [(60, 8), (60, 16), (100, 8), (100, 16), (300, 8), (300, 16)])
-def test_sweep_is_bit_identical_to_full_length_per_parity(M, k, omega_tilde):
-    params = ModelParams(omega=1.0, omega0=2.0 * omega_tilde)
-    grid = np.linspace(0.05, 0.8, 101)
+def _assert_sweep_is_full_length(params, grid, M, k):
+    """spectrum_sweep's table is the full-length walk's, one parity at a time, bit for bit."""
     table = spectrum_sweep(params, grid, M, k)
     diags = _block_layout(params, M)[0]
     lams = 2.0 * grid / params.omega
@@ -176,6 +172,19 @@ def test_sweep_is_bit_identical_to_full_length_per_parity(M, k, omega_tilde):
     reference = _full_lowest_batch(diags, e2_cols, k)
     assert table.levels_plus.tobytes() == reference[0].tobytes()
     assert table.levels_minus.tobytes() == reference[1].tobytes()
+
+
+# the cutoffs and level counts of the benchmark's sweep slots, on a shorter grid
+@pytest.mark.parametrize("omega_tilde", [0.5, 2.0])
+@pytest.mark.parametrize("M, k", [(60, 8), (60, 16), (100, 8), (100, 16), (300, 8), (300, 16)])
+def test_sweep_is_bit_identical_to_full_length_per_parity(M, k, omega_tilde):
+    _assert_sweep_is_full_length(ModelParams(omega=1.0, omega0=2.0 * omega_tilde), np.linspace(0.05, 0.8, 101), M, k)
+
+
+def test_sweep_takes_its_coupling_bound_at_the_largest_abs_g():
+    # the first grid value has the largest |g|: a row maximum read at the
+    # largest g, the last, would be too small and move the start and stop
+    _assert_sweep_is_full_length(ModelParams(), np.linspace(-0.8, 0.3, 201), 60, 8)
 
 
 def test_sweep_peak_memory():
@@ -189,6 +198,19 @@ def test_sweep_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5e6
+
+
+def test_sweep_peak_memory_does_not_grow_with_the_cutoff():
+    # the walk stops near row 54 here, and squares only the coupling rows it
+    # reaches: an (M, G) table of squared couplings alone would be 80 MB
+    grid = np.linspace(0.05, 0.8, 2001)
+    tracemalloc.start()
+    try:
+        spectrum_sweep(ModelParams(), grid, 5000, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_sweep_validation():
