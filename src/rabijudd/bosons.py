@@ -1,13 +1,11 @@
 """Truncated Fock-space boson algebra.
 
-Ladder operators on the lowest M+1 number states, the displaced number
-states D(z)|n> from the Laguerre closed form of their matrix elements on the
-rows that hold them (support_rows), squeeze parameters on the physical
-branch, and the displaced / squeezed oscillators, each written once as its
-band (diagonal, coupling, stride): oscillator_levels bisects each chain's
-levels with the scalar Sturm count for the validation suite's spectra. The
-dense band matrices and the dense displacement matrix (scaling and squaring
-of the truncated generator) are references for tests and probes.
+The displaced number states D(z)|n> on the lowest M+1 number states, from
+the Laguerre closed form of their matrix elements on the rows that hold them
+(support_rows), squeeze parameters on the physical branch, and the
+displaced / squeezed oscillators, each written once as its band (diagonal,
+coupling, stride): oscillator_levels bisects each chain's levels with the
+scalar Sturm count for the validation suite's spectra.
 """
 
 from __future__ import annotations
@@ -22,22 +20,6 @@ from .numerics import _integral, tridiag_eigvals_lowest
 #: validation; large enough that coherent-state tails at the couplings of
 #: interest fall below the verification tolerances.
 DEFAULT_CUTOFF = 100
-
-
-def ladder_matrices(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Create, annihilate, and number matrices on the (M+1)-state basis.
-
-    <n+1|b+|n> = sqrt(n+1), annihilate is the exact transpose, and the
-    number operator is diagonal {0..M}; M must be an integer >= 0.
-    """
-    M = _integral(cutoff, "cutoff")
-    if M < 0:
-        raise ValueError("cutoff must be non-negative")
-    root = np.sqrt(np.arange(1.0, M + 1.0))
-    create = np.diag(root, -1)
-    annihilate = create.T.copy()
-    number = np.diag(np.arange(M + 1.0))
-    return create, annihilate, number
 
 
 def _check_displacement(z: float, M: int) -> float:
@@ -125,48 +107,6 @@ def displaced_number_states(z: float, cutoff: int, count: int) -> np.ndarray:
     return states[:, :rows].T
 
 
-def displacement_matrix(z: float, cutoff: int) -> np.ndarray:
-    """Matrix of exp(z (b+ - b)) on the truncated basis.
-
-    Scaling-and-squaring of the truncated antisymmetric generator: the scaled
-    one-norm is brought below 1/2, the exponential is summed by Taylor series,
-    and the result squared back up. Antisymmetry of the generator makes the
-    output orthogonal up to truncation, and column 0 carries the coherent-state
-    amplitudes exp(-z^2/2) z^n / sqrt(n!).
-
-    Raises ValueError when z^2 > M/4: beyond that the displaced vacuum has
-    non-negligible weight above the cutoff and the represented columns would
-    be silently corrupted.
-
-    O(M^3 log) and no longer on any package path: it is the dense reference
-    the tests compare the recurrence-built displaced number states against.
-    """
-    M = _integral(cutoff, "cutoff")
-    z = _check_displacement(z, M)
-    create, annihilate, _ = ladder_matrices(M)
-    G = z * (create - annihilate)
-
-    one_norm = float(np.max(np.sum(np.abs(G), axis=0))) if M > 0 else 0.0
-    squarings = 0
-    while one_norm > 0.5:
-        one_norm *= 0.5
-        squarings += 1
-    X = G / float(2**squarings)
-
-    D = np.eye(M + 1)
-    term = np.eye(M + 1)
-    for k in range(1, 40):
-        term = term @ X / k
-        D += term
-        if float(np.max(np.abs(term))) < 1e-17:
-            break
-    else:
-        raise RuntimeError("displacement Taylor series failed to converge")
-    for _ in range(squarings):
-        D = D @ D
-    return D
-
-
 @dataclass(frozen=True)
 class SqueezeParams:
     """Physical-branch squeeze parameters for coupling strength lam.
@@ -237,25 +177,3 @@ def oscillator_levels(kind: str, lam: float, cutoff: int, levels: int) -> np.nda
     chains = ((d[f::stride], c[f::stride]) for f in range(stride))
     parts = [tridiag_eigvals_lowest(df, cf, min(levels, df.size)) for df, cf in chains if df.size]
     return np.sort(np.concatenate(parts))[:levels]
-
-
-def _band_matrix(d: np.ndarray, c: np.ndarray, stride: int) -> np.ndarray:
-    """Dense symmetric matrix with diagonal d and coupling c at offsets +/- stride, filled in one array."""
-    n, k = d.size, c.size
-    H = np.zeros((n, n))
-    H.flat[:: n + 1] = d
-    # H[j, j + stride] and H[j + stride, j], j < k, lie n + 1 apart in the flat array;
-    # each slice has an explicit stop, since H.flat[a::b][:k] would write into a copy
-    H.flat[stride : stride + k * (n + 1) : n + 1] = c
-    H.flat[stride * n : stride * n + k * (n + 1) : n + 1] = c
-    return H
-
-
-def displaced_osc_hamiltonian(lam: float, cutoff: int) -> np.ndarray:
-    """Dense matrix of displaced_osc_band, a reference for the tests and probes."""
-    return _band_matrix(*displaced_osc_band(lam, cutoff))
-
-
-def squeezed_osc_hamiltonian(lam: float, cutoff: int) -> np.ndarray:
-    """Dense matrix of squeezed_osc_band, a reference for the tests and probes."""
-    return _band_matrix(*squeezed_osc_band(lam, cutoff))

@@ -4,7 +4,8 @@ Subcommands:
 
   juddian     isolated exact points up to a maximal baseline index
   spectrum    low-lying parity-resolved levels over a coupling grid
-  verify      cross-check exact points against a truncated diagonalization
+  verify      check exact points on the truncated model: four Sturm counts
+              of its parity blocks and the state's eigen-residual per point
   oscillator  displaced / squeezed levels (bosons.oscillator_levels) vs closed forms
   plot        render a spectrum CSV (plus optional points) to SVG
 

@@ -7,15 +7,14 @@ x = lam^2 vanishes. This module finds its roots and the finite states from
 the reduced tridiagonal T(x) alone; Sturm counts of the parity blocks,
 through one counter per point or per table (_block_counter), certify a
 point (verify_point) and a sweep's crossings, which are points
-(find_crossings). The full system and det T(x)'s coefficients serve the tests
-and the benchmark's probes; the tests' determinants come from LAPACK.
+(find_crossings).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from ._numpy import np
@@ -34,48 +33,6 @@ _MAX_DELTA = 1e-3
 _CROSSING_TOL = 1e-9
 
 
-def build_full_system(N: int, omega_tilde: float, x: float, lam_sign: int = 1) -> np.ndarray:
-    """The (2N+1)-dimensional linear system on (p_0..p_{N-1}, q_0..q_N).
-
-    Rows are the coefficient equations of the two spinor components after the
-    coherent transform, with E = N - x substituted and lam = sqrt(x):
-
-        A_n: wt q_n + (n - N + 4x) p_n + 2 lam sqrt(n) p_{n-1}
-                                       + 2 lam sqrt(n+1) p_{n+1}   (n = 0..N-1)
-        A_N: wt q_N + 2 lam sqrt(N) p_{N-1}
-        B_n: wt p_n + (n - N) q_n                                   (n = 0..N-1)
-
-    lam_sign = -1 builds the mirrored branch a = b + lam (lam -> -lam), whose
-    determinant is identical since the sign flip is a similarity by
-    diag((-1)^n). Raises ValueError for an N that int() would change.
-    """
-    N = _integral(N, "N")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    x = float(x)
-    if x < 0.0:
-        raise ValueError("x = lam^2 cannot be negative")
-    if lam_sign not in (1, -1):
-        raise ValueError("lam_sign must be +1 or -1")
-    wt = float(omega_tilde)
-    lam = lam_sign * math.sqrt(x)
-
-    dim = 2 * N + 1
-    A = np.zeros((dim, dim))
-    for m in range(N + 1):
-        A[m, N + m] = wt
-        if m <= N - 1:
-            A[m, m] = m - N + 4.0 * x
-        if m >= 1:
-            A[m, m - 1] += 2.0 * lam * math.sqrt(m)
-        if m + 1 <= N - 1:
-            A[m, m + 1] += 2.0 * lam * math.sqrt(m + 1.0)
-    for m in range(N):
-        A[N + 1 + m, m] = wt
-        A[N + 1 + m, N + m] = m - N
-    return A
-
-
 def _reduced_band(N: int, omega_tilde: float) -> tuple[list[float], list[float]]:
     # The N x N tridiagonal T(x) on p alone, from the full system by
     # eliminating q_n = wt p_n / (N - n) and q_N = -2 lam sqrt(N) p_{N-1} / wt:
@@ -84,31 +41,6 @@ def _reduced_band(N: int, omega_tilde: float) -> tuple[list[float], list[float]]
     d0 = [n - N + wt * wt / (N - n) for n in range(N)]
     e4 = [4.0 * n for n in range(1, N)]
     return d0, e4
-
-
-def compatibility_polynomial(N: int, omega_tilde: float) -> tuple[float, ...]:
-    """Coefficients of the degree-N polynomial in x = lam^2 whose positive
-    roots locate the points; entry k multiplies x**k.
-
-    det T(x): its diagonal d0_n + 4x and squared off-diagonal x e4_{n-1} are
-    linear in x, so the three-term recurrence D_n = (d0_n + 4x) D_{n-1}
-    - x e4_{n-1} D_{n-2} over the leading minors assembles the coefficients
-    directly. Leading coefficient 4^N > 0; N must be an integer >= 1.
-    """
-    N = _integral(N, "N")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    d0, e4 = _reduced_band(N, omega_tilde)
-    prev, cur = [1.0], [d0[0], 4.0]
-    for a, b in zip(d0[1:], e4):
-        # 0.0 + turns a -0.0 product into +0.0: no coefficient is ever -0.0
-        nxt = [0.0 + a * c for c in cur] + [0.0]
-        for k, c in enumerate(cur):
-            nxt[k + 1] += 4.0 * c
-        for k, c in enumerate(prev):
-            nxt[k + 1] -= b * c
-        prev, cur = cur, nxt
-    return tuple(cur)
 
 
 @dataclass
@@ -371,11 +303,6 @@ def reconstruct_state(point: JuddianPoint, cutoff: int = DEFAULT_CUTOFF) -> Judd
     support[1::2] = _SQRT_HALF * (comp1 - comp2)
     support /= math.sqrt(float(support @ support))
     return JuddianState(p=p, q=q, displacement_sign=sign, fock_vector=fock)
-
-
-def alternate_branch(point: JuddianPoint) -> JuddianPoint:
-    """The same point on the mirrored coherent branch (a = b + lam for -1)."""
-    return replace(point, displacement_sign=-point.displacement_sign)
 
 
 @dataclass(frozen=True)

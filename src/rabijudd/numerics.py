@@ -15,26 +15,14 @@ the difference is the number of levels in between. _integral refuses a count
 argument that int() would change. Inverse iteration at shift 0
 (_inverse_step) gives the null vector of T(x) for juddian.reconstruct_state,
 from lists and a Gershgorin interval formed once.
-Kept for tests and benchmark tasks:
-sym_eig (eigenvalues only, for a matrix whose connected components are
-each tridiagonal in index order; it rejects any other; each component is
-scaled by a power of two and solved by root-free QL on its diagonal and
-squared couplings, as LAPACK's dsterf, in Python floats; below the row
-being converged, its Python scan for a split runs only when the smallest
-coupling, found at C speed, lies below a floor that every split threshold
-stays under, so the oscillators' sweeps scan nothing and the values are
-the scan's bit for bit), poly_real_roots (a
-sign-change scan, each sign change bisected, for polynomials held as
-coefficient tuples) and Gaussian elimination for null vectors. Every
-eigenvalue path reads the couplings only as e**2, so its values are
-exactly even in their signs. Dense matrices and determinants are left to
-the tests, which check against LAPACK.
+Every eigenvalue path reads the couplings only as e**2, so its values are
+exactly even in their signs.
 ndarrays serve storage and elementwise/matmul arithmetic only; there are no
 calls into numpy.linalg or any external solver. numpy is the package's lazy
 handle (rabijudd._numpy), loaded by the first function here that reads it;
-the scalar Sturm counts and the QL sweep run on Python floats, and eps and
-the QL split's floor come from sys.float_info, so juddian_points loads no
-numpy and its scalars stay Python floats.
+the scalar Sturm counts run on Python floats and eps comes from
+sys.float_info, so juddian_points loads no numpy and its scalars stay
+Python floats.
 """
 
 from __future__ import annotations
@@ -42,20 +30,11 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._numpy import np
 
 _EPS = sys.float_info.epsilon
-
-
-class NonConvergenceError(RuntimeError):
-    """QL iteration exceeded the sweep cap for one eigenvalue."""
-
-    def __init__(self, index: int):
-        super().__init__(f"eigenvalue {index} failed to converge within 30 QL sweeps")
-        self.index = index
 
 
 class FullRankError(RuntimeError):
@@ -83,230 +62,6 @@ def _integral(value, name: str) -> int:
     if isinstance(value, bool) or whole != value:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return whole
-
-
-# ---------------------------------------------------------------------------
-# polynomials
-
-
-def poly_eval(p: tuple[float, ...], x):
-    """Horner evaluation of the coefficient tuple p, p[k] times x**k, at a scalar or ndarray x."""
-    acc = 0.0 * x if isinstance(x, np.ndarray) else 0.0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _bisect_root(p: tuple[float, ...], a: float, b: float) -> float:
-    """A root of p in the cell (a, b), at whose ends p has opposite signs: the
-    cell is halved until no float lies between its ends, or p is 0 at its midpoint."""
-    fa = poly_eval(p, a)
-    m = 0.5 * (a + b)
-    while a < m < b and (fm := poly_eval(p, m)) != 0.0:
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = m, fm
-        else:
-            b = m
-        m = 0.5 * (a + b)
-    return m
-
-
-def poly_real_roots(
-    p: tuple[float, ...],
-    bracket: tuple[float, float],
-    expected_count: int | None = None,
-) -> list[float]:
-    """The real roots of odd multiplicity inside the open bracket of the
-    polynomial whose coefficient tuple is p (p[k] multiplies x**k), one per
-    grid cell, ascending.
-
-    Trailing zero coefficients are dropped first. A uniform scan of 1000
-    intervals takes each interior grid point where p is exactly 0 as a root
-    and bisects each cell whose ends p gives opposite signs (_bisect_root).
-    A root of even multiplicity, or a second root in one cell, is not seen.
-    When expected_count is given and fewer roots are found, RootCountError
-    is raised, carrying the roots found.
-
-    Raises ValueError for a degree-0 input or when a bracket endpoint is
-    itself a root (the caller must perturb the bracket).
-    """
-    p = tuple(float(c) for c in p)
-    while len(p) > 1 and p[-1] == 0.0:
-        p = p[:-1]
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if len(p) < 2:
-        raise ValueError("cannot isolate roots of a degree-0 polynomial")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid bracket ({lo}, {hi})")
-    if poly_eval(p, lo) == 0.0 or poly_eval(p, hi) == 0.0:
-        raise ValueError("bracket endpoint is a root; perturb the bracket")
-
-    grid = np.linspace(lo, hi, 1001)
-    xs, vals = grid.tolist(), poly_eval(p, grid).tolist()
-    roots: list[float] = []
-    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
-        if fa == 0.0:  # an interior grid point: p is nonzero at lo
-            roots.append(a)
-        elif fb != 0.0 and (fa < 0.0) != (fb < 0.0):
-            roots.append(_bisect_root(p, a, b))
-    if expected_count is not None and len(roots) < expected_count:
-        raise RootCountError(roots, expected_count)
-    return roots
-
-
-# ---------------------------------------------------------------------------
-# symmetric eigensolver
-
-
-@dataclass(frozen=True)
-class EigResult:
-    """Ascending eigenvalues of a symmetric matrix made of chains (sym_eig).
-
-    A one-field record rather than a bare array because its callers,
-    perfbench's oscillator tasks and probes among them, read sym_eig(A).values.
-    """
-
-    values: np.ndarray
-
-
-def _components(A: np.ndarray) -> list[list[int]]:
-    """Connected components of symmetric A's nonzero pattern by iterative depth-first
-    search: each an ascending index list, the lists by their smallest index."""
-    rows, cols = np.nonzero(A)
-    starts = np.searchsorted(rows, np.arange(A.shape[0] + 1)).tolist()
-    cols = cols.tolist()
-    seen = [False] * A.shape[0]
-    components = []
-    for root in range(A.shape[0]):
-        stack, members = [root], []
-        while stack:
-            i = stack.pop()
-            if not seen[i]:
-                seen[i] = True
-                members.append(i)
-                stack.extend(cols[starts[i] : starts[i + 1]])
-        if members:
-            components.append(sorted(members))
-    return components
-
-
-def _ql_implicit(d: list, e2: list) -> None:
-    """Root-free implicit-shift QL on tridiagonal (d, e**2), in place, on Python floats.
-
-    d and e2 are lists: the diagonal, and e2[j] = T[j, j+1]**2 with
-    e2[n-1] = 0; on return d holds the eigenvalues, unsorted. This is the
-    Pal-Walker-Kahan form of Reinsch's root-free QL (tqlrat) that LAPACK's
-    dsterf runs (Parlett, The Symmetric Eigenvalue Problem, section 8.15): the
-    chase carries squared sines and cosines, so its rotations take no hypot
-    and no square root; only the Wilkinson shift does, once per sweep, from
-    sqrt(e2[l]). The matrix splits at the first j >= l with
-    e2[j] <= eps**2 |d[j] d[j+1]| + float_info.min: dsterf's relative test,
-    with the floor that keeps zero diagonals splitting at negligible
-    couplings; the first step of the chase sets that coupling to 0. The
-    caller scales the matrix (sym_eig) so that e**2 neither overflows nor
-    underflows. Raises NonConvergenceError after 30 sweeps on a single
-    eigenvalue.
-
-    Row l, whose coupling the sweeps drive to zero, is tested first, on its
-    own. The scan of the rows below it runs in Python, so it is skipped when
-    none of them can split: every iterate is orthogonally similar to the
-    input, so each of its diagonal entries is bounded by the input's norm,
-    at most max|d| + 2 max|e| (Gershgorin); B, twice that, bounds every
-    |d[j]| strictly, with room for rounding. When min(e2[l+1:n-1]), taken
-    at C speed, exceeds the floor eps**2 B**2 + float_info.min, it exceeds
-    every e2[j] <= eps**2 |d[j] d[j+1]| + float_info.min test as well, and
-    the block runs to n - 1 as the scan would find. Otherwise the scan runs,
-    so the exact relative test still decides every split and the values are
-    those of the scan alone, bit for bit. Row l is left out of the minimum:
-    its coupling falls through the gap between its own threshold and the
-    floor as it converges, and on a graded chain's top rows, an
-    oscillator's, that gap spans a factor of about 1e5, so a minimum over
-    it would rescan the chain on many sweeps. The other couplings of an
-    oscillator chain never come near the floor, so its sweeps take no scan.
-    """
-    n = len(d)
-    eps2, tiny, sqrt, hypot, copysign = _EPS * _EPS, sys.float_info.min, math.sqrt, math.hypot, math.copysign
-    bound = 2.0 * (max(map(abs, d)) + 2.0 * sqrt(max(e2)))
-    floor = eps2 * bound * bound + tiny
-    for l in range(n - 1):  # d[n-1] is final once every row above it has split off
-        sweeps = 0
-        while e2[l] > eps2 * abs(d[l] * d[l + 1]) + tiny:
-            m = n - 1
-            if min(e2[l + 1 : m], default=math.inf) <= floor:
-                for m in range(l + 1, n - 1):
-                    if e2[m] <= eps2 * abs(d[m] * d[m + 1]) + tiny:
-                        break
-                else:
-                    m = n - 1
-            sweeps += 1
-            if sweeps > 30:
-                raise NonConvergenceError(l)
-            rte = sqrt(e2[l])
-            sigma = (d[l + 1] - d[l]) / (2.0 * rte)
-            sigma = d[l] - rte / (sigma + copysign(hypot(sigma, 1.0), sigma))
-            c, s = 1.0, 0.0
-            gamma = d[m] - sigma
-            p = gamma * gamma
-            for i in range(m - 1, l - 1, -1):
-                bb = e2[i]
-                r = p + bb
-                e2[i + 1] = s * r  # 0 on the first step (s = 0): e2[m] splits off
-                oldc = c
-                c = p / r
-                s = bb / r
-                oldgam = gamma
-                alpha = d[i]
-                gamma = c * (alpha - sigma) - s * oldgam
-                d[i + 1] = oldgam + (alpha - gamma)
-                p = gamma * gamma / c if c != 0.0 else oldc * bb
-            e2[l] = s * p
-            d[l] = sigma + gamma
-
-
-def sym_eig(A: np.ndarray) -> EigResult:
-    """All eigenvalues of a real symmetric matrix made of chains; no eigenvectors are formed.
-
-    Parameters
-    ----------
-    A : (n, n) ndarray, exactly symmetric (builders here write both triangles),
-        each connected component of its nonzero pattern tridiagonal in
-        ascending index order: the parity blocks, the oscillators (the
-        squeezed one as its even-n and odd-n chains) and build_rabi's two
-        parity chains all are.
-
-    Returns
-    -------
-    EigResult with the values in ascending order: the stable sort of the
-    joined spectra of the components. Each component is multiplied by the
-    power of two that brings its largest |entry| into [1/2, 1) (exact in
-    binary, dsterf's scaling step), so its squared couplings neither
-    overflow nor underflow; _ql_implicit solves it and the values are scaled
-    back. The solve therefore sees the same numbers for A and 2**k A, whose
-    values are 2**k times A's bit for bit while every entry and value stays
-    a normal float. Raises ValueError naming the first index of any other
-    component.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-        raise ValueError("sym_eig needs a square matrix")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("sym_eig needs finite entries")
-    if not np.array_equal(A, A.T):
-        raise ValueError("sym_eig needs an exactly symmetric matrix")
-
-    values: list[np.ndarray] = []
-    for idx in _components(A):
-        B = A if len(idx) == A.shape[0] else A[np.ix_(idx, idx)]
-        if np.count_nonzero(B) != np.count_nonzero(np.diagonal(B)) + 2 * np.count_nonzero(np.diagonal(B, 1)):
-            raise ValueError(f"sym_eig needs chains: the component at index {idx[0]} is not tridiagonal in index order")
-        diag, off = np.diagonal(B), np.diagonal(B, 1)
-        # a power of two brings the largest |entry| into [1/2, 1): exact, and e**2 stays in range
-        _, exp = math.frexp(max(float(np.max(np.abs(diag))), float(np.max(np.abs(off), initial=0.0))))
-        off = np.ldexp(off, -exp)
-        d, e2 = np.ldexp(diag, -exp).tolist(), (off * off).tolist() + [0.0]
-        _ql_implicit(d, e2)
-        values.append(np.ldexp(d, exp))
-    return EigResult(values=np.sort(np.concatenate(values), kind="stable"))
 
 
 # ---------------------------------------------------------------------------
@@ -593,67 +348,3 @@ def _inverse_step(dl: list, el: list, interval: tuple[float, float], start: np.n
     out = np.array(x[::-1])
     out /= math.sqrt(float(out @ out))
     return -out if float(out @ start) < 0.0 else out
-
-
-# ---------------------------------------------------------------------------
-# elimination-based helpers
-
-
-def null_vector(A: np.ndarray) -> np.ndarray:
-    """Unit-norm null vector of a numerically rank-deficient square matrix.
-
-    Gaussian elimination with partial pivoting; a column whose best available
-    pivot falls below 1e-10 * ||A||_F is taken as the free variable. The free
-    variable is set to 1, pivot variables are back-substituted, and the result
-    is normalized with its first nonzero component positive.
-
-    Raises FullRankError when every column admits a pivot above the threshold
-    (the input point is not on the locus the caller thinks it is).
-    """
-    M = np.asarray(A, dtype=float).copy()
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("null_vector needs a square matrix")
-    n = M.shape[0]
-    norm = float(np.sqrt(np.sum(M * M)))
-    if norm == 0.0:
-        v = np.zeros(n)
-        v[0] = 1.0
-        return v
-    threshold = 1e-10 * norm
-
-    pivot_cols: list[tuple[int, int]] = []  # (row, col)
-    free_cols: list[int] = []
-    r = 0
-    for c in range(n):
-        if r >= n:
-            free_cols.append(c)
-            continue
-        piv = r + int(np.argmax(np.abs(M[r:, c])))
-        if abs(M[piv, c]) < threshold:
-            free_cols.append(c)
-            continue
-        if piv != r:
-            M[[r, piv], :] = M[[piv, r], :]
-        below = M[r + 1 :, c] / M[r, c]
-        M[r + 1 :, :] -= np.outer(below, M[r, :])
-        M[r + 1 :, c] = 0.0
-        pivot_cols.append((r, c))
-        r += 1
-
-    if not free_cols:
-        raise FullRankError(
-            f"matrix is numerically full-rank (no pivot below {threshold:.3e})"
-        )
-
-    v = np.zeros(n)
-    v[free_cols[0]] = 1.0
-    for row, col in reversed(pivot_cols):
-        v[col] = -float(M[row, col + 1 :] @ v[col + 1 :]) / M[row, col]
-    v /= math.sqrt(float(v @ v))
-    for comp in v:
-        if abs(comp) > 1e-12:
-            if comp < 0.0:
-                v = -v
-            break
-    return v
-

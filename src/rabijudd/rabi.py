@@ -1,6 +1,6 @@
-"""Rabi Hamiltonian on the truncated basis: assembly, its band product,
-parity decomposition and spectrum sweeps. The crossings a sweep holds are
-the exact points, so find_crossings lives with them in juddian.
+"""Rabi Hamiltonian on the truncated basis: its band product, the parity
+blocks' layout and spectrum sweeps. The crossings a sweep holds are the
+exact points, so find_crossings lives with them in juddian.
 
 Basis ordering is (n, spin) lexicographic with the spin-up (sigma_z = +1)
 state first, so index(n, up) = 2n and index(n, down) = 2n + 1; output files
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ._numpy import np
-from .bosons import DEFAULT_CUTOFF, ladder_matrices
+from .bosons import DEFAULT_CUTOFF
 from .numerics import _integral, _sturm_lowest_batch
 
 
@@ -46,42 +46,12 @@ class ModelParams:
         return 2.0 * self.g / self.omega
 
 
-@dataclass(frozen=True)
-class ParityBlock:
-    """One parity sector: the states it contains and its tridiagonal matrix.
-
-    basis_map[k] = (n, s) is the Fock level and sigma_z eigenvalue of the
-    k-th block basis state; every entry satisfies -s cos(pi n) = parity.
-    """
-
-    parity: int
-    basis_map: list[tuple[int, int]]
-    matrix: np.ndarray
-
-
-def build_rabi(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> np.ndarray:
-    """Scaled Rabi Hamiltonian as a dense symmetric 2(M+1) matrix.
-
-    omega_tilde sigma_z + b+b + lam (b+ + b) sigma_x, in units of omega; the
-    dense reference for the band and Sturm code; the cutoff must be an integer.
-    """
-    M = _integral(cutoff, "cutoff")
-    create, annihilate, number = ladder_matrices(M)
-    eye_f = np.eye(M + 1)
-    eye_s = np.eye(2)
-    return (
-        params.omega_tilde * np.kron(eye_f, np.array([[1.0, 0.0], [0.0, -1.0]]))
-        + np.kron(number, eye_s)
-        + params.lam * np.kron(create + annihilate, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    )
-
-
 def _apply_rabi(params: ModelParams, vector: np.ndarray) -> np.ndarray:
     """Scaled Hamiltonian times a vector on the assembly basis, through its band.
 
-    The same product as build_rabi(params, M) @ vector in O(M): diagonal
-    n + omega_tilde (spin up) and n - omega_tilde (spin down), and coupling
-    lam sqrt(n+1) between (n, s) and (n+1, -s).
+    The same product as reference.build_rabi(params, M) @ vector in O(M):
+    diagonal n + omega_tilde (spin up) and n - omega_tilde (spin down), and
+    coupling lam sqrt(n+1) between (n, s) and (n+1, -s).
     """
     up, down = vector[0::2], vector[1::2]
     n = np.arange(up.size, dtype=float)
@@ -105,24 +75,6 @@ def _block_layout(params: ModelParams, M: int) -> tuple[np.ndarray, np.ndarray]:
     spin = np.empty(M + 1)
     spin[0::2], spin[1::2] = -params.omega_tilde, params.omega_tilde
     return np.array([n + spin, n - spin]), np.sqrt(n[1:])
-
-
-def parity_blocks(params: ModelParams, cutoff: int = DEFAULT_CUTOFF) -> tuple[ParityBlock, ParityBlock]:
-    """The two exact parity sectors, (+1 block, -1 block), each of dim M+1.
-
-    Within the sector of parity pi, Fock level n carries spin
-    s = -pi (-1)^n; the coupling changes n by one and flips the spin, so it
-    stays inside the sector even after truncation; cutoff must be an integer.
-    """
-    M = _integral(cutoff, "cutoff")
-    diags, root = _block_layout(params, M)
-    off = params.lam * root
-    plus, minus = (
-        ParityBlock(parity, [(n, -parity * (-1) ** n) for n in range(M + 1)],
-                    np.diag(d) + np.diag(off, 1) + np.diag(off, -1))
-        for parity, d in zip((1, -1), diags)
-    )
-    return plus, minus
 
 
 @dataclass(frozen=True)

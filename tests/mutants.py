@@ -2,8 +2,9 @@
 
 Each mutant replaces one exact piece of a module's source text, which must
 occur exactly once, in a temporary copy of src/, tests/ and perfbench/, and
-runs the module tests on that copy with pytest -x. A mutant
-that fails a test is killed; one that passes every test survives, and
+runs the module tests on that copy with pytest -x and hypothesis's seed
+fixed at 0, so that a verdict repeats from run to run. A mutant that
+fails a test is killed; one that passes every test survives, and
 needs a test that kills it or an argument that it is equivalent. pytest
 does not collect this file, and it needs only the standard library.
 
@@ -107,25 +108,25 @@ MUTANTS = [
     # rabi._block_layout
     ("layout-minus-block-spin", "rabi.py",
      "return np.array([n + spin, n - spin])", "return np.array([n + spin, n + spin])"),
-    # numerics._ql_implicit: the split scan's prefilter
-    ("ql-floor-tiny", "numerics.py",
+    # reference._ql_implicit: the split scan's prefilter
+    ("ql-floor-tiny", "reference.py",
      "floor = eps2 * bound * bound + tiny", "floor = tiny"),
-    ("ql-min-skips-row-l-plus-1", "numerics.py",
+    ("ql-min-skips-row-l-plus-1", "reference.py",
      "if min(e2[l + 1 : m], default=math.inf) <= floor:", "if min(e2[l + 2 : m], default=math.inf) <= floor:"),
-    ("ql-row-l-splits-only-below-threshold", "numerics.py",
+    ("ql-row-l-splits-only-below-threshold", "reference.py",
      "while e2[l] > eps2 * abs(d[l] * d[l + 1]) + tiny:", "while e2[l] >= eps2 * abs(d[l] * d[l + 1]) + tiny:"),
     # equivalent: sym_eig's scaling makes B >= 1, and every split threshold
     # stays below a quarter of the floor, so a minimum equal to it splits nothing
-    ("ql-scan-only-below-the-floor", "numerics.py",
+    ("ql-scan-only-below-the-floor", "reference.py",
      "if min(e2[l + 1 : m], default=math.inf) <= floor:", "if min(e2[l + 1 : m], default=math.inf) < floor:"),
-    # bosons._band_matrix
-    ("band-upper-offset-plus-one", "bosons.py",
+    # reference._band_matrix
+    ("band-upper-offset-plus-one", "reference.py",
      "H.flat[stride : stride + k * (n + 1) : n + 1] = c",
      "H.flat[stride + 1 : stride + 1 + k * (n + 1) : n + 1] = c"),
-    ("band-lower-offset-minus-one", "bosons.py",
+    ("band-lower-offset-minus-one", "reference.py",
      "H.flat[stride * n : stride * n + k * (n + 1) : n + 1] = c",
      "H.flat[(stride - 1) * n : (stride - 1) * n + k * (n + 1) : n + 1] = c"),
-    ("band-lower-left-out", "bosons.py",
+    ("band-lower-left-out", "reference.py",
      "H.flat[stride * n : stride * n + k * (n + 1) : n + 1] = c", "pass"),
     # numerics._bisection_start, the setup of both bisections
     ("start-cap-no-margin", "numerics.py",
@@ -196,7 +197,8 @@ def run(mutant) -> tuple[str, str, float]:
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), OPENBLAS_NUM_THREADS="1")
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", GUARD, *TESTS],
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                 "--deselect", GUARD, *TESTS],
                 cwd=tmp, env=env, capture_output=True, text=True, timeout=TIMEOUT,
             )
         except subprocess.TimeoutExpired:

@@ -8,17 +8,14 @@ import numpy as np
 import pytest
 
 import rabijudd.bosons as bosons_module
-from rabijudd.bosons import (
-    displaced_number_states,
+from rabijudd.bosons import displaced_number_states, oscillator_levels, squeeze_params, support_rows
+from rabijudd.reference import (
     displaced_osc_hamiltonian,
     displacement_matrix,
     ladder_matrices,
-    oscillator_levels,
-    squeeze_params,
     squeezed_osc_hamiltonian,
-    support_rows,
+    sym_eig,
 )
-from rabijudd.numerics import sym_eig
 
 
 def test_ladder_matrices_m1():

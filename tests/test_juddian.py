@@ -10,16 +10,19 @@ import warnings
 import numpy as np
 import pytest
 
+import rabijudd
 import rabijudd.bosons as bosons_module
+import rabijudd.cli as cli_module
 import rabijudd.juddian as juddian_module
 import rabijudd.numerics as numerics_module
-from rabijudd.bosons import displacement_matrix, support_rows
+import rabijudd.rabi as rabi_module
+import rabijudd.reference as reference_module
+import rabijudd.svgplot as svgplot_module
+from rabijudd.bosons import oscillator_levels, support_rows
 from rabijudd.juddian import (
     _compatibility_count,
     _reduced_band,
-    alternate_branch,
-    build_full_system,
-    compatibility_polynomial,
+    find_crossings,
     juddian_points,
     reconstruct_state,
     verify_point,
@@ -27,19 +30,22 @@ from rabijudd.juddian import (
 from rabijudd.numerics import (
     FullRankError,
     RootCountError,
-    null_vector,
-    poly_eval,
-    poly_real_roots,
-    sym_eig,
     _EPS,
     _gershgorin,
 )
-from rabijudd.rabi import (
-    ModelParams,
-    _block_layout,
+from rabijudd.rabi import ModelParams, _block_layout, spectrum_sweep
+from rabijudd.reference import (
+    build_full_system,
     build_rabi,
+    compatibility_polynomial,
+    displacement_matrix,
+    null_vector,
     parity_blocks,
+    poly_eval,
+    poly_real_roots,
+    sym_eig,
 )
+from rabijudd.svgplot import render_figure
 from reference import parity_matrix, reduced_matrix
 
 RESONANCE = ModelParams()  # omega = omega0 = 1, so omega_tilde = 1/2
@@ -512,7 +518,7 @@ def test_reconstruct_matches_dense_null_vector(wt):
     # with null_vector's sign (first component above 1e-12 positive)
     for N in [*range(1, 9), 20, 32, 40]:
         for point in juddian_points(N, _params(wt)):
-            for pt in (point, alternate_branch(point)):
+            for pt in (point, dataclasses.replace(point, displacement_sign=-point.displacement_sign)):
                 x = pt.lam * pt.lam
                 state = reconstruct_state(pt, cutoff=max(N, math.ceil(4.0 * x)))
                 ref = null_vector(build_full_system(N, wt, x, pt.displacement_sign))
@@ -578,7 +584,7 @@ def _dense_fock_vector(point, state, cutoff):
 def test_recurrence_states_match_dense_displacement(cutoff):
     for N in range(1, 9):
         for point in juddian_points(N, RESONANCE):
-            for pt in (point, alternate_branch(point)):
+            for pt in (point, dataclasses.replace(point, displacement_sign=-point.displacement_sign)):
                 state = reconstruct_state(pt, cutoff)
                 dense = _dense_fock_vector(pt, state, cutoff)
                 assert np.abs(state.fock_vector - dense).max() <= 1e-12, (N, pt.root_index)
@@ -594,7 +600,7 @@ def test_high_order_state_stays_accurate():
     # the bare ladder recurrence loses about a factor 2 per order; at
     # N = 20 it left an eigen-residual near 3e-5
     point = juddian_points(20, RESONANCE)[-1]
-    for pt in (point, alternate_branch(point)):
+    for pt in (point, dataclasses.replace(point, displacement_sign=-point.displacement_sign)):
         report = verify_point(pt, cutoff=300)
         assert report.eigen_residual <= 1e-12
 
@@ -604,19 +610,19 @@ def test_high_order_state_stays_accurate():
 
 def test_alternate_branch_swaps_and_restores():
     point = juddian_points(3, RESONANCE)[1]
-    other = alternate_branch(point)
+    other = dataclasses.replace(point, displacement_sign=-point.displacement_sign)
     assert other.displacement_sign == -1
     assert (other.N, other.lam, other.g, other.E) == (
         point.N, point.lam, point.g, point.E
     )
-    again = alternate_branch(other)
+    again = dataclasses.replace(other, displacement_sign=-other.displacement_sign)
     assert again == point
 
 
 def test_alternate_branch_state_solves_same_eigenproblem():
     point = juddian_points(3, RESONANCE)[2]
     H = build_rabi(point.model_params(), cutoff=100)
-    for pt in (point, alternate_branch(point)):
+    for pt in (point, dataclasses.replace(point, displacement_sign=-point.displacement_sign)):
         state = reconstruct_state(pt, cutoff=100)
         r = H @ state.fock_vector - pt.E * state.fock_vector
         assert math.sqrt(r @ r) <= 1e-6
@@ -624,7 +630,7 @@ def test_alternate_branch_state_solves_same_eigenproblem():
 
 def test_branch_set_invariance():
     pts = juddian_points(4, RESONANCE)
-    swapped = [alternate_branch(p) for p in pts]
+    swapped = [dataclasses.replace(p, displacement_sign=-p.displacement_sign) for p in pts]
     for a, b in zip(pts, swapped):
         assert abs(a.lam - b.lam) <= 1e-12
         assert abs(a.g - b.g) <= 1e-12
@@ -855,22 +861,42 @@ def test_verify_undersized_cutoff_message():
         verify_point(point, cutoff=30)
 
 
-def test_verify_never_builds_the_dense_displacement(monkeypatch):
-    def refuse(z, cutoff):
-        raise AssertionError("dense displacement matrix built")
+def test_no_package_path_calls_a_reference(monkeypatch):
+    # rabijudd.reference is kept for the benchmark and the tests alone: with
+    # each of its functions and classes a stub that raises, on the module and
+    # on the package, every package path runs, and no other package module
+    # holds one of them under its name
+    names = [name for name, value in vars(reference_module).items()
+             if getattr(value, "__module__", None) == reference_module.__name__]
+    assert len(names) == 19, names
 
-    def refuse_reference(*args, **kwargs):
-        raise AssertionError("dense compatibility reference called")
+    def refuse(name):
+        def stub(*args, **kwargs):
+            raise AssertionError(f"rabijudd.reference.{name} called")
+        return stub
 
-    monkeypatch.setattr(bosons_module, "displacement_matrix", refuse)
-    monkeypatch.setattr(juddian_module, "build_full_system", refuse_reference)
-    monkeypatch.setattr(juddian_module, "compatibility_polynomial", refuse_reference)
-    for name in ("displacement_matrix", "null_vector", "poly_eval"):
-        assert not hasattr(juddian_module, name), name
-    for point in juddian_points(4, RESONANCE):
-        report = verify_point(point, cutoff=100)
-        assert report.degeneracy_gap <= 1e-6
-        assert report.eigen_residual <= 1e-6
+    for name in names:
+        monkeypatch.setattr(reference_module, name, refuse(name))
+        if hasattr(rabijudd, name):
+            monkeypatch.setattr(rabijudd, name, refuse(name))
+    modules = (numerics_module, bosons_module, rabi_module, juddian_module, svgplot_module, cli_module)
+    assert [(m.__name__, name) for m in modules for name in names if hasattr(m, name)] == []
+
+    for params in (RESONANCE, _params(2.3)):
+        for N in range(1, 7):
+            for point in juddian_points(N, params):
+                assert reconstruct_state(point, cutoff=100).fock_vector.shape == (202,)
+                report = verify_point(point, cutoff=100)
+                assert report.degeneracy_gap <= 1e-6
+                assert report.eigen_residual <= 1e-6
+    table = spectrum_sweep(RESONANCE, np.linspace(0.05, 0.8, 201), cutoff=100, levels_per_block=8)
+    assert find_crossings(table)
+    for kind in ("displaced", "squeezed"):
+        assert oscillator_levels(kind, 0.3, 100, 10).shape == (10,)
+    rows = [(g, parity, level, float(e)) for parity, levels in ((1, table.levels_plus), (-1, table.levels_minus))
+            for g, row in zip(table.g_values.tolist(), levels) for level, e in enumerate(row)]
+    points = [{"N": p.N, "lambda": p.lam, "g": p.g, "E": p.E} for p in juddian_points(3, RESONANCE)]
+    assert render_figure(rows, points).count('<path class="juddian-point"') == len(points)
 
 
 def test_verify_large_cutoff_agrees_with_small():

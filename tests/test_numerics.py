@@ -15,10 +15,6 @@ import rabijudd.juddian as juddian
 from rabijudd.numerics import (
     FullRankError,
     RootCountError,
-    null_vector,
-    poly_eval,
-    poly_real_roots,
-    sym_eig,
     _gershgorin,
     _inverse_step,
     tridiag_eigvals_lowest,
@@ -26,16 +22,27 @@ from rabijudd.numerics import (
 from rabijudd.bosons import (
     displaced_number_states,
     displaced_osc_band,
+    oscillator_levels,
+    squeezed_osc_band,
+    squeeze_params,
+)
+from rabijudd.juddian import juddian_points
+from rabijudd.rabi import ModelParams, _block_layout
+from rabijudd.reference import (
+    _components,
+    build_full_system,
+    build_rabi,
+    compatibility_polynomial,
     displaced_osc_hamiltonian,
     displacement_matrix,
     ladder_matrices,
-    oscillator_levels,
-    squeezed_osc_band,
+    null_vector,
+    parity_blocks,
+    poly_eval,
+    poly_real_roots,
     squeezed_osc_hamiltonian,
-    squeeze_params,
+    sym_eig,
 )
-from rabijudd.juddian import build_full_system, compatibility_polynomial, juddian_points
-from rabijudd.rabi import ModelParams, _block_layout, build_rabi, parity_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +365,14 @@ def test_components_of_the_oscillator_and_rabi_matrices():
     # the squeezed oscillator falls apart by the parity of n, build_rabi into
     # its two parity chains (rows 0, 3, 4, 7, 8, ... and 1, 2, 5, 6, ...)
     M = 100
-    assert numerics._components(squeezed_osc_hamiltonian(0.3, M)) == [
+    assert _components(squeezed_osc_hamiltonian(0.3, M)) == [
         list(range(0, M + 1, 2)), list(range(1, M + 1, 2))
     ]
     rows = np.arange(2 * (M + 1))
     plus = rows[(rows // 2 + rows % 2) % 2 == 0].tolist()
     minus = rows[(rows // 2 + rows % 2) % 2 == 1].tolist()
-    assert numerics._components(build_rabi(ModelParams(g=0.4), M)) == [plus, minus]
-    assert numerics._components(np.diag([1.0, 0.0, 2.0])) == [[0], [1], [2]]
+    assert _components(build_rabi(ModelParams(g=0.4), M)) == [plus, minus]
+    assert _components(np.diag([1.0, 0.0, 2.0])) == [[0], [1], [2]]
 
 
 def test_sym_eig_squeezed_matches_lapack():
@@ -403,7 +410,7 @@ def test_sym_eig_dense_component_beside_zero_rows():
     for keep, zero, first in (([0, 2, 3, 5], [1, 4], 0), ([1, 2, 3, 5], [0, 4], 1)):
         A = np.zeros((6, 6))
         A[np.ix_(keep, keep)] = B
-        assert numerics._components(A) == sorted([keep] + [[i] for i in zero])
+        assert _components(A) == sorted([keep] + [[i] for i in zero])
         with pytest.raises(ValueError, match=f"component at index {first} is not tridiagonal"):
             sym_eig(A)
         # the same rows as a chain
@@ -429,7 +436,7 @@ def test_sym_eig_sparse_patterns(A):
     res = sym_eig(A)
     _check_eig(A, res)
     _check_sums(A, res)
-    components = numerics._components(A)
+    components = _components(A)
     assert sorted(i for c in components for i in c) == list(range(A.shape[0]))
     assert all(c == sorted(c) for c in components)
 

@@ -22,8 +22,9 @@ _NUMPY_NAME = re.compile(r"^numpy(\.\w+)*$")
 # the one module that imports numpy, lazily, for all the others
 _NUMPY_HELPER = "_numpy.py"
 # the package modules, each importing only those before it; the package's
-# __init__ and __main__ stand above them all
-_LAYERS = ("_numpy", "numerics", "bosons", "rabi", "juddian", "svgplot", "cli")
+# __init__ and __main__ stand above them all, and the references last, so
+# that no package module imports them
+_LAYERS = ("_numpy", "numerics", "bosons", "rabi", "juddian", "svgplot", "cli", "reference")
 _ENTRY_POINTS = ("__init__", "__main__")
 
 
@@ -70,7 +71,7 @@ def _layer_breaches(tree: ast.AST, name: str) -> list[tuple[int, str]]:
 
 
 def test_the_package_sources_are_all_found():
-    assert {"numerics.py", "rabi.py", "bosons.py", "juddian.py", "cli.py", _NUMPY_HELPER} <= {
+    assert {"numerics.py", "rabi.py", "bosons.py", "juddian.py", "cli.py", "reference.py", _NUMPY_HELPER} <= {
         p.name for p in _SOURCES
     }
 
@@ -210,6 +211,46 @@ def test_each_sturm_kernel_has_only_its_own_callers(kernel):
 def test_the_caller_scan_finds_each_form(source, want):
     name = "_sturm_lowest_batch" if "batch" in source else "_sturm_count"
     assert _referrers(ast.parse(source), "m", name) == want
+
+
+# the modules that hold the package's paths; the references have their own
+_CORE = ("numerics", "bosons", "rabi", "juddian")
+
+
+def _unreached(trees: dict[str, ast.AST], api: set[str]) -> list[str]:
+    """module.f for each top-level function or class f of the core modules that
+    no package path reaches: f is not in api, and nothing reached names it.
+    Reached are the api, every top-level statement outside the core modules
+    and every module-level statement; names from the references do not count."""
+    defs = {f"{m}.{top.name}": top.name for m in _CORE if m in trees for top in trees[m].body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+    # the names each module uses, so that _referrers walks only the modules that name f
+    used = {m: {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+            for m, tree in trees.items() if m != "reference"}
+    referrers = {d: set().union(*(_referrers(trees[m], m, name) for m in used if name in used[m])) - {d}
+                 for d, name in defs.items()}
+    reached = {d for d, name in defs.items() if name in api}
+    while grown := {d for d in set(defs) - reached if any(r not in defs or r in reached for r in referrers[d])}:
+        reached |= grown
+    return sorted(set(defs) - reached)
+
+
+def test_the_core_modules_carry_no_orphan_code():
+    # what no package path runs lives in rabijudd.reference, not beside the kernels
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in _SOURCES}
+    assert _unreached(trees, set(rabijudd.__all__)) == []
+
+
+@pytest.mark.parametrize("modules, want", [
+    ({"numerics": "def a():\n    return b()\ndef b():\n    pass"}, ["numerics.a", "numerics.b"]),
+    ({"numerics": "def a():\n    return b()\ndef b():\n    pass", "cli": "def main():\n    a()"}, []),
+    ({"numerics": "def a():\n    return b()\ndef b():\n    pass", "reference": "def r():\n    a()"},
+     ["numerics.a", "numerics.b"]),
+    ({"numerics": "def point():\n    pass", "rabi": "class Block:\n    pass\nTABLE = [Block]"}, []),
+    ({"juddian": "def f():\n    return f()"}, ["juddian.f"]),
+], ids=["dead-chain", "chain-the-cli-runs", "named-by-a-reference", "module-level-name", "names-itself"])
+def test_the_orphan_scan_follows_the_package_paths(modules, want):
+    assert _unreached({m: ast.parse(source) for m, source in modules.items()}, {"point"}) == want
 
 
 def test_every_mutant_text_occurs_once_in_its_module():

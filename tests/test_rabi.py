@@ -13,18 +13,9 @@ from hypothesis import strategies as st
 import rabijudd.juddian as juddian
 from rabijudd.bosons import support_rows
 from rabijudd.juddian import Crossing, find_crossings, juddian_points
-from rabijudd.numerics import (
-    sym_eig,
-    tridiag_eigvals_lowest,
-)
-from rabijudd.rabi import (
-    ModelParams,
-    _apply_rabi,
-    _block_layout,
-    build_rabi,
-    parity_blocks,
-    spectrum_sweep,
-)
+from rabijudd.numerics import tridiag_eigvals_lowest
+from rabijudd.rabi import ModelParams, _apply_rabi, _block_layout, spectrum_sweep
+from rabijudd.reference import build_rabi, parity_blocks, sym_eig
 from reference import parity_matrix
 from test_numerics import _full_lowest_batch
 
